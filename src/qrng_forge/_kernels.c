@@ -1,11 +1,38 @@
-/* Hot loops of qrng_forge, loaded through ctypes by _native.py.
+/* The three hot loops of qrng_forge, loaded through ctypes by _native.py.
  *
- * Each function has a numpy reference in the Python module that calls it
- * (coincidence._cluster_scan_np, extract._fr_accumulate_py); the two must
- * agree bit for bit. Callers check dtypes, contiguity and buffer sizes.
+ * Each kernel has a numpy reference in the Python module that calls it, and
+ * the two must agree bit for bit:
+ *   qf_split_channels  timetags._split_channels_np
+ *   qf_cluster_scan    coincidence._cluster_scan_np
+ *   qf_fr_accumulate   extract._fr_accumulate_py
+ * Callers check dtypes, contiguity and buffer sizes.
  */
 
 #include <stdint.h>
+
+/* Stable split of a time-ordered tag stream into its six channels.
+ *
+ * counts[c] receives the number of tags with channel code c (codes above 5
+ * are skipped), and out[0:sum(counts)] the tags' timestamps grouped by
+ * channel code, each group in stream order. out must hold n values.
+ */
+void qf_split_channels(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *counts,
+                       int64_t *out)
+{
+    int64_t pos[6], start = 0;
+    for (int c = 0; c < 6; c++)
+        counts[c] = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (ch[i] < 6)
+            counts[ch[i]]++;
+    for (int c = 0; c < 6; c++) {
+        pos[c] = start;
+        start += counts[c];
+    }
+    for (int64_t i = 0; i < n; i++)
+        if (ch[i] < 6)
+            out[pos[ch[i]]++] = ts[i];
+}
 
 /* Gap-tau cluster scan of two sorted timestamp arrays.
  *

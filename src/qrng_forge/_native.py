@@ -1,4 +1,13 @@
-"""C kernels for the two hot loops, built from ``_kernels.c`` on first use.
+"""C kernels for the three hot loops, built from ``_kernels.c`` on first use.
+
+The kernels and the numpy references they must match bit for bit:
+
+* ``qf_split_channels``: one-pass channel split of a tag stream
+  (``timetags._split_channels_np``)
+* ``qf_cluster_scan``: gap-tau cluster scan of the matcher
+  (``coincidence._cluster_scan_np``)
+* ``qf_fr_accumulate``: four-Russians Toeplitz accumulate
+  (``extract._fr_accumulate_py``)
 
 The system ``gcc`` compiles the source into a per-user cache directory,
 ``$XDG_CACHE_HOME/qrng_forge`` (``~/.cache/qrng_forge`` by default). The
@@ -72,6 +81,8 @@ def library() -> ctypes.CDLL | None:
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     n = ctypes.c_int64
+    lib.qf_split_channels.argtypes = [i64, u8, n, i64, i64]
+    lib.qf_split_channels.restype = None
     lib.qf_cluster_scan.argtypes = [i64, n, i64, n, n, i64, i64, i64, i64, n]
     lib.qf_cluster_scan.restype = n
     lib.qf_fr_accumulate.argtypes = [u8, n, u8, n, n, u8]

@@ -272,8 +272,11 @@ def accidental_rate(rate_a: float, rate_b: float, cfg: CoincidenceConfig) -> flo
     return 2.0 * cfg.tau_seconds * rate_a * rate_b
 
 
-_BIT_ZERO = frozenset({int(Channel.D1), int(Channel.U2)})
-_BIT_ONE = frozenset({int(Channel.D2), int(Channel.U1)})
+#: Bit of a (ch_a, ch_b) coincidence at index ch_a * 8 + ch_b: 0 for
+#: (D1, U2) in either order, 1 for (D2, U1) in either order, 2 for no bit.
+_BIT_OF_PAIR = np.full(64, 2, np.uint8)
+_BIT_OF_PAIR[[Channel.D1 * 8 + Channel.U2, Channel.U2 * 8 + Channel.D1]] = 0
+_BIT_OF_PAIR[[Channel.D2 * 8 + Channel.U1, Channel.U1 * 8 + Channel.D2]] = 1
 
 
 class RawBits(Sequence):
@@ -308,14 +311,10 @@ def assign_bits(coincidences: CoincidenceList | Sequence[CoincidenceEvent]) -> R
     """
     if not isinstance(coincidences, CoincidenceList):
         coincidences = CoincidenceList.from_events(list(coincidences))
-    key = coincidences.ch_a.astype(np.int64) * 8 + coincidences.ch_b
-    zero_keys = {a * 8 + b for a in _BIT_ZERO for b in _BIT_ZERO if a != b}
-    one_keys = {a * 8 + b for a in _BIT_ONE for b in _BIT_ONE if a != b}
-    is_zero = np.isin(key, list(zero_keys))
-    is_one = np.isin(key, list(one_keys))
-    keep = is_zero | is_one
+    bit = _BIT_OF_PAIR[coincidences.ch_a.astype(np.intp) * 8 + coincidences.ch_b]
+    keep = bit < 2
     times = coincidences.times[keep]
-    bits = is_one[keep].astype(np.uint8)
+    bits = bit[keep]
     order = np.lexsort((bits, times))
     return RawBits(times[order], bits[order])
 

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .certify import (
     SQRT8,
     CertBlock,
@@ -482,6 +482,9 @@ def run_pipeline(
     timing["certify"] = time.perf_counter() - t0
     digests["cert_report.json"] = _sha256(out_dir / "cert_report.json")
     verdict = Verdict(cert_report["verdict"])
+    # the tags and coincidences are done with; free them before extraction
+    # allocates its FFT buffers
+    del stream, times, bit_coincs, cert_coincs, raw
 
     if verdict is Verdict.UNCERTIFIED and not force:
         raise CertificationRefused(
@@ -539,6 +542,7 @@ def run_pipeline(
     manifest = {
         "tool": "qrng-forge",
         "version": __version__,
+        "kernel_backend": "numpy" if _native.library() is None else "c",
         "config": cfg.snapshot,
         "rng_seed": cfg.source.rng_seed,
         "extractor_seed_file": seed_path.name,

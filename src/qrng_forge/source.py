@@ -20,6 +20,10 @@ exactly ``noise_p``.
 Event generation is deterministic for a given ``rng_seed``: emission is
 sampled slice by slice with a counter-based Philox generator keyed on
 (seed, slice index), so results do not depend on how work is scheduled.
+
+Tags are ordered by time. Equal timestamps keep slice order; within a
+slice the dark tags come first, by channel code, followed by the detected
+signal tags in the order U1, D2, U2, D1, C1, C2.
 """
 
 from __future__ import annotations
@@ -313,8 +317,31 @@ def _prune_dead_time(times: np.ndarray, dead_time: int) -> np.ndarray:
     return keep
 
 
+def _slice_order(ts: np.ndarray) -> np.ndarray:
+    """The permutation ``np.argsort(ts, kind="stable")``, by a value sort.
+
+    Each time is packed with its index into one key,
+    ``(t - min) << b | index`` with ``b = len(ts).bit_length()``, so equal
+    times keep their index order; sorting values is about ten times cheaper
+    than an indirect stable sort. A slice whose time span leaves no room
+    for the index in 63 bits takes the stable argsort itself.
+    """
+    if not ts.size:
+        return np.empty(0, np.intp)
+    lo = int(ts.min())
+    b = ts.size.bit_length()
+    if (int(ts.max()) - lo) >> (63 - b):
+        return np.argsort(ts, kind="stable")
+    key = (ts - lo) << b
+    key |= np.arange(ts.size)
+    key.sort()
+    key &= (1 << b) - 1
+    return key
+
+
 def generate_events(config: SourceConfig) -> TagStream:
-    """Sample one full acquisition into a sorted six-channel TagStream."""
+    """Sample one full acquisition into a sorted six-channel TagStream,
+    in the tag order stated in the module docstring."""
     if config.expected_pairs() >= PAIR_BUDGET:
         raise EventBudgetError("event budget exceeded")
 
@@ -322,12 +349,11 @@ def generate_events(config: SourceConfig) -> TagStream:
     eta = config.efficiency_array()
     dark = config.dark_array()
     pair_rate_per_ps = config.pair_rate * 1e-12
-    # cache outcome probabilities per schedule setting
-    cum_probs = []
-    for t1, t2 in sched.settings:
-        probs = joint_outcome_probs(config.state, t1, t2)
-        total = probs.sum()
-        cum_probs.append(np.cumsum(probs / total))
+    # cumulative outcome probabilities, one row per schedule setting
+    cum_probs = np.stack([
+        np.cumsum(probs / probs.sum())
+        for probs in (joint_outcome_probs(config.state, t1, t2) for t1, t2 in sched.settings)
+    ])
 
     ts_parts: list[np.ndarray] = []
     ch_parts: list[np.ndarray] = []
@@ -353,17 +379,12 @@ def generate_events(config: SourceConfig) -> TagStream:
                 slice_ts.append(t_sec)
                 slice_ch.append(np.full(t_sec.size, int(ch), dtype=np.uint8))
 
-        # analyzed pair: joint outcome decides which C detectors fire
+        # analyzed pair: joint outcome decides which C detectors fire; the
+        # count of cumulative probabilities <= u is searchsorted(side="right")
         t_c = times[section == 2]
         idx = sched.setting_index_at(t_c)
         u = rng.random(t_c.size)
-        outcome = np.empty(t_c.size, dtype=np.int64)
-        for k in range(len(sched.settings)):
-            sel = idx == k
-            if np.any(sel):
-                outcome[sel] = np.minimum(
-                    np.searchsorted(cum_probs[k], u[sel], side="right"), 3
-                )
+        outcome = np.minimum((cum_probs[idx] <= u[:, None]).sum(axis=1), 3)
         c1_hit = (outcome == 0) | (outcome == 1)
         c2_hit = (outcome == 0) | (outcome == 2)
         slice_ts.append(t_c[c1_hit])
@@ -371,8 +392,8 @@ def generate_events(config: SourceConfig) -> TagStream:
         slice_ts.append(t_c[c2_hit])
         slice_ch.append(np.full(int(c2_hit.sum()), int(Channel.C2), dtype=np.uint8))
 
-        ts_sig = np.concatenate(slice_ts) if slice_ts else np.empty(0, np.int64)
-        ch_sig = np.concatenate(slice_ch) if slice_ch else np.empty(0, np.uint8)
+        ts_sig = np.concatenate(slice_ts)
+        ch_sig = np.concatenate(slice_ch)
 
         # detector efficiency thins signal tags per channel
         if np.any(eta < 1.0):
@@ -388,19 +409,26 @@ def generate_events(config: SourceConfig) -> TagStream:
             np.clip(ts_sig, 0, config.duration, out=ts_sig)
 
         # dark counts, uniform in the slice, per channel
+        dark_ts: list[np.ndarray] = []
+        dark_ch: list[np.ndarray] = []
         for ch in Channel:
             rate = dark[int(ch)]
             if rate > 0:
                 n_dark = rng.poisson(rate * 1e-12 * span)
                 if n_dark:
-                    ts_parts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
-                    ch_parts.append(np.full(n_dark, int(ch), dtype=np.uint8))
+                    dark_ts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
+                    dark_ch.append(np.full(n_dark, int(ch), dtype=np.uint8))
 
-        ts_parts.append(ts_sig)
-        ch_parts.append(ch_sig)
+        ts_slice = np.concatenate([*dark_ts, ts_sig])
+        ch_slice = np.concatenate([*dark_ch, ch_sig])
+        order = _slice_order(ts_slice)
+        ts_parts.append(ts_slice[order])
+        ch_parts.append(ch_slice[order])
 
-    ts = np.concatenate(ts_parts) if ts_parts else np.empty(0, np.int64)
-    ch = np.concatenate(ch_parts) if ch_parts else np.empty(0, np.uint8)
+    ts = np.concatenate(ts_parts)
+    ch = np.concatenate(ch_parts)
+    # slices are sorted runs that overlap only where jitter crosses a slice
+    # edge, so the stable sort (timsort) merges them in near-linear time
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     ch = ch[order]

@@ -27,6 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _native
+
 MAX_TIMESTAMP = 2**63 - 1  # headroom for signed arithmetic on differences
 
 _MAGIC = b"QTT1"
@@ -109,7 +111,7 @@ class TagStream:
     order is preserved.
     """
 
-    __slots__ = ("timestamps", "channels", "duration")
+    __slots__ = ("timestamps", "channels", "duration", "_by_channel")
 
     def __init__(self, timestamps, channels, duration: int, validate: bool = True):
         ts = np.ascontiguousarray(timestamps, dtype=np.int64)
@@ -134,6 +136,7 @@ class TagStream:
         self.timestamps = ts
         self.channels = ch
         self.duration = duration
+        self._by_channel = None
 
     @classmethod
     def from_tags(cls, tags: Iterable[TimeTag], duration: int) -> "TagStream":
@@ -167,21 +170,56 @@ class TagStream:
         return f"TagStream({len(self)} tags, duration={self.duration} ps)"
 
     def channel_times(self, channel: Channel) -> np.ndarray:
-        """Timestamps of one channel, sorted (a view-copy)."""
-        return self.timestamps[self.channels == int(channel)]
+        """Timestamps of one channel, sorted and read-only.
+
+        The first call splits the stream into all six channels in one pass
+        and keeps the result, so later calls return without scanning.
+        """
+        if self._by_channel is None:
+            self._by_channel = _split_channels(self.timestamps, self.channels)
+        return self._by_channel[int(channel)]
 
     def counts_by_channel(self) -> dict[Channel, int]:
         counts = np.bincount(self.channels, minlength=6)
         return {ch: int(counts[int(ch)]) for ch in Channel}
 
 
-def encode_stream(stream: TagStream) -> bytes:
-    """Serialize a stream to the canonical QTT1 byte layout."""
-    header = _HEADER.pack(_MAGIC, _VERSION, 6, stream.duration, len(stream))
+def _split_channels_np(ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:
+    """Per-channel timestamps by one mask per channel: the reference for
+    ``qf_split_channels``."""
+    return [ts[ch == int(c)] for c in Channel]
+
+
+def _split_channels_c(lib, ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:
+    """The split of :func:`_split_channels_np` in one pass of ``qf_split_channels``."""
+    counts = np.empty(6, np.int64)
+    out = np.empty(ts.size, np.int64)
+    lib.qf_split_channels(ts, ch, ts.size, counts, out)
+    return np.split(out[: counts.sum()], np.cumsum(counts)[:-1])
+
+
+def _split_channels(ts: np.ndarray, ch: np.ndarray) -> tuple[np.ndarray, ...]:
+    lib = _native.library()
+    parts = _split_channels_np(ts, ch) if lib is None else _split_channels_c(lib, ts, ch)
+    for part in parts:
+        part.setflags(write=False)
+    return tuple(parts)
+
+
+def _header(stream: TagStream) -> bytes:
+    return _HEADER.pack(_MAGIC, _VERSION, 6, stream.duration, len(stream))
+
+
+def _records(stream: TagStream) -> np.ndarray:
     records = np.empty(len(stream), dtype=_RECORD_DTYPE)
     records["t"] = stream.timestamps
     records["ch"] = stream.channels
-    return header + records.tobytes()
+    return records
+
+
+def encode_stream(stream: TagStream) -> bytes:
+    """Serialize a stream to the canonical QTT1 byte layout."""
+    return _header(stream) + _records(stream).tobytes()
 
 
 def decode_stream(data: bytes) -> TagStream:
@@ -226,7 +264,10 @@ def decode_stream(data: bytes) -> TagStream:
 
 
 def write_stream(stream: TagStream, path) -> None:
-    Path(path).write_bytes(encode_stream(stream))
+    """Write the bytes of :func:`encode_stream` straight from the record array."""
+    with open(path, "wb") as f:
+        f.write(_header(stream))
+        f.write(memoryview(_records(stream)).cast("B"))
 
 
 def read_stream(path) -> TagStream:

@@ -10,8 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrng_forge import BitSequence, CoincidenceConfig, ExtractorParams, _native, find_coincidences
-from qrng_forge import coincidence
+from qrng_forge import (
+    BitSequence,
+    Channel,
+    CoincidenceConfig,
+    ExtractorParams,
+    TagStream,
+    _native,
+    find_coincidences,
+)
+from qrng_forge import coincidence, timetags
 from qrng_forge.extract import _ByteTableHasher, _fr_accumulate_py
 
 from conftest import naive_toeplitz
@@ -72,6 +80,51 @@ def test_find_coincidences_same_on_both_paths(rng):
             assert np.array_equal(getattr(f, name), getattr(r, name))
 
 
+def split_cases(rng):
+    """(timestamps, channels) of time-ordered streams for the channel split."""
+    yield np.empty(0, np.int64), np.empty(0, np.uint8)
+    yield np.array([1, 2, 3]), np.array([0, 2, 5])  # channels 1, 3 and 4 hold no tag
+    yield np.arange(50), np.full(50, 4)  # every tag on one channel
+    yield np.array([7, 7, 7, 7, 9, 9]), np.array([3, 1, 3, 0, 5, 1])  # equal timestamps
+    ts = np.sort(rng.integers(0, 10**6, 20_000))  # many ties, every channel
+    yield ts, rng.integers(0, 6, ts.size)
+
+
+@needs_gcc
+def test_split_channels_c_equals_numpy(rng):
+    lib = _native.library()
+    for ts, ch in split_cases(rng):
+        ts = np.asarray(ts, np.int64)
+        ch = np.asarray(ch, np.uint8)
+        want = timetags._split_channels_np(ts, ch)
+        got = timetags._split_channels_c(lib, ts, ch)
+        assert len(got) == len(want) == 6
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype and np.array_equal(w, g), (ts, ch)
+
+
+def channel_times_by_mask(stream):
+    return [stream.timestamps[stream.channels == int(c)] for c in Channel]
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_gcc),
+    "numpy",
+])
+def test_channel_times_read_only_and_cached(rng, backend, monkeypatch):
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    ts = np.sort(rng.integers(0, 10**6, 3000))
+    stream = TagStream(ts, rng.integers(0, 5, ts.size), 10**6)  # no C2 tag
+    first = [stream.channel_times(c) for c in Channel]
+    for got, want in zip(first, channel_times_by_mask(stream)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[:1] = 0
+    assert all(stream.channel_times(c) is a for c, a in zip(Channel, first))
+
+
 @needs_gcc
 def test_fr_accumulate_c_equals_numpy(rng):
     lib = _native.library()
@@ -99,7 +152,11 @@ def test_missing_compiler_warns_once_and_falls_back(monkeypatch):
             assert _native.library() is None
             assert _native.library() is None
             cc = find_coincidences(np.array([0, 1100]), np.array([900, 2000]), CoincidenceConfig(TAU))
+            stream = TagStream([1, 2, 2, 5], [3, 0, 3, 1], 10)
+            split = [stream.channel_times(c) for c in Channel]
         assert len(cc) == 2
+        for got, want in zip(split, channel_times_by_mask(stream)):
+            assert np.array_equal(got, want)
         assert [w.category for w in caught] == [_native.NativeKernelWarning]
     finally:
         _native.library.cache_clear()

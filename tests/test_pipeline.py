@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrng_forge import _native
 from qrng_forge.cli import main
 from qrng_forge.pipeline import (
     ConfigError,
@@ -165,6 +166,20 @@ class TestRunAndManifest:
         assert manifest["rates"]["extracted_mbps"] > 0
         assert manifest["rates"]["h_min"] > 0.9
         assert set(manifest["digests"]) >= {"tags.qtt", "raw.bits", "extracted.bits"}
+
+    def test_manifest_names_kernel_backend(self, run_result, tmp_path, monkeypatch):
+        _, out = run_result
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kernel_backend"] == ("numpy" if _native.library() is None else "c")
+        monkeypatch.setattr(_native, "library", lambda: None)
+        cfg = build_config(fast_overrides(**{
+            "source.duration_s": 0.05,
+            "extractor.n_block": 8192,
+            "battery.n_sequences": 1,
+            "battery.seq_len": 1000,
+        }))
+        fallback = run_pipeline(cfg, out_dir=tmp_path, force=True)
+        assert fallback.manifest["kernel_backend"] == "numpy"
 
     def test_ratio_report_keys(self, run_result):
         _, out = run_result

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qrng_forge import (
     state_from_hwp,
     visibility,
 )
+from qrng_forge import source
 from qrng_forge.source import EventBudgetError
 
 BELL = TwoPhotonState.bell()
@@ -176,6 +178,80 @@ class TestGenerateEvents:
             times = stream.channel_times(ch)
             assert times.size > 0
             assert np.diff(times).min() >= 5000
+
+
+#: Pinned acquisitions and the sha256 of their QTT1 encoding. The digests
+#: were taken with one stable argsort of the whole stream in place of the
+#: per-slice key sort, so they pin tag order as well as tag content.
+GOLDEN = {
+    # no jitter: U1/D2, U2/D1 and C1/C2 tags tie at their emission times
+    "ties": (
+        dict(duration=3 * 10**9, rng_seed=7),
+        "0904fdbd15d1359cc98ace23141d67a3ffda706194b10d2f00b46f756ed800d8",
+    ),
+    # dark counts, per-channel efficiency, dead time, a partial last slice
+    "dark_eff_dead": (
+        dict(
+            duration=2 * 10**9 + 500_000_123,
+            rng_seed=8,
+            det_efficiency={ch: 0.95 - 0.05 * int(ch) for ch in Channel},
+            dark_rate=5 * 10**4,
+            dead_time=200_000,
+            jitter_sigma=350.0,
+        ),
+        "726a72b613ef8b35df75aea25f4173ddcb63a68abe0e2a0755f329fb444548af",
+    ),
+    # jitter of half a slice: tags cross slice edges and pile up, clipped,
+    # at 0 and at the duration
+    "wide_jitter": (
+        dict(duration=4 * 10**9, rng_seed=9, dark_rate=10**4, jitter_sigma=5e8),
+        "ec74950829ea142a98c279627cd525a69667000ede51ffdaafc28fa6beca4ef6",
+    ),
+    # the bell_run benchmark shape, shortened to 30 slices
+    "bell_run": (
+        dict(
+            pair_rate_coeff=3 * 10**6,
+            duration=3 * 10**10,
+            rng_seed=21,
+            jitter_sigma=100.0,
+        ),
+        "e9b431dc4ee41b6de0a9c1839396a61e28a70c5418418bd1a1093d2a479129cf",
+    ),
+}
+
+
+def stream_digest(cfg) -> str:
+    return hashlib.sha256(encode_stream(generate_events(cfg))).hexdigest()
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest(self, name):
+        kwargs, digest = GOLDEN[name]
+        assert stream_digest(small_config(**kwargs)) == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest_with_reference_slice_sort(self, name, monkeypatch):
+        # the stable argsort that slices fall back to when their key does not fit
+        monkeypatch.setattr(source, "_slice_order", lambda ts: np.argsort(ts, kind="stable"))
+        kwargs, digest = GOLDEN[name]
+        assert stream_digest(small_config(**kwargs)) == digest
+
+    def test_slice_order_equals_stable_argsort(self, rng):
+        big = 2**62
+        cases = [
+            np.empty(0, np.int64),
+            np.array([5], np.int64),
+            np.array([3, 3, 1, 3, 1], np.int64),
+            rng.integers(0, 50, 5000),
+            rng.integers(10**9, 2 * 10**9, 4097),
+            # spans too wide for the packed key: the fallback path
+            np.array([big, 0, big, 0, 1], np.int64),
+            rng.choice(np.array([0, 7, big - 1, big], np.int64), 3000),
+        ]
+        for ts in cases:
+            ts = ts.astype(np.int64)
+            assert np.array_equal(source._slice_order(ts), np.argsort(ts, kind="stable"))
 
 
 class TestNoiseMonotonicity:

@@ -104,6 +104,14 @@ class TestCodec:
         write_stream(stream, path)
         assert read_stream(path) == stream
 
+    def test_written_file_equals_encoding(self, tmp_path, rng):
+        path = tmp_path / "tags.qtt"
+        for n in (0, 1, 5000):
+            ts = np.sort(rng.integers(0, 10**9, n))
+            stream = TagStream(ts, rng.integers(0, 6, n), 10**9)
+            write_stream(stream, path)
+            assert path.read_bytes() == encode_stream(stream)
+
 
 class TestMerge:
     def test_identity_single_and_with_empty(self):
