@@ -11,6 +11,11 @@ Subcommands wire the pipeline stages over files:
     sweep      one pipeline per parameter value -> CSV
     export     bit file -> raw_packed or ascii01 bytes
 
+Each stage subcommand calls the stage function that ``run`` calls, so it
+writes the same artifacts, byte for byte, as that stage of ``run`` on the
+same input. The one difference: ``extract`` has no acquisition time, so
+``seconds`` and ``mbps`` in its ``ratio_report.json`` are null.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error,
 4 certification refused (UNCERTIFIED without --force).
 """
@@ -18,19 +23,19 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .certify import Verdict
-from .coincidence import assign_bits, coincidence_summary, concat_coincidences
-from .extract import extract_stream
 from .pipeline import (
     CertificationRefused,
     ConfigError,
     StageError,
-    _match_section_pairs,
-    certification_report,
+    _certify,
+    _coerce,
+    _coincide,
+    _extract,
+    _match_pair,
+    _test,
     load_config,
     rerun_from_manifest,
     run_pipeline,
@@ -38,15 +43,8 @@ from .pipeline import (
     sweep,
     sweep_csv,
 )
-from .randtests import export_bits, run_battery
-from .timetags import (
-    BitSequence,
-    Channel,
-    TagFileError,
-    read_bits,
-    read_stream,
-    write_bits,
-)
+from .randtests import export_bits
+from .timetags import Channel, TagFileError, read_bits, read_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,8 +76,6 @@ def _collect_overrides(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        from .pipeline import _coerce
-
         overrides[key.strip()] = _coerce(value.strip())
     if args.seed is not None:
         overrides["source.rng_seed"] = args.seed
@@ -96,10 +92,14 @@ def _load(args):
     return load_config(args.config, _collect_overrides(args))
 
 
+def _out_dir(cfg) -> Path:
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    stream, tag_path, rates = simulate_to_file(cfg, out_dir)
+    stream, tag_path, rates = simulate_to_file(cfg, cfg.output_dir)
     print(f"wrote {tag_path} ({len(stream)} tags, {cfg.source.duration} ps)")
     print(f"{'channel':>8} {'observed Hz':>14} {'expected Hz':>14}")
     for name, row in rates.items():
@@ -110,16 +110,8 @@ def cmd_simulate(args) -> int:
 def cmd_coincide(args) -> int:
     cfg = _load(args)
     stream = read_stream(args.tags)
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = coincidence_summary(stream, cfg.coincidence)
-    bit_coincs, _, _, pair_counts = _match_section_pairs(stream, cfg.coincidence)
-    raw = assign_bits(bit_coincs)
-    bits = BitSequence.from_bits(raw.bits)
-    write_bits(bits, out_dir / "raw.bits")
-    summary["raw_bits"] = len(bits)
-    (out_dir / "coincidence_summary.json").write_text(json.dumps(summary, indent=2))
-    print(f"raw bits: {len(bits)}")
+    *_, summary = _coincide(cfg, stream, _out_dir(cfg))
+    print(f"raw bits: {summary['raw_bits']}")
     for pair, row in summary["pairs"].items():
         print(
             f"{pair}: {row['coincidences']} coincidences, "
@@ -131,19 +123,8 @@ def cmd_coincide(args) -> int:
 def cmd_certify(args) -> int:
     cfg = _load(args)
     stream = read_stream(args.tags)
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, cert_coincs, times, _ = _match_section_pairs(stream, cfg.coincidence)
-    _, report = certification_report(
-        cert_coincs,
-        cfg.source.analyzer_schedule,
-        cfg.cert_block,
-        stream.duration,
-        cfg.coincidence,
-        times[Channel.C1],
-        times[Channel.C2],
-    )
-    (out_dir / "cert_report.json").write_text(json.dumps(report, indent=2))
+    cert_coincs = _match_pair(stream, Channel.C1, Channel.C2, cfg.coincidence)
+    _, report = _certify(cfg, stream, cert_coincs, _out_dir(cfg))
     s = report.get("S_run")
     s_text = f"{s:.4f} +/- {report.get('S_run_stderr', 0.0):.4f}" if isinstance(s, float) else "n/a"
     print(f"verdict: {report['verdict']}  S = {s_text}  g2 = {report.get('g2_run')}")
@@ -153,18 +134,7 @@ def cmd_certify(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load(args)
     raw = read_bits(args.bits)
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed_source = cfg.extractor.seed_path or None
-    extracted, report, params = extract_stream(
-        raw,
-        epsilon=cfg.extractor.epsilon,
-        n_block=cfg.extractor.n_block,
-        seed_source=seed_source,
-    )
-    write_bits(extracted, out_dir / "extracted.bits")
-    (out_dir / "toeplitz_seed.bin").write_bytes(params.seed.to_bytes())
-    (out_dir / "ratio_report.json").write_text(json.dumps(report.to_dict(), indent=2))
+    _, report = _extract(cfg, raw, _out_dir(cfg))
     print(
         f"h_min {report.h_min:.4f} | {report.bits_in} -> {report.bits_out} bits "
         f"(ratio {report.ratio:.4f}, {report.blocks} blocks)"
@@ -175,15 +145,7 @@ def cmd_extract(args) -> int:
 def cmd_test(args) -> int:
     cfg = _load(args)
     bits = read_bits(args.bits)
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_battery(
-        bits,
-        cfg.battery.n_sequences,
-        cfg.battery.seq_len,
-        cfg.battery.significance,
-    )
-    (out_dir / "battery_report.json").write_text(json.dumps(report.to_dict(), indent=2))
+    report = _test(cfg, bits, _out_dir(cfg))
     lo, hi = report.proportion_range
     print(f"{'test':<22} {'final P':>10} {'proportion':>11}  in ({lo:.4f}, {hi:.4f})")
     for test_id in report.p_values:
@@ -197,14 +159,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_run(args) -> int:
-    out_dir = Path(args.out) if args.out else None
     if args.from_manifest:
         result = rerun_from_manifest(
-            args.from_manifest, out_dir or Path("qrng_rerun"), force=args.force
+            args.from_manifest, args.out or Path("qrng_rerun"), force=args.force
         )
     else:
-        cfg = _load(args)
-        result = run_pipeline(cfg, out_dir=out_dir, force=args.force)
+        result = run_pipeline(_load(args), force=args.force)
     print(result.summary)
     print(f"manifest: {result.out_dir / 'manifest.json'}")
     return EXIT_OK
@@ -213,10 +173,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    rows = sweep(cfg, args.parameter, values, out_dir)
+    rows = sweep(cfg, args.parameter, values, cfg.output_dir)
     csv_text = sweep_csv(rows)
-    (out_dir / "sweep.csv").write_text(csv_text)
+    (cfg.output_dir / "sweep.csv").write_text(csv_text)
     print(csv_text, end="")
     return EXIT_OK
 

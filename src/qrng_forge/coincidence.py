@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import _native
-from .timetags import Channel, TagStream
+from .timetags import SECTION_PAIRS, Channel, TagStream
 
 
 @dataclass(frozen=True)
@@ -332,22 +332,25 @@ def concat_coincidences(lists: Sequence[CoincidenceList]) -> CoincidenceList:
 
 
 def coincidence_summary(
-    merged: TagStream, cfg: CoincidenceConfig
+    merged: TagStream, cfg: CoincidenceConfig, counts: dict[tuple[Channel, Channel], int]
 ) -> dict:
-    """Pair counts, analytic accidentals, and CAR for the section pairs."""
+    """Pair counts, analytic accidentals, and CAR for the section pairs.
+
+    ``counts`` holds the coincidences of each section pair as matched,
+    keyed by its channel pair in either order; the count of a maximum
+    matching does not depend on which side is ``a``.
+    """
     duration_s = merged.duration * 1e-12
-    counts = count_matrix(merged, cfg)
-    singles = merged.counts_by_channel()
+    # sizes of the per-channel split the matching made: no pass over the tags
+    singles = {ch: int(merged.channel_times(ch).size) for ch in Channel}
     summary: dict = {
         "window_tau_ps": cfg.window_tau,
         "duration_s": duration_s,
         "singles": {ch.name: n for ch, n in singles.items()},
         "pairs": {},
     }
-    from .timetags import SECTION_PAIRS
-
     for ca, cb in SECTION_PAIRS:
-        n = int(counts[int(ca), int(cb)])
+        n = int(counts[(ca, cb)] if (ca, cb) in counts else counts[(cb, ca)])
         ra = singles[ca] / duration_s if duration_s > 0 else 0.0
         rb = singles[cb] / duration_s if duration_s > 0 else 0.0
         acc_hz = accidental_rate(ra, rb, cfg)

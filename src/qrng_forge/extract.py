@@ -257,7 +257,9 @@ class _FftHasher:
         return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
-@lru_cache(maxsize=8)
+# one entry: callers hash every block of a run with one params value, and an
+# FFT seed transform at n = 1e6 holds about 23 MB
+@lru_cache(maxsize=1)
 def _hasher(params: ExtractorParams):
     if params.n <= FR_MAX_N:
         return _ByteTableHasher(params)

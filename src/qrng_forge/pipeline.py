@@ -43,6 +43,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +65,7 @@ from .certify import (
 from .coincidence import (
     CoincidenceConfig,
     assign_bits,
+    coincidence_summary,
     concat_coincidences,
     find_coincidences,
 )
@@ -348,31 +350,6 @@ def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, di
     return stream, tag_path, rates
 
 
-def _match_section_pairs(stream: TagStream, window: CoincidenceConfig):
-    """Match the three diametric section pairs; returns (bit coincidences,
-    cert coincidences, per-channel C times, pair counts)."""
-    times = {ch: stream.channel_times(ch) for ch in Channel}
-    c_d1u2 = find_coincidences(
-        times[Channel.D1], times[Channel.U2], window,
-        channel_a=Channel.D1, channel_b=Channel.U2,
-    )
-    c_d2u1 = find_coincidences(
-        times[Channel.D2], times[Channel.U1], window,
-        channel_a=Channel.D2, channel_b=Channel.U1,
-    )
-    c_cert = find_coincidences(
-        times[Channel.C1], times[Channel.C2], window,
-        channel_a=Channel.C1, channel_b=Channel.C2,
-    )
-    bit_coincs = concat_coincidences([c_d1u2, c_d2u1])
-    counts = {
-        "D1-U2": len(c_d1u2),
-        "D2-U1": len(c_d2u1),
-        "C1-C2": len(c_cert),
-    }
-    return bit_coincs, c_cert, times, counts
-
-
 def certification_report(
     cert_coincs,
     schedule: AnalyzerSchedule,
@@ -430,6 +407,85 @@ def certification_report(
     return blocks, report
 
 
+def _match_pair(stream: TagStream, channel_a: Channel, channel_b: Channel,
+                window: CoincidenceConfig):
+    """Coincidences of one section pair of ``stream``."""
+    return find_coincidences(
+        stream.channel_times(channel_a), stream.channel_times(channel_b), window,
+        channel_a=channel_a, channel_b=channel_b,
+    )
+
+
+def _coincide(cfg: RunConfig, stream: TagStream, out_dir: Path):
+    """Coincide stage: match the three section pairs once, write ``raw.bits``
+    and ``coincidence_summary.json``; returns (raw bits, C1-C2 coincidences,
+    pair counts, summary)."""
+    # (D1, U2) gives bit 0, (D2, U1) bit 1, and (C1, C2) feeds the live Bell test
+    pairs = [(a, a.partner) for a in (Channel.D1, Channel.D2, Channel.C1)]
+    matches = [_match_pair(stream, a, b, cfg.coincidence) for a, b in pairs]
+    bits = BitSequence.from_bits(assign_bits(concat_coincidences(matches[:2])).bits)
+    write_bits(bits, out_dir / "raw.bits")
+    counts = {pair: len(c) for pair, c in zip(pairs, matches)}
+    summary = coincidence_summary(stream, cfg.coincidence, counts)
+    summary["raw_bits"] = len(bits)
+    # not _write_json: this file's keys stay in insertion order, its published layout
+    (out_dir / "coincidence_summary.json").write_text(json.dumps(summary, indent=2))
+    pair_counts = {f"{a.name}-{b.name}": n for (a, b), n in counts.items()}
+    return bits, matches[2], pair_counts, summary
+
+
+def _certify(cfg: RunConfig, stream: TagStream, cert_coincs, out_dir: Path):
+    """Certify stage: :func:`certification_report` on the C1-C2 coincidences
+    of ``stream``, written to ``cert_report.json``."""
+    blocks, report = certification_report(
+        cert_coincs, cfg.source.analyzer_schedule, cfg.cert_block, stream.duration,
+        cfg.coincidence, stream.channel_times(Channel.C1), stream.channel_times(Channel.C2),
+    )
+    _write_json(out_dir / "cert_report.json", report)
+    return blocks, report
+
+
+def _extract(cfg: RunConfig, raw_bits: BitSequence, out_dir: Path, seed_source=None,
+             acquisition_seconds: float | None = None):
+    """Extract stage: Toeplitz-hash the raw bits with ``seed_source`` (default:
+    ``extractor.seed_path``, empty for OS entropy); writes ``extracted.bits``,
+    ``toeplitz_seed.bin`` and ``ratio_report.json``."""
+    if seed_source is None:
+        seed_source = cfg.extractor.seed_path or None
+    extracted, report, params = extract_stream(
+        raw_bits,
+        epsilon=cfg.extractor.epsilon,
+        n_block=cfg.extractor.n_block,
+        seed_source=seed_source,
+        acquisition_seconds=acquisition_seconds,
+    )
+    write_bits(extracted, out_dir / "extracted.bits")
+    (out_dir / "toeplitz_seed.bin").write_bytes(params.seed.to_bytes())
+    _write_json(out_dir / "ratio_report.json", report.to_dict())
+    return extracted, report
+
+
+def _test(cfg: RunConfig, bits: BitSequence, out_dir: Path):
+    """Test stage: the battery over ``bits``, written to ``battery_report.json``."""
+    report = run_battery(
+        bits, cfg.battery.n_sequences, cfg.battery.seq_len, cfg.battery.significance
+    )
+    _write_json(out_dir / "battery_report.json", report.to_dict())
+    return report
+
+
+@contextmanager
+def _stage(name: str, timing: dict[str, float]):
+    """Time one stage into ``timing[name]``; a failure inside it raises
+    :class:`StageError` naming the stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    timing[name] = time.perf_counter() - t0
+
+
 def run_pipeline(
     cfg: RunConfig,
     out_dir: Path | None = None,
@@ -440,100 +496,35 @@ def run_pipeline(
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     timing: dict[str, float] = {}
-    digests: dict[str, str] = {}
+    digested = ["tags.qtt", "raw.bits", "cert_report.json", "extracted.bits", "toeplitz_seed.bin"]
     duration_s = cfg.source.duration * 1e-12
 
-    t0 = time.perf_counter()
-    try:
-        stream, tag_path, rates = simulate_to_file(cfg, out_dir)
-    except Exception as exc:
-        raise StageError("simulate", exc) from exc
-    timing["simulate"] = time.perf_counter() - t0
-    digests["tags.qtt"] = _sha256(tag_path)
-
-    t0 = time.perf_counter()
-    try:
-        bit_coincs, cert_coincs, times, pair_counts = _match_section_pairs(
-            stream, cfg.coincidence
-        )
-        raw = assign_bits(bit_coincs)
-        raw_bits = BitSequence.from_bits(raw.bits)
-        raw_path = out_dir / "raw.bits"
-        write_bits(raw_bits, raw_path)
-    except Exception as exc:
-        raise StageError("coincide", exc) from exc
-    timing["coincide"] = time.perf_counter() - t0
-    digests["raw.bits"] = _sha256(raw_path)
-
-    t0 = time.perf_counter()
-    try:
-        blocks, cert_report = certification_report(
-            cert_coincs,
-            cfg.source.analyzer_schedule,
-            cfg.cert_block,
-            cfg.source.duration,
-            cfg.coincidence,
-            times[Channel.C1],
-            times[Channel.C2],
-        )
-        _write_json(out_dir / "cert_report.json", cert_report)
-    except Exception as exc:
-        raise StageError("certify", exc) from exc
-    timing["certify"] = time.perf_counter() - t0
-    digests["cert_report.json"] = _sha256(out_dir / "cert_report.json")
+    with _stage("simulate", timing):
+        stream, _, rates = simulate_to_file(cfg, out_dir)
+    with _stage("coincide", timing):
+        raw_bits, cert_coincs, pair_counts, _ = _coincide(cfg, stream, out_dir)
+    with _stage("certify", timing):
+        blocks, cert_report = _certify(cfg, stream, cert_coincs, out_dir)
     verdict = Verdict(cert_report["verdict"])
     # the tags and coincidences are done with; free them before extraction
     # allocates its FFT buffers
-    del stream, times, bit_coincs, cert_coincs, raw
+    del stream, cert_coincs
 
     if verdict is Verdict.UNCERTIFIED and not force:
         raise CertificationRefused(
             "run verdict is UNCERTIFIED; pass --force to extract anyway"
         )
 
-    t0 = time.perf_counter()
-    try:
-        seed_source = extractor_seed
-        if seed_source is None and cfg.extractor.seed_path:
-            seed_source = cfg.extractor.seed_path
-        extracted, extraction, params = extract_stream(
-            raw_bits,
-            epsilon=cfg.extractor.epsilon,
-            n_block=cfg.extractor.n_block,
-            seed_source=seed_source,
-            acquisition_seconds=duration_s,
+    with _stage("extract", timing):
+        extracted, extraction = _extract(
+            cfg, raw_bits, out_dir, extractor_seed, acquisition_seconds=duration_s
         )
-        write_bits(extracted, out_dir / "extracted.bits")
-        seed_path = out_dir / "toeplitz_seed.bin"
-        seed_path.write_bytes(params.seed.to_bytes())
-        _write_json(out_dir / "ratio_report.json", extraction.to_dict())
-    except Exception as exc:
-        raise StageError("extract", exc) from exc
-    timing["extract"] = time.perf_counter() - t0
-    digests["extracted.bits"] = _sha256(out_dir / "extracted.bits")
-    digests["toeplitz_seed.bin"] = _sha256(seed_path)
-
-    battery_report = None
-    battery_note = None
-    t0 = time.perf_counter()
-    try:
-        need = cfg.battery.n_sequences * cfg.battery.seq_len
+    need = cfg.battery.n_sequences * cfg.battery.seq_len
+    battery = {"note": f"skipped: needs {need} bits, extracted {len(extracted)}"}
+    with _stage("test", timing):
         if len(extracted) >= need:
-            battery_report = run_battery(
-                extracted,
-                cfg.battery.n_sequences,
-                cfg.battery.seq_len,
-                cfg.battery.significance,
-            )
-            _write_json(out_dir / "battery_report.json", battery_report.to_dict())
-            digests["battery_report.json"] = _sha256(out_dir / "battery_report.json")
-        else:
-            battery_note = (
-                f"skipped: needs {need} bits, extracted {len(extracted)}"
-            )
-    except Exception as exc:
-        raise StageError("test", exc) from exc
-    timing["test"] = time.perf_counter() - t0
+            battery = _test(cfg, extracted, out_dir).to_dict()
+            digested.append("battery_report.json")
 
     raw_rate = len(raw_bits) / duration_s if duration_s else 0.0
     h_min = extraction.h_min
@@ -545,8 +536,8 @@ def run_pipeline(
         "kernel_backend": "numpy" if _native.library() is None else "c",
         "config": cfg.snapshot,
         "rng_seed": cfg.source.rng_seed,
-        "extractor_seed_file": seed_path.name,
-        "digests": digests,
+        "extractor_seed_file": "toeplitz_seed.bin",
+        "digests": {name: _sha256(out_dir / name) for name in digested},
         "timing_s": timing,
         "certification": {
             "verdict": verdict.value,
@@ -564,7 +555,7 @@ def run_pipeline(
             "pair_counts": pair_counts,
             "channel_rates_hz": rates,
         },
-        "battery": battery_report.to_dict() if battery_report else {"note": battery_note},
+        "battery": battery,
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -633,7 +624,7 @@ def sweep(
             fringe_overrides["schedule.fixed"] = 45.0
             fringe_cfg = build_config(fringe_overrides)
             stream = generate_events(fringe_cfg.source)
-            _, cert_coincs, *_ = _match_section_pairs(stream, fringe_cfg.coincidence)
+            cert_coincs = _match_pair(stream, Channel.C1, Channel.C2, fringe_cfg.coincidence)
             samples = fringe_counts(
                 cert_coincs, fringe_cfg.source.analyzer_schedule, fringe_cfg.source.duration
             )

@@ -13,10 +13,12 @@ from qrng_forge import (
     toeplitz_extract,
 )
 from qrng_forge.extract import (
+    FR_MAX_N,
     BlockTooSmallError,
     SeedError,
     _ByteTableHasher,
     _FftHasher,
+    _hasher,
     resolve_seed,
 )
 
@@ -149,6 +151,12 @@ class TestToeplitzExtract:
         params = self.make_params(seed, n, m)
         x = rng.integers(0, 2, n, dtype=np.uint8)
         assert toeplitz_extract(x, params) == toeplitz_extract(x, params)
+
+    def test_hasher_cache_keeps_one_transform(self, rng):
+        for n in (64, FR_MAX_N + 1):
+            params = self.make_params(rng.integers(0, 2, 2 * n - 1, dtype=np.uint8), n, n)
+            toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), params)
+        assert _hasher.cache_info().currsize == 1
 
     def test_length_mismatch(self):
         params = self.make_params(np.zeros(7, np.uint8), 4, 4)

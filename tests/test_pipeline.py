@@ -205,6 +205,68 @@ class TestRunAndManifest:
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
+class TestStageSubcommands:
+    """The stage subcommands chained over files write what ``run`` writes."""
+
+    @pytest.fixture(scope="class")
+    def chain_and_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("chain")
+        seed_file = root / "seed.bin"
+        seed_file.write_bytes(np.random.default_rng(7).bytes(2 * 100_000 // 8))
+        values = fast_overrides(**{
+            "source.duration_s": 0.2,
+            "battery.n_sequences": 2,
+            "battery.seq_len": 20_000,
+            "extractor.seed_path": str(seed_file),
+        })
+        config = root / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        chain, ran = root / "chain", root / "run"
+        common = ["--config", str(config), "--out", str(chain)]
+        for argv in (
+            ["simulate"],
+            ["coincide", "--tags", str(chain / "tags.qtt")],
+            ["certify", "--tags", str(chain / "tags.qtt")],
+            ["extract", "--bits", str(chain / "raw.bits")],
+            ["test", "--bits", str(chain / "extracted.bits")],
+        ):
+            assert main(argv + common) == 0, argv[0]
+        assert main(["run", "--config", str(config), "--out", str(ran)]) == 0
+        return chain, ran
+
+    def test_artifacts_byte_equal(self, chain_and_run):
+        chain, ran = chain_and_run
+        for name in (
+            "tags.qtt", "raw.bits", "coincidence_summary.json", "cert_report.json",
+            "extracted.bits", "toeplitz_seed.bin", "battery_report.json",
+        ):
+            assert (chain / name).read_bytes() == (ran / name).read_bytes(), name
+
+    def test_ratio_report_differs_only_in_rate(self, chain_and_run):
+        chain, ran = chain_and_run
+        staged = json.loads((chain / "ratio_report.json").read_text())
+        full = json.loads((ran / "ratio_report.json").read_text())
+        assert staged["seconds"] is None and staged["mbps"] is None
+        assert full["seconds"] == pytest.approx(0.2) and full["mbps"] > 0
+        for key in ("seconds", "mbps"):
+            del staged[key], full[key]
+        assert staged == full
+
+    def test_summary_pair_counts_match_manifest(self, chain_and_run):
+        chain, ran = chain_and_run
+        summary = json.loads((chain / "coincidence_summary.json").read_text())
+        manifest = json.loads((ran / "manifest.json").read_text())
+        by_pair = {
+            frozenset(pair.split("-")): row["coincidences"]
+            for pair, row in summary["pairs"].items()
+        }
+        assert by_pair == {
+            frozenset(pair.split("-")): n
+            for pair, n in manifest["rates"]["pair_counts"].items()
+        }
+        assert summary["raw_bits"] == manifest["rates"]["raw_bits"]
+
+
 class TestSweep:
     def test_requires_two_values(self, tmp_path):
         cfg = build_config(fast_overrides())

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ class TestCodec:
         good = make_stream([10, 20], Channel.U1, duration=100)
         data = bytearray(encode_stream(good))
         data[24:32], data[33:41] = data[33:41], data[24:32]  # swap the two timestamps
+        with pytest.raises(CorruptionError):
+            decode_stream(bytes(data))
+
+    @pytest.mark.parametrize(
+        "record, timestamp",
+        [(0, 2**63), (0, 2**64 - 1), (1, 101)],  # 101 is past the 100 ps duration
+        ids=["2^63", "u64_max", "past_duration"],
+    )
+    def test_timestamp_out_of_range(self, record, timestamp):
+        data = bytearray(encode_stream(make_stream([10, 20], Channel.U1, duration=100)))
+        struct.pack_into("<Q", data, 24 + 9 * record, timestamp)
         with pytest.raises(CorruptionError):
             decode_stream(bytes(data))
 
