@@ -36,7 +36,6 @@ from .coincidence import (
     assign_bits,
     coincidence_summary,
     concat_coincidences,
-    count_matrix,
     find_coincidences,
 )
 from .extract import (

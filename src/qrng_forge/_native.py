@@ -4,8 +4,9 @@ The kernels and the numpy references they must match bit for bit:
 
 * ``qf_split_channels``: one-pass channel split of a tag stream
   (``timetags._split_channels_np``)
-* ``qf_cluster_scan``: gap-tau cluster scan of the matcher
-  (``coincidence._cluster_scan_np``)
+* ``qf_match``: the exact coincidence matcher, a gap-tau cluster scan with
+  a banded DP per pileup cluster (``coincidence._match_py``, whose DP is a
+  full table)
 * ``qf_fr_accumulate``: four-Russians Toeplitz accumulate
   (``extract._fr_accumulate_py``)
 
@@ -83,8 +84,8 @@ def library() -> ctypes.CDLL | None:
     n = ctypes.c_int64
     lib.qf_split_channels.argtypes = [i64, u8, n, i64, i64]
     lib.qf_split_channels.restype = None
-    lib.qf_cluster_scan.argtypes = [i64, n, i64, n, n, i64, i64, i64, i64, n]
-    lib.qf_cluster_scan.restype = n
+    lib.qf_match.argtypes = [i64, n, i64, n, n, i64, i64]
+    lib.qf_match.restype = n
     lib.qf_fr_accumulate.argtypes = [u8, n, u8, n, n, u8]
     lib.qf_fr_accumulate.restype = None
     return lib

@@ -16,8 +16,10 @@ writes the same artifacts, byte for byte, as that stage of ``run`` on the
 same input. The one difference: ``extract`` has no acquisition time, so
 ``seconds`` and ``mbps`` in its ``ratio_report.json`` are null.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 certification refused (UNCERTIFIED without --force).
+Exit codes: 0 success, 2 configuration error or unusable input (such as
+too few bits for the extractor block or the battery), 3 I/O error,
+4 certification refused (UNCERTIFIED without --force), 1 any other stage
+failure of ``run``.
 """
 
 from __future__ import annotations
@@ -245,30 +247,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    """Exit code of an error ``main`` reports.
+
+    A StageError from ``run`` maps by its cause, so a stage fails with the
+    same code under ``run`` as its own subcommand does.
+    """
+    if isinstance(exc, StageError):
+        return _exit_code(exc.cause)
+    if isinstance(exc, CertificationRefused):
+        return EXIT_REFUSED
+    if isinstance(exc, ValueError):  # ConfigError, or an input too short or malformed
+        return EXIT_CONFIG
+    if isinstance(exc, (OSError, TagFileError)):
+        return EXIT_IO
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CertificationRefused as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, TagFileError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except StageError as exc:
-        cause = exc.cause
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(cause, CertificationRefused):
-            return EXIT_REFUSED
-        if isinstance(cause, (ConfigError, ValueError)):
-            return EXIT_CONFIG
-        if isinstance(cause, (OSError, TagFileError)):
-            return EXIT_IO
-        return 1
+    except (StageError, CertificationRefused, ValueError, OSError, TagFileError) as exc:
+        prefix = ("config error" if isinstance(exc, ConfigError)
+                  else "i/o error" if isinstance(exc, (OSError, TagFileError)) else "error")
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,15 @@ those matchings it takes one of minimum total |t_b - t_a|. A gap of more
 than tau between consecutive tags in merged time order cannot be crossed
 by any match, so such gaps cut the streams into independent clusters. A
 cluster of one tag from each side is a match; at physical densities
-almost every cluster is one, and a C scan (``_kernels.c``) finds them in
-bulk. Every other cluster holding both sides goes to an assignment solver
-(``scipy.optimize.linear_sum_assignment``).
+almost every cluster is one. Every other cluster holding both sides is
+solved by a dynamic programme over (a-tags used, b-tags used): some
+optimal matching never crosses (for a1 < a2 and b1 < b2 the uncrossed
+pairs cost no more and stay inside the window), so no assignment solver
+is needed. Where several matchings are optimal, the tie rule picks one:
+walking back from the cluster's last tags, leave the last a-tag unmatched
+if that keeps the optimum, else leave the last b-tag unmatched, else
+match the two. The C kernel ``qf_match`` (``_kernels.c``) runs the scan
+and a banded DP in one pass; :func:`_match_py` is its plain reference.
 
 Bits follow the section table: a (D1, U2) coincidence is 0, a (D2, U1)
 coincidence is 1, everything else carries no bit.
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _native
 from .timetags import SECTION_PAIRS, Channel, TagStream
@@ -61,12 +66,8 @@ class RawBitRecord:
     source_pair: tuple[Channel, Channel]
 
 
-#: Rows of multi-tag cluster bounds returned per call of the C scan.
-_SCAN_CAP = 1 << 16
-
-
 def _cluster_scan_np(ta, tb, tau):
-    """Gap-tau cluster scan in numpy: the reference for the C kernel.
+    """Gap-tau cluster scan in numpy.
 
     Returns ``(ia, ib, bounds)``: the index pairs of the clusters holding
     exactly one tag of each side, and one row ``[a0, a1, b0, b1]`` (tags
@@ -91,59 +92,62 @@ def _cluster_scan_np(ta, tb, tau):
     return a0[single], b0[single], bounds
 
 
-def _cluster_scan_c(lib, ta, tb, tau):
-    """The same scan as :func:`_cluster_scan_np`, in ``qf_cluster_scan``."""
-    cap = min(ta.size, tb.size)
-    ia = np.empty(cap, np.int64)
-    ib = np.empty(cap, np.int64)
-    state = np.zeros(3, np.int64)  # a cursor, b cursor, matches written
-    buf = np.empty((_SCAN_CAP, 4), np.int64)
-    parts = []
-    while True:
-        rows = lib.qf_cluster_scan(ta, ta.size, tb, tb.size, tau, state, ia, ib, buf, _SCAN_CAP)
-        parts.append(buf[:rows].copy())
-        if rows < _SCAN_CAP:
-            break
-    k = int(state[2])
-    return ia[:k], ib[:k], np.concatenate(parts)
+def _solve_cluster_py(a, b, tau):
+    """Index pairs (i, j) of the exact matching of one cluster, in time order.
 
-
-def _solve_clusters(ta, tb, tau, bounds):
-    """Exact matching inside each multi-tag cluster.
-
-    A pair inside the window costs |delta| - big, any other pair 0, with
-    big larger than the total |delta| of any matching in the cluster, so
-    a minimum-cost assignment holds the most in-window pairs and, among
-    those, the least total |delta|. Returns index pairs cluster by cluster.
+    A full-table DP over (i, j), the best matching of ``a[:i]`` and
+    ``b[:j]``, with the module's tie rule. The score count * big - cost,
+    big above any total cost, orders matchings by count, then cost (held
+    in Python ints where int64 could overflow); each row is the running
+    maximum of its candidates.
     """
-    pa, pb = [], []
-    for a0, a1, b0, b1 in bounds.tolist():
-        d = np.abs(tb[b0:b1][None, :] - ta[a0:a1][:, None])
-        inside = d <= tau
-        big = (a1 - a0 + b1 - b0) * tau + 1
-        rows, cols = linear_sum_assignment(np.where(inside, d - big, 0))
-        keep = inside[rows, cols]
-        pa.append(rows[keep] + a0)
-        pb.append(cols[keep] + b0)
-    return np.concatenate(pa), np.concatenate(pb)
+    n, m = a.size, b.size
+    big = min(n, m) * tau + 1
+    prev = np.zeros(m + 1, np.int64 if (min(n, m) + 1) * big < 2**63 else object)
+    step = np.zeros((n + 1, m + 1), np.uint8)  # 0 leave a, 1 leave b, 2 match
+    for i in range(1, n + 1):
+        d = np.abs(b - a[i - 1])
+        cur = prev.copy()
+        cur[1:] = np.where(d <= tau, np.maximum(prev[1:], prev[:-1] + (big - d)), prev[1:])
+        cur = np.maximum.accumulate(cur)
+        step[i, 1:] = np.where(cur[1:] == prev[1:], 0, np.where(cur[1:] == cur[:-1], 1, 2))
+        prev = cur
+    pairs = []
+    i, j = n, m
+    while i and j:
+        if step[i, j] == 0:
+            i -= 1
+        elif step[i, j] == 1:
+            j -= 1
+        else:
+            i, j = i - 1, j - 1
+            pairs.append((i, j))
+    return pairs[::-1]
+
+
+def _match_py(ta, tb, tau):
+    """The matching of ``qf_match`` in numpy and Python: its reference, and
+    the fallback without a compiler. Deliberately not banded."""
+    ia, ib, bounds = _cluster_scan_np(ta, tb, tau)
+    pairs = [(a0 + i, b0 + j) for a0, a1, b0, b1 in bounds.tolist()
+             for i, j in _solve_cluster_py(ta[a0:a1], tb[b0:b1], tau)]
+    ca, cb = np.array(pairs, np.int64).reshape(-1, 2).T
+    ia, ib = np.concatenate([ia, ca]), np.concatenate([ib, cb])
+    order = np.argsort(np.minimum(ta[ia], tb[ib]), kind="stable")
+    return ia[order], ib[order]
 
 
 def _match(ta, tb, tau):
     """Indices (ia, ib) of the exact matching, in coincidence-time order."""
     lib = _native.library()
     if lib is None:
-        ia, ib, bounds = _cluster_scan_np(ta, tb, tau)
-    else:
-        ia, ib, bounds = _cluster_scan_c(lib, ta, tb, tau)
-    if not len(bounds):
-        return ia, ib
-    ca, cb = _solve_clusters(ta, tb, tau, bounds)
-    ia = np.concatenate([ia, ca])
-    ib = np.concatenate([ib, cb])
-    # the bulk matches are one time-sorted run, which the stable sort
-    # (timsort) merges with the cluster matches in near-linear time
-    order = np.argsort(np.minimum(ta[ia], tb[ib]), kind="stable")
-    return ia[order], ib[order]
+        return _match_py(ta, tb, tau)
+    ia = np.empty(min(ta.size, tb.size), np.int64)
+    ib = np.empty_like(ia)
+    k = lib.qf_match(ta, ta.size, tb, tb.size, tau, ia, ib)
+    if k < 0:
+        raise MemoryError("qf_match could not allocate its work space")
+    return ia[:k], ib[:k]
 
 
 class CoincidenceList(Sequence):
@@ -206,10 +210,12 @@ def find_coincidences(
 
     Every tag joins at most one coincidence; the matching holds the most
     pairs with |t_b - t_a| <= window_tau and, among those, the least total
-    |t_b - t_a|. Accepts TagStreams (channel labels read from the tags; pass
-    single-channel streams) or bare sorted timestamp arrays with explicit
-    channel labels. Output is sorted by coincidence time; ``delta`` is
-    t_b - t_a.
+    |t_b - t_a|. Ties go by the module's rule: in each cluster, walking back
+    from its last tags, leave the last a-tag unmatched if that keeps the
+    optimum, else the last b-tag, else match the two. Accepts TagStreams
+    (channel labels read from the tags; pass single-channel streams) or bare
+    sorted timestamp arrays with explicit channel labels. Output is sorted
+    by coincidence time; ``delta`` is t_b - t_a.
     """
     if isinstance(a, TagStream):
         ta = a.timestamps
@@ -238,27 +244,6 @@ def find_coincidences(
         code = int(channel_b) if channel_b is not None else 0
         ch_b = np.full(ib.size, code, dtype=np.uint8)
     return CoincidenceList(times, ch_a, ch_b, deltas)
-
-
-def count_matrix(merged: TagStream, cfg: CoincidenceConfig) -> np.ndarray:
-    """6x6 symmetric matrix of per-pair coincidence counts, zero diagonal.
-
-    Each unordered channel pair is matched independently against the full
-    window policy, so a tag may contribute to several pairs' statistics;
-    bit assignment (single use within a pair) is unaffected.
-    """
-    per_channel = [merged.channel_times(ch) for ch in Channel]
-    out = np.zeros((6, 6), dtype=np.int64)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            n = len(
-                find_coincidences(
-                    per_channel[i], per_channel[j], cfg,
-                    channel_a=Channel(i), channel_b=Channel(j),
-                )
-            )
-            out[i, j] = out[j, i] = n
-    return out
 
 
 def accidental_rate(rate_a: float, rate_b: float, cfg: CoincidenceConfig) -> float:

@@ -15,19 +15,13 @@ proportion must land inside phat +/- 3*sqrt(phat*(1-phat)/n).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc
-from scipy.stats import norm
+from scipy.special import erfc, gammaincc, ndtr
 
 from .timetags import BitSequence
-
-#: Worker-count cap for battery parallelism.
-THREADS_ENV = "QRNG_FORGE_THREADS"
 
 
 class SequenceLengthError(ValueError):
@@ -193,10 +187,10 @@ def cumulative_sums_test(bits, reverse: bool = False) -> float:
     k1 = np.arange((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
     k2 = np.arange((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
     term1 = np.sum(
-        norm.cdf((4 * k1 + 1) * z / sqrt_n) - norm.cdf((4 * k1 - 1) * z / sqrt_n)
+        ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)
     )
     term2 = np.sum(
-        norm.cdf((4 * k2 + 3) * z / sqrt_n) - norm.cdf((4 * k2 + 1) * z / sqrt_n)
+        ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)
     )
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
 
@@ -308,16 +302,6 @@ def proportion_range(n_sequences: int, significance: float) -> tuple[float, floa
     return (p_hat - half, p_hat + half)
 
 
-def _workers() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_battery(
     bits,
     n_sequences: int,
@@ -328,9 +312,7 @@ def run_battery(
     """Split a bit stream into sequences and run the full core subset.
 
     Verdict: every test's pass proportion inside the proportion range and
-    every test's uniformity P_T >= 1e-4. Worker count honors the
-    QRNG_FORGE_THREADS environment variable; aggregation order is fixed
-    regardless of parallelism.
+    every test's uniformity P_T >= 1e-4.
     """
     x = _bits(bits)
     needed = n_sequences * seq_len
@@ -340,18 +322,9 @@ def run_battery(
         )
     ids = list(test_ids) if test_ids is not None else list(TEST_IDS)
     sequences = [x[k * seq_len:(k + 1) * seq_len] for k in range(n_sequences)]
-
-    def run_one(seq: np.ndarray) -> dict[str, float]:
-        return {t: run_test(t, seq, significance).p_value for t in ids}
-
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seq = list(pool.map(run_one, sequences))
-    else:
-        per_seq = [run_one(seq) for seq in sequences]
-
-    p_values = {t: [row[t] for row in per_seq] for t in ids}
+    p_values = {
+        t: [run_test(t, seq, significance).p_value for seq in sequences] for t in ids
+    }
     lo, hi = proportion_range(n_sequences, significance)
     uniformity = {
         t: pvalue_uniformity(p_values[t], min_sequences=1) for t in ids

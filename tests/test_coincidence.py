@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -14,14 +16,13 @@ from qrng_forge import (
     accidental_rate,
     assign_bits,
     concat_coincidences,
-    count_matrix,
     find_coincidences,
     generate_events,
-    merge_streams,
 )
 from qrng_forge.coincidence import CoincidenceList
+from qrng_forge.pipeline import _coincide, build_config
 
-from conftest import make_stream, optimal_nearest_matching
+from conftest import optimal_nearest_matching
 
 TAU = CoincidenceConfig(1000)
 
@@ -56,6 +57,16 @@ class TestWindowSemantics:
         out = match_times([1800], [1000])
         assert out[0].delta == -800
         assert out[0].time == 1000
+
+    def test_tie_leaves_last_a_tag_unmatched(self):
+        out = match_times([0, 2000], [1000])
+        assert out.times.tolist() == [0]
+        assert out.deltas.tolist() == [1000]
+
+    def test_tie_leaves_last_b_tag_unmatched(self):
+        out = match_times([1000], [0, 2000])
+        assert out.times.tolist() == [0]
+        assert out.deltas.tolist() == [-1000]
 
 
 class TestGreedyVersusOracle:
@@ -116,6 +127,16 @@ class TestMatcherProperties:
         assert len(used_a) == len(set(used_a))
         assert len(used_b) == len(set(used_b))
 
+    @pytest.mark.skipif(shutil.which("gcc") is None,
+                        reason="the full-table reference needs a 30,000 x 30,000 table")
+    def test_one_dense_cluster(self):
+        # 60,000 tags closer than tau form one cluster; the matcher's memory
+        # stays linear in its size
+        ta = np.arange(30_000, dtype=np.int64) * 700
+        out = match_times(ta, ta + 300)
+        assert len(out) == 30_000
+        assert np.all(out.deltas == 300)
+
     def test_output_sorted(self, rng):
         ta = np.sort(rng.integers(0, 10**6, 2000))
         tb = np.sort(rng.integers(0, 10**6, 2000))
@@ -124,18 +145,7 @@ class TestMatcherProperties:
 
 
 class TestCountMatrix:
-    def test_empty_stream(self):
-        stream = make_stream([], [], duration=10)
-        assert np.array_equal(count_matrix(stream, TAU), np.zeros((6, 6), np.int64))
-
-    def test_single_pair_single_entry(self):
-        a = make_stream([1000], Channel.U1, duration=10**6)
-        b = make_stream([1500], Channel.D2, duration=10**6)
-        matrix = count_matrix(merge_streams([a, b]), TAU)
-        expected = np.zeros((6, 6), np.int64)
-        expected[int(Channel.U1), int(Channel.D2)] = 1
-        expected[int(Channel.D2), int(Channel.U1)] = 1
-        assert np.array_equal(matrix, expected)
+    """Coincidence counts of channel pairs."""
 
     def test_balanced_source_symmetric_counts(self):
         cfg = SourceConfig(
@@ -148,27 +158,17 @@ class TestCountMatrix:
             jitter_sigma=0.0,
         )
         stream = generate_events(cfg)
-        matrix = count_matrix(stream, TAU)
-        n1 = matrix[int(Channel.U1), int(Channel.D2)]
-        n2 = matrix[int(Channel.U2), int(Channel.D1)]
+
+        def count(ch_a, ch_b):
+            return len(find_coincidences(stream.channel_times(ch_a), stream.channel_times(ch_b), TAU))
+
+        n1 = count(Channel.U1, Channel.D2)
+        n2 = count(Channel.U2, Channel.D1)
         n_pairs = cfg.expected_pairs()
         sigma_diff = math.sqrt(2 * n_pairs * (1 / 3) * (2 / 3))
         assert abs(n1 - n2) < 4 * sigma_diff
-        assert matrix.trace() == 0
-        assert np.array_equal(matrix, matrix.T)
-
-    def test_matches_find_coincidences_count(self, rng):
-        times_a = np.sort(rng.integers(0, 10**8, 5000))
-        times_b = np.sort(rng.integers(0, 10**8, 5000))
-        merged = merge_streams(
-            [
-                make_stream(times_a, Channel.C1, duration=10**8),
-                make_stream(times_b, Channel.C2, duration=10**8),
-            ]
-        )
-        matrix = count_matrix(merged, TAU)
-        direct = len(match_times(times_a, times_b))
-        assert matrix[int(Channel.C1), int(Channel.C2)] == direct
+        # a maximum matching's size does not depend on which side is a
+        assert (n1, n2) == (count(Channel.D2, Channel.U1), count(Channel.D1, Channel.U2))
 
 
 class TestAccidentals:
@@ -249,3 +249,24 @@ class TestAssignBits:
         ]
         out = assign_bits(events)
         assert out.bits.tolist() == [0, 1]
+
+
+class TestGoldenMatching:
+    """Digests of what the matcher writes on a pileup-dense stream. The
+    maximum-pair, least-|delta| policy and its tie rule fix them, so any
+    implementation of the matcher must reproduce them."""
+
+    def test_pileup_stream_digests(self, tmp_path):
+        cfg = build_config({
+            "source.pair_rate_coeff": 10**7, "source.pump_power": 1.0,
+            "source.duration_s": 0.005, "source.jitter_sigma": 350.0,
+            "source.dark_rate": 10**5, "source.det_efficiency": 0.8,
+            "source.dead_time": 0, "schedule.dwell": 10**7,
+            "coincidence.window_tau": 2000, "source.rng_seed": 7,
+        })
+        bits, cert, _, _ = _coincide(cfg, generate_events(cfg.source), tmp_path)
+        assert (len(bits), len(cert)) == (21586, 2787)
+        assert hashlib.sha256((tmp_path / "raw.bits").read_bytes()).hexdigest() == (
+            "e6e648f4371b82f21dbe640aad570c34532722fd7b29dbcf69775b777cfa58cf")
+        assert hashlib.sha256(cert.times.tobytes()).hexdigest() == (
+            "6152c36b6a8d81bbded902364bdf21b32f58d60a7e321061086714c9253d5a48")

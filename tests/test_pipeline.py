@@ -16,7 +16,7 @@ from qrng_forge.pipeline import (
     sweep,
     sweep_csv,
 )
-from qrng_forge.timetags import Channel, read_bits
+from qrng_forge.timetags import BitSequence, Channel, read_bits, write_bits
 
 
 def fast_overrides(**extra):
@@ -126,6 +126,13 @@ class TestExitCodes:
             ["coincide", "--tags", str(tmp_path / "missing.qtt"), "--out", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["extract", "test"])
+    def test_too_short_input_exit_2(self, tmp_path, capsys, command):
+        bits = tmp_path / "short.bits"
+        write_bits(BitSequence.from_bits(np.random.default_rng(5).integers(0, 2, 5000)), bits)
+        assert main([command, "--bits", str(bits), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_refusal_exit_4_and_force(self, tmp_path, dark_only_dirs):
         refused_dir, forced_dir, argv = dark_only_dirs

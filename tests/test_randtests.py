@@ -201,13 +201,6 @@ class TestBattery:
         report = run_battery(prng_bits(20 * 10**5, seed=22), 20, 10**5)
         assert report.proportion_range == pytest.approx(proportion_range(20, 0.01))
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        bits = prng_bits(8 * 20_000, seed=23)
-        base = run_battery(bits, 8, 20_000)
-        monkeypatch.setenv("QRNG_FORGE_THREADS", "2")
-        threaded = run_battery(bits, 8, 20_000)
-        assert base.p_values == threaded.p_values
-
     def test_report_serializes(self):
         report = run_battery(prng_bits(8 * 20_000, seed=24), 8, 20_000)
         payload = report.to_dict()
