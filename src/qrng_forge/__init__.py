@@ -28,14 +28,10 @@ from .certify import (
 )
 from .coincidence import (
     CoincidenceConfig,
-    CoincidenceEvent,
     CoincidenceList,
-    RawBitRecord,
-    RawBits,
     accidental_rate,
     assign_bits,
     coincidence_summary,
-    concat_coincidences,
     find_coincidences,
 )
 from .extract import (

@@ -1,4 +1,10 @@
-"""Streaming coincidence matching, count statistics, and raw-bit assignment.
+"""Coincidence matching, count statistics, and raw-bit assignment.
+
+Data model: a channel's detections are one sorted int64 array of
+timestamps (ps). :func:`find_coincidences` matches two such arrays and
+returns a :class:`CoincidenceList` of two columns in time order: the
+earlier tag's time and the signed delta t_b - t_a. The list does not
+carry channel labels: the caller knows which pair it matched.
 
 The matcher is exact: every tag joins at most one coincidence, the number
 of coincidences is the maximum possible within the window, and among
@@ -16,14 +22,15 @@ if that keeps the optimum, else leave the last b-tag unmatched, else
 match the two. The C kernel ``qf_match`` (``_kernels.c``) runs the scan
 and a banded DP in one pass; :func:`_match_py` is its plain reference.
 
-Bits follow the section table: a (D1, U2) coincidence is 0, a (D2, U1)
-coincidence is 1, everything else carries no bit.
+Bits follow the section table: each (D1, U2) coincidence is a 0 and each
+(D2, U1) coincidence a 1, in time order, the 0 first at equal times
+(:func:`assign_bits`). The (C1, C2) coincidences carry no bit; they feed
+the live Bell test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,22 +55,6 @@ class CoincidenceConfig:
     @property
     def tau_seconds(self) -> float:
         return self.window_tau * 1e-12
-
-
-@dataclass(frozen=True)
-class CoincidenceEvent:
-    """One matched tag pair: earlier timestamp, channel pair, signed delta."""
-
-    time: int
-    pair: tuple[Channel, Channel]
-    delta: int  # t_b - t_a, in ps
-
-
-@dataclass(frozen=True)
-class RawBitRecord:
-    time: int
-    bit: int
-    source_pair: tuple[Channel, Channel]
 
 
 def _cluster_scan_np(ta, tb, tau):
@@ -150,100 +141,51 @@ def _match(ta, tb, tau):
     return ia[:k], ib[:k]
 
 
-class CoincidenceList(Sequence):
-    """Columnar list of coincidences (times, channel codes, deltas).
+class CoincidenceList:
+    """The coincidences of one channel pair, as two int64 columns in time
+    order: ``times`` (the earlier tag of each pair) and ``deltas``
+    (t_b - t_a, in ps)."""
 
-    Behaves as a sequence of :class:`CoincidenceEvent` while keeping bulk
-    data in numpy arrays; matching at full rate cannot afford per-event
-    objects.
-    """
+    __slots__ = ("times", "deltas")
 
-    __slots__ = ("times", "ch_a", "ch_b", "deltas")
-
-    def __init__(self, times, ch_a, ch_b, deltas):
+    def __init__(self, times, deltas):
         self.times = np.ascontiguousarray(times, dtype=np.int64)
-        self.ch_a = np.ascontiguousarray(ch_a, dtype=np.uint8)
-        self.ch_b = np.ascontiguousarray(ch_b, dtype=np.uint8)
         self.deltas = np.ascontiguousarray(deltas, dtype=np.int64)
 
     @classmethod
     def empty(cls) -> "CoincidenceList":
-        z = np.empty(0, np.int64)
-        return cls(z, np.empty(0, np.uint8), np.empty(0, np.uint8), z)
-
-    @classmethod
-    def from_events(cls, events: Sequence[CoincidenceEvent]) -> "CoincidenceList":
-        return cls(
-            [e.time for e in events],
-            [int(e.pair[0]) for e in events],
-            [int(e.pair[1]) for e in events],
-            [e.delta for e in events],
-        )
+        return cls(np.empty(0, np.int64), np.empty(0, np.int64))
 
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def __getitem__(self, i) -> CoincidenceEvent:
-        if isinstance(i, slice):
-            return CoincidenceList(
-                self.times[i], self.ch_a[i], self.ch_b[i], self.deltas[i]
-            )
-        return CoincidenceEvent(
-            int(self.times[i]),
-            (Channel(int(self.ch_a[i])), Channel(int(self.ch_b[i]))),
-            int(self.deltas[i]),
-        )
 
-    def __iter__(self) -> Iterator[CoincidenceEvent]:
-        for i in range(len(self)):
-            yield self[i]
+def _sorted_times(t, side: str) -> np.ndarray:
+    """``t`` as a contiguous int64 array; ValueError if it ever decreases."""
+    t = np.ascontiguousarray(t, dtype=np.int64)
+    if np.any(t[1:] < t[:-1]):
+        raise ValueError(f"{side} timestamps must be sorted in ascending order")
+    return t
 
 
-def find_coincidences(
-    a: TagStream | np.ndarray,
-    b: TagStream | np.ndarray,
-    cfg: CoincidenceConfig,
-    channel_a: Channel | None = None,
-    channel_b: Channel | None = None,
-) -> CoincidenceList:
-    """Match tags of stream ``a`` against stream ``b`` exactly.
+def find_coincidences(a, b, cfg: CoincidenceConfig) -> CoincidenceList:
+    """Match the sorted timestamps ``a`` against ``b`` exactly.
 
     Every tag joins at most one coincidence; the matching holds the most
     pairs with |t_b - t_a| <= window_tau and, among those, the least total
     |t_b - t_a|. Ties go by the module's rule: in each cluster, walking back
     from its last tags, leave the last a-tag unmatched if that keeps the
-    optimum, else the last b-tag, else match the two. Accepts TagStreams
-    (channel labels read from the tags; pass single-channel streams) or bare
-    sorted timestamp arrays with explicit channel labels. Output is sorted
-    by coincidence time; ``delta`` is t_b - t_a.
+    optimum, else the last b-tag, else match the two. Both arrays must be
+    in ascending order (equal timestamps allowed): the cluster scan relies
+    on it, so an array that decreases anywhere raises ValueError. Output
+    is sorted by coincidence time.
     """
-    if isinstance(a, TagStream):
-        ta = a.timestamps
-        ca = a.channels
-    else:
-        ta = np.ascontiguousarray(a, dtype=np.int64)
-        ca = None
-    if isinstance(b, TagStream):
-        tb = b.timestamps
-        cb = b.channels
-    else:
-        tb = np.ascontiguousarray(b, dtype=np.int64)
-        cb = None
-
+    ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
     ia, ib = _match(ta, tb, int(cfg.window_tau))
-    times = np.minimum(ta[ia], tb[ib])
-    deltas = tb[ib] - ta[ia]
-    if ca is not None:
-        ch_a = ca[ia]
-    else:
-        code = int(channel_a) if channel_a is not None else 0
-        ch_a = np.full(ia.size, code, dtype=np.uint8)
-    if cb is not None:
-        ch_b = cb[ib]
-    else:
-        code = int(channel_b) if channel_b is not None else 0
-        ch_b = np.full(ib.size, code, dtype=np.uint8)
-    return CoincidenceList(times, ch_a, ch_b, deltas)
+    times = ta[ia]
+    deltas = tb[ib] - times
+    times += np.minimum(deltas, 0)  # the earlier tag of each pair
+    return CoincidenceList(times, deltas)
 
 
 def accidental_rate(rate_a: float, rate_b: float, cfg: CoincidenceConfig) -> float:
@@ -257,63 +199,15 @@ def accidental_rate(rate_a: float, rate_b: float, cfg: CoincidenceConfig) -> flo
     return 2.0 * cfg.tau_seconds * rate_a * rate_b
 
 
-#: Bit of a (ch_a, ch_b) coincidence at index ch_a * 8 + ch_b: 0 for
-#: (D1, U2) in either order, 1 for (D2, U1) in either order, 2 for no bit.
-_BIT_OF_PAIR = np.full(64, 2, np.uint8)
-_BIT_OF_PAIR[[Channel.D1 * 8 + Channel.U2, Channel.U2 * 8 + Channel.D1]] = 0
-_BIT_OF_PAIR[[Channel.D2 * 8 + Channel.U1, Channel.U1 * 8 + Channel.D2]] = 1
+def assign_bits(zero_times, one_times) -> np.ndarray:
+    """Raw bits in time order: 0 for each coincidence time in ``zero_times``,
+    1 for each in ``one_times``; at equal times the 0 comes first.
 
-
-class RawBits(Sequence):
-    """Chronological raw bits with their timestamps (columnar)."""
-
-    __slots__ = ("times", "bits")
-
-    def __init__(self, times, bits):
-        self.times = np.ascontiguousarray(times, dtype=np.int64)
-        self.bits = np.ascontiguousarray(bits, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    def __getitem__(self, i) -> RawBitRecord:
-        if isinstance(i, slice):
-            return RawBits(self.times[i], self.bits[i])
-        bit = int(self.bits[i])
-        pair = (Channel.D1, Channel.U2) if bit == 0 else (Channel.D2, Channel.U1)
-        return RawBitRecord(int(self.times[i]), bit, pair)
-
-    def __iter__(self) -> Iterator[RawBitRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-
-def assign_bits(coincidences: CoincidenceList | Sequence[CoincidenceEvent]) -> RawBits:
-    """Map coincidences to raw bits: (D1, U2) -> 0, (D2, U1) -> 1.
-
-    All other channel pairs are dropped. Output keeps chronological
-    order; equal timestamps order the 0-bit pair first.
+    One stable sort of the two lists concatenated: on two sorted runs it
+    is a merge, and stability puts the 0 first on a tie.
     """
-    if not isinstance(coincidences, CoincidenceList):
-        coincidences = CoincidenceList.from_events(list(coincidences))
-    bit = _BIT_OF_PAIR[coincidences.ch_a.astype(np.intp) * 8 + coincidences.ch_b]
-    keep = bit < 2
-    times = coincidences.times[keep]
-    bits = bit[keep]
-    order = np.lexsort((bits, times))
-    return RawBits(times[order], bits[order])
-
-
-def concat_coincidences(lists: Sequence[CoincidenceList]) -> CoincidenceList:
-    """Merge several coincidence lists into one, sorted by time (stable)."""
-    if not lists:
-        return CoincidenceList.empty()
-    times = np.concatenate([c.times for c in lists])
-    ch_a = np.concatenate([c.ch_a for c in lists])
-    ch_b = np.concatenate([c.ch_b for c in lists])
-    deltas = np.concatenate([c.deltas for c in lists])
-    order = np.argsort(times, kind="stable")
-    return CoincidenceList(times[order], ch_a[order], ch_b[order], deltas[order])
+    order = np.argsort(np.concatenate([zero_times, one_times]), kind="stable")
+    return (order >= len(zero_times)).view(np.uint8)
 
 
 def coincidence_summary(
@@ -326,8 +220,7 @@ def coincidence_summary(
     matching does not depend on which side is ``a``.
     """
     duration_s = merged.duration * 1e-12
-    # sizes of the per-channel split the matching made: no pass over the tags
-    singles = {ch: int(merged.channel_times(ch).size) for ch in Channel}
+    singles = merged.counts_by_channel()
     summary: dict = {
         "window_tau_ps": cfg.window_tau,
         "duration_s": duration_s,

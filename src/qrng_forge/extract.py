@@ -29,7 +29,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from . import _native
-from .timetags import BitSequence
+from .timetags import BitSequence, as_bit_array
 
 #: Largest input block handled by the byte-table kernel.
 FR_MAX_N = 1 << 15
@@ -67,18 +67,9 @@ class EntropyReport:
     degenerate: bool = False
 
 
-def _as_bit_array(bits) -> np.ndarray:
-    if isinstance(bits, BitSequence):
-        return bits.to_bits()
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0/1")
-    return arr
-
-
 def min_entropy(bits) -> EntropyReport:
     """Empirical min-entropy of a bit sequence (needs >= 10^4 bits)."""
-    arr = _as_bit_array(bits)
+    arr = as_bit_array(bits)
     n = arr.size
     if n < 10**4:
         raise ValueError(f"min_entropy needs >= 1e4 bits, got {n}")
@@ -272,7 +263,7 @@ def toeplitz_extract(block, params: ExtractorParams) -> BitSequence:
     Bit-identical to the direct matrix definition regardless of the
     evaluation path chosen internally.
     """
-    x = _as_bit_array(block)
+    x = as_bit_array(block)
     if x.size != params.n:
         raise ValueError(f"block holds {x.size} bits, params expect n={params.n}")
     return BitSequence.from_bits(_hasher(params).extract_bits(x))

@@ -8,7 +8,7 @@ comments), overridable from the command line:
     source.pair_rate_coeff = 250000      # pairs/s per mW
     source.alpha           = 0.7071067811865476
     source.noise_p         = 1.0
-    source.det_efficiency  = 0.9         # scalar or per channel: ...det_efficiency.C1 = 0.8
+    source.det_efficiency  = 1.0         # scalar or per channel: ...det_efficiency.C1 = 0.8
     source.dark_rate       = 0.0         # counts/s per channel
     source.jitter_sigma    = 350.0       # ps
     source.dead_time       = 0           # ps
@@ -66,7 +66,6 @@ from .coincidence import (
     CoincidenceConfig,
     assign_bits,
     coincidence_summary,
-    concat_coincidences,
     find_coincidences,
 )
 from .extract import extract_stream
@@ -411,8 +410,7 @@ def _match_pair(stream: TagStream, channel_a: Channel, channel_b: Channel,
                 window: CoincidenceConfig):
     """Coincidences of one section pair of ``stream``."""
     return find_coincidences(
-        stream.channel_times(channel_a), stream.channel_times(channel_b), window,
-        channel_a=channel_a, channel_b=channel_b,
+        stream.channel_times(channel_a), stream.channel_times(channel_b), window
     )
 
 
@@ -423,7 +421,7 @@ def _coincide(cfg: RunConfig, stream: TagStream, out_dir: Path):
     # (D1, U2) gives bit 0, (D2, U1) bit 1, and (C1, C2) feeds the live Bell test
     pairs = [(a, a.partner) for a in (Channel.D1, Channel.D2, Channel.C1)]
     matches = [_match_pair(stream, a, b, cfg.coincidence) for a, b in pairs]
-    bits = BitSequence.from_bits(assign_bits(concat_coincidences(matches[:2])).bits)
+    bits = BitSequence.from_bits(assign_bits(matches[0].times, matches[1].times))
     write_bits(bits, out_dir / "raw.bits")
     counts = {pair: len(c) for pair, c in zip(pairs, matches)}
     summary = coincidence_summary(stream, cfg.coincidence, counts)

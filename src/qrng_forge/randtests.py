@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
-from .timetags import BitSequence
+from .timetags import BitSequence, as_bit_array
 
 
 class SequenceLengthError(ValueError):
@@ -66,22 +66,13 @@ class BatteryReport:
         }
 
 
-def _bits(bits) -> np.ndarray:
-    if isinstance(bits, BitSequence):
-        return bits.to_bits()
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0/1")
-    return arr
-
-
 def autocorr(bits, max_lag: int = 100) -> np.ndarray:
     """Normalized autocorrelation a_k for lags k = 1..max_lag.
 
     a_k = sum (x_i - xbar)(x_{i+k} - xbar) / sum (x_i - xbar)^2 over the
     overlapping range. Undefined (raises) for constant sequences.
     """
-    x = _bits(bits).astype(np.float64)
+    x = as_bit_array(bits).astype(np.float64)
     n = x.size
     if n <= 10 * max_lag:
         raise ValueError(f"need more than {10 * max_lag} bits for max_lag={max_lag}")
@@ -100,7 +91,7 @@ def autocorr(bits, max_lag: int = 100) -> np.ndarray:
 
 
 def frequency_test(bits) -> float:
-    x = _bits(bits)
+    x = as_bit_array(bits)
     n = x.size
     if n == 0:
         raise SequenceLengthError("empty sequence")
@@ -109,7 +100,7 @@ def frequency_test(bits) -> float:
 
 
 def block_frequency_test(bits, block_size: int = 128) -> float:
-    x = _bits(bits)
+    x = as_bit_array(bits)
     n = x.size
     n_blocks = n // block_size
     if n_blocks < 1:
@@ -121,7 +112,7 @@ def block_frequency_test(bits, block_size: int = 128) -> float:
 
 
 def runs_test(bits) -> float:
-    x = _bits(bits)
+    x = as_bit_array(bits)
     n = x.size
     if n < 2:
         raise SequenceLengthError("runs test needs at least 2 bits")
@@ -146,7 +137,7 @@ _LONGEST_RUN_TABLES = (
 
 
 def longest_run_test(bits) -> float:
-    x = _bits(bits)
+    x = as_bit_array(bits)
     n = x.size
     for min_n, m_len, cats, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
@@ -174,7 +165,7 @@ def longest_run_test(bits) -> float:
 
 
 def cumulative_sums_test(bits, reverse: bool = False) -> float:
-    x = _bits(bits).astype(np.int64) * 2 - 1
+    x = as_bit_array(bits).astype(np.int64) * 2 - 1
     if reverse:
         x = x[::-1]
     n = x.size
@@ -216,7 +207,7 @@ def _psi_sq(x: np.ndarray, m: int) -> float:
 
 def serial_test(bits, m: int = 2) -> tuple[float, float]:
     """NIST serial test; returns both P-values (del-psi^2, del^2-psi^2)."""
-    x = _bits(bits)
+    x = as_bit_array(bits)
     if x.size < 1 << (m + 2):
         raise SequenceLengthError(f"serial test with m={m} needs more bits")
     psi_m = _psi_sq(x, m)
@@ -230,7 +221,7 @@ def serial_test(bits, m: int = 2) -> tuple[float, float]:
 
 
 def approximate_entropy_test(bits, m: int = 2) -> float:
-    x = _bits(bits)
+    x = as_bit_array(bits)
     n = x.size
     if n < 1 << (m + 3):
         raise SequenceLengthError(f"approximate entropy with m={m} needs more bits")
@@ -265,7 +256,7 @@ def run_test(
     if test_id not in TEST_IDS:
         raise KeyError(f"unknown test id {test_id!r}; choose from {sorted(TEST_IDS)}")
     func, min_len = TEST_IDS[test_id]
-    x = _bits(bits)
+    x = as_bit_array(bits)
     if strict and x.size < min_len:
         raise SequenceLengthError(
             f"{test_id} needs >= {min_len} bits, got {x.size}"
@@ -314,7 +305,7 @@ def run_battery(
     Verdict: every test's pass proportion inside the proportion range and
     every test's uniformity P_T >= 1e-4.
     """
-    x = _bits(bits)
+    x = as_bit_array(bits)
     needed = n_sequences * seq_len
     if x.size < needed:
         raise SequenceLengthError(
@@ -356,8 +347,8 @@ def export_bits(bits, fmt: str = "raw_packed") -> bytes:
     if fmt == "raw_packed":
         if isinstance(bits, BitSequence):
             return bits.to_bytes()
-        return np.packbits(_bits(bits)).tobytes()
+        return np.packbits(as_bit_array(bits)).tobytes()
     if fmt == "ascii01":
-        arr = _bits(bits)
+        arr = as_bit_array(bits)
         return (arr + ord("0")).astype(np.uint8).tobytes()
     raise ValueError(f"unknown export format {fmt!r}")

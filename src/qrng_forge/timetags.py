@@ -180,8 +180,9 @@ class TagStream:
         return self._by_channel[int(channel)]
 
     def counts_by_channel(self) -> dict[Channel, int]:
-        counts = np.bincount(self.channels, minlength=6)
-        return {ch: int(counts[int(ch)]) for ch in Channel}
+        """Tags per channel: the sizes of the cached :meth:`channel_times`
+        split, so no count makes a pass over the tags of its own."""
+        return {ch: int(self.channel_times(ch).size) for ch in Channel}
 
 
 def _split_channels_np(ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:
@@ -379,6 +380,16 @@ class BitSequence:
 
     def __repr__(self) -> str:
         return f"BitSequence({self.length} bits)"
+
+
+def as_bit_array(bits) -> np.ndarray:
+    """A BitSequence or 0/1 array-like as a uint8 array of its bits."""
+    if isinstance(bits, BitSequence):
+        return bits.to_bits()
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.size and arr.max() > 1:
+        raise ValueError("bits must be 0/1")
+    return arr
 
 
 def write_bits(bits: BitSequence, path) -> None:

@@ -37,7 +37,7 @@ from qrng_forge import (
     toeplitz_extract,
     visibility,
 )
-from qrng_forge.coincidence import assign_bits, concat_coincidences
+from qrng_forge.coincidence import assign_bits
 from qrng_forge.pipeline import build_config, rerun_from_manifest, run_pipeline
 from qrng_forge.randtests import frequency_test
 
@@ -68,7 +68,7 @@ def bell_source(pair_rate, duration_s, seed, state=None, schedule=None, **kwargs
 def cert_coincidences(stream, window=WINDOW):
     c1 = stream.channel_times(Channel.C1)
     c2 = stream.channel_times(Channel.C2)
-    cc = find_coincidences(c1, c2, window, channel_a=Channel.C1, channel_b=Channel.C2)
+    cc = find_coincidences(c1, c2, window)
     return cc, c1, c2
 
 
@@ -81,12 +81,9 @@ def balanced_bits():
     })
     stream = generate_events(cfg)
     times = {ch: stream.channel_times(ch) for ch in Channel}
-    c01 = find_coincidences(times[Channel.D1], times[Channel.U2], WINDOW,
-                            channel_a=Channel.D1, channel_b=Channel.U2)
-    c10 = find_coincidences(times[Channel.D2], times[Channel.U1], WINDOW,
-                            channel_a=Channel.D2, channel_b=Channel.U1)
-    raw = assign_bits(concat_coincidences([c01, c10]))
-    bits = raw.bits[: 10**7].copy()
+    c01 = find_coincidences(times[Channel.D1], times[Channel.U2], WINDOW)
+    c10 = find_coincidences(times[Channel.D2], times[Channel.U1], WINDOW)
+    bits = assign_bits(c01.times, c10.times)[: 10**7].copy()
     assert bits.size == 10**7
     extracted, ext_report, _ = extract_stream(
         BitSequence.from_bits(bits), n_block=10**6,
@@ -154,8 +151,7 @@ def test_criterion_04_window_degradation():
     singles_rate = c1.size / (cfg.duration * 1e-12)
     s_values = []
     for tau in (1000, 1500, 2000):
-        cc = find_coincidences(c1, c2, CoincidenceConfig(tau),
-                               channel_a=Channel.C1, channel_b=Channel.C2)
+        cc = find_coincidences(c1, c2, CoincidenceConfig(tau))
         s_values.append(chsh_measurement(cc, cfg.analyzer_schedule).s)
     ok = singles_rate >= 3 * 10**5 and s_values[0] > s_values[1] > s_values[2]
     report(

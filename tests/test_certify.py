@@ -57,7 +57,7 @@ def cert_sim(state, pair_rate=6 * 10**5, duration=4 * 10**12, seed=5, dwell=10**
     stream = generate_events(cfg)
     c1 = stream.channel_times(Channel.C1)
     c2 = stream.channel_times(Channel.C2)
-    cc = find_coincidences(c1, c2, WINDOW, channel_a=Channel.C1, channel_b=Channel.C2)
+    cc = find_coincidences(c1, c2, WINDOW)
     return cc, sched, cfg, c1, c2
 
 
@@ -270,12 +270,7 @@ class TestLiveCertify:
             sel = idx == k
             p = joint_outcome_probs(state, t1, t2)[0]
             keep[sel] = rng.random(int(sel.sum())) < p * 4  # scale to keep stats
-        cc = CoincidenceList(
-            times[keep],
-            np.full(int(keep.sum()), int(Channel.C1), np.uint8),
-            np.full(int(keep.sum()), int(Channel.C2), np.uint8),
-            np.zeros(int(keep.sum()), np.int64),
-        )
+        cc = CoincidenceList(times[keep], np.zeros(int(keep.sum()), np.int64))
         blocks = live_certify(cc, sched, 4000, duration=16 * 10**6)
         for blk in blocks:
             if not math.isnan(blk.s) and blk.s - 3 * blk.s_stderr <= 2.0:

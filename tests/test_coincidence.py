@@ -10,16 +10,14 @@ from qrng_forge import (
     AnalyzerSchedule,
     Channel,
     CoincidenceConfig,
-    CoincidenceEvent,
     SourceConfig,
     TwoPhotonState,
     accidental_rate,
     assign_bits,
-    concat_coincidences,
     find_coincidences,
     generate_events,
 )
-from qrng_forge.coincidence import CoincidenceList
+from qrng_forge import _native
 from qrng_forge.pipeline import _coincide, build_config
 
 from conftest import optimal_nearest_matching
@@ -28,18 +26,14 @@ TAU = CoincidenceConfig(1000)
 
 
 def match_times(ta, tb, cfg=TAU):
-    return find_coincidences(
-        np.asarray(ta, np.int64), np.asarray(tb, np.int64), cfg,
-        channel_a=Channel.U1, channel_b=Channel.D2,
-    )
+    return find_coincidences(np.asarray(ta, np.int64), np.asarray(tb, np.int64), cfg)
 
 
 class TestWindowSemantics:
     def test_within_window_delta(self):
         out = match_times([1000], [1800])
-        assert len(out) == 1
-        assert out[0].delta == 800
-        assert out[0].time == 1000
+        assert out.deltas.tolist() == [800]
+        assert out.times.tolist() == [1000]
 
     def test_outside_window_empty(self):
         assert len(match_times([1000], [2500])) == 0
@@ -49,14 +43,13 @@ class TestWindowSemantics:
 
     def test_nearest_partner_preferred(self):
         out = match_times([0, 900], [1000])
-        assert len(out) == 1
-        assert out[0].time == 900
-        assert out[0].delta == 100
+        assert out.times.tolist() == [900]
+        assert out.deltas.tolist() == [100]
 
     def test_negative_delta(self):
         out = match_times([1800], [1000])
-        assert out[0].delta == -800
-        assert out[0].time == 1000
+        assert out.deltas.tolist() == [-800]
+        assert out.times.tolist() == [1000]
 
     def test_tie_leaves_last_a_tag_unmatched(self):
         out = match_times([0, 2000], [1000])
@@ -122,10 +115,10 @@ class TestMatcherProperties:
         ta = np.unique(rng.integers(0, 10**6, 3000))
         tb = np.unique(rng.integers(0, 10**6, 3000))
         out = match_times(ta, tb)
-        used_a = [int(e.time) if e.delta >= 0 else int(e.time - e.delta) for e in out]
-        used_b = [int(e.time + e.delta) if e.delta >= 0 else int(e.time) for e in out]
-        assert len(used_a) == len(set(used_a))
-        assert len(used_b) == len(set(used_b))
+        used_a = np.where(out.deltas >= 0, out.times, out.times - out.deltas)
+        used_b = used_a + out.deltas
+        assert np.unique(used_a).size == used_a.size
+        assert np.unique(used_b).size == used_b.size
 
     @pytest.mark.skipif(shutil.which("gcc") is None,
                         reason="the full-table reference needs a 30,000 x 30,000 table")
@@ -204,51 +197,41 @@ class TestAccidentals:
 
 
 class TestAssignBits:
-    def _one(self, ch_a, ch_b, time=100):
-        return CoincidenceList(
-            np.array([time], np.int64),
-            np.array([int(ch_a)], np.uint8),
-            np.array([int(ch_b)], np.uint8),
-            np.array([0], np.int64),
-        )
-
+    # the pipeline passes the (D1, U2) coincidence times first, then (D2, U1)
     def test_d1_u2_is_zero(self):
-        out = assign_bits(self._one(Channel.D1, Channel.U2))
-        assert out.bits.tolist() == [0]
-        assert out[0].source_pair == (Channel.D1, Channel.U2)
+        assert assign_bits([100], []).tolist() == [0]
 
     def test_d2_u1_is_one(self):
-        out = assign_bits(self._one(Channel.D2, Channel.U1))
-        assert out.bits.tolist() == [1]
-        assert out[0].source_pair == (Channel.D2, Channel.U1)
+        assert assign_bits([], [100]).tolist() == [1]
 
-    def test_channel_order_within_pair_irrelevant(self):
-        assert assign_bits(self._one(Channel.U2, Channel.D1)).bits.tolist() == [0]
-        assert assign_bits(self._one(Channel.U1, Channel.D2)).bits.tolist() == [1]
-
-    def test_cert_pair_dropped(self):
-        assert len(assign_bits(self._one(Channel.C1, Channel.C2))) == 0
+    def test_one_side_empty(self):
+        assert assign_bits([10, 20, 30], []).tolist() == [0, 0, 0]
+        assert assign_bits([], [10, 20]).tolist() == [1, 1]
+        assert assign_bits(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
 
     def test_chronological_with_zero_pair_first_on_ties(self):
-        events = concat_coincidences(
-            [
-                self._one(Channel.D2, Channel.U1, time=500),
-                self._one(Channel.D1, Channel.U2, time=500),
-                self._one(Channel.D2, Channel.U1, time=100),
-            ]
-        )
-        out = assign_bits(events)
-        assert out.times.tolist() == [100, 500, 500]
-        assert out.bits.tolist() == [1, 0, 1]
+        assert assign_bits([100, 500], [500]).tolist() == [0, 0, 1]
+        assert assign_bits([500], [100, 500]).tolist() == [1, 0, 1]
+        out = assign_bits(np.array([10, 30, 50]), np.array([20, 40]))
+        assert out.dtype == np.uint8 and out.tolist() == [0, 1, 0, 1, 0]
 
-    def test_accepts_event_sequence(self):
-        events = [
-            CoincidenceEvent(10, (Channel.D1, Channel.U2), 5),
-            CoincidenceEvent(20, (Channel.C1, Channel.C2), 0),
-            CoincidenceEvent(30, (Channel.D2, Channel.U1), -5),
-        ]
-        out = assign_bits(events)
-        assert out.bits.tolist() == [0, 1]
+
+class TestSortedInput:
+    """The cluster scan needs each side in time order; neither backend
+    can give a correct matching otherwise, so both reject it."""
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_decreasing_input_rejected(self, backend, monkeypatch):
+        if backend == "c" and shutil.which("gcc") is None:
+            pytest.skip("no C compiler")
+        if backend == "python":
+            monkeypatch.setattr(_native, "library", lambda: None)
+        with pytest.raises(ValueError, match="sorted"):
+            find_coincidences([5000, 0], [100, 4900], TAU)
+        with pytest.raises(ValueError, match="sorted"):
+            find_coincidences([100, 4900], [5000, 0], TAU)
+        # equal timestamps are in order
+        assert len(find_coincidences([0, 0, 5000], [100, 4900], TAU)) == 2
 
 
 class TestGoldenMatching:
