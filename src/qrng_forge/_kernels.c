@@ -1,15 +1,228 @@
-/* The three hot loops of qrng_forge, loaded through ctypes by _native.py.
+/* The hot loops of qrng_forge, loaded through ctypes by _native.py.
  *
  * Each kernel has a numpy reference in the Python module that calls it, and
  * the two must agree bit for bit:
+ *   qf_slice_signal    source._slice_py (routing and analyzer outcomes)
+ *   qf_thin            source._slice_py (detector efficiency)
+ *   qf_jitter          source._slice_py (rint(sigma * z), clipped)
+ *   qf_slice_keys      source._slice_order (with qf_slice_unpack, a value
+ *   qf_slice_unpack    sort of keys that carry each tag's rank in the slice)
+ *   qf_settle          source._settle_py (stable argsort of the whole stream)
+ *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
  *   qf_match           coincidence._match_py
  *   qf_fr_accumulate   extract._fr_accumulate_py
- * Callers check dtypes, contiguity and buffer sizes.
+ * Callers check dtypes, contiguity and buffer sizes (_native.address).
  */
 
 #include <stdint.h>
+#include <math.h>
 #include <stdlib.h>
+#include <string.h>
+
+/* i if c, else j, by masks: compilers keep this free of branches */
+static inline int64_t pick(int c, int64_t i, int64_t j)
+{
+    const int64_t mask = -(int64_t)c;
+    return (i & mask) | (j & ~mask);
+}
+
+/* Signal tags of one source slice, before thinning and jitter.
+ *
+ * times[0:n] are the slice's pair emission times and section[0:n] their
+ * section pairs, 0 (U1, D2), 1 (U2, D1) or 2 (C1, C2). u[0:n_u] holds one
+ * uniform per section-2 pair, in pair order, and cum the n_settings x 4
+ * cumulative joint-outcome probabilities of the analyzer settings. A
+ * section-2 pair at time t >= 0 sees setting (t / dwell) % n_settings and
+ * outcome min(#(cum[k] <= u), 3), compared on the same doubles as the
+ * reference: outcomes 0 and 1 fire C1, outcomes 0 and 2 fire C2.
+ *
+ * Writes the tags to (ts, ch) as U1 and D2 of the section-0 pairs, U2 and
+ * D1 of the section-1 pairs, the C1 hits, then the C2 hits, each group in
+ * pair order, and returns their number. ts must hold 2n + 1 values, ch 2n.
+ * Returns -1, writing nothing, if a section is not 0, 1 or 2 or if n_u is
+ * not the number of section-2 pairs.
+ *
+ * Sections and outcomes are random, so the loops do not branch on them:
+ * every pair stores its time into each group it might join, and a store
+ * that does not count goes to ts[2n], a slot past every group.
+ */
+int64_t qf_slice_signal(const int64_t *times, const int64_t *section, int64_t n,
+                        const double *u, int64_t n_u, const double *cum, int64_t n_settings,
+                        int64_t dwell, int64_t *ts, uint8_t *ch)
+{
+    int64_t count[3] = {0, 0, 0};
+    for (int64_t i = 0; i < n; i++) {
+        if (section[i] < 0 || section[i] > 2)
+            return -1;
+        count[section[i]]++;
+    }
+    if (count[2] != n_u)
+        return -1;
+    const int64_t sink = 2 * n, u2_start = 2 * count[0], c1_start = u2_start + 2 * count[1];
+    const int64_t c2_start = c1_start + count[2];
+    int64_t u1 = 0, u2 = u2_start, c = c1_start;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t t = times[i], s = section[i];
+        ts[pick(s == 0, u1, sink)] = t;
+        u1 += s == 0;
+        ts[pick(s == 1, u2, sink)] = t;
+        u2 += s == 1;
+        ts[pick(s == 2, c, sink)] = t;
+        c += s == 2;
+    }
+    memcpy(ts + count[0], ts, count[0] * sizeof *ts);
+    memcpy(ts + u2_start + count[1], ts + u2_start, count[1] * sizeof *ts);
+    /* the section-2 times sit at c1_start; the C1 hits overwrite them in place */
+    int64_t c1 = c1_start, c2 = c2_start;
+    for (int64_t k = 0; k < n_u; k++) {
+        const int64_t t = ts[c1_start + k];
+        const double *row = cum + 4 * ((t / dwell) % n_settings), x = u[k];
+        int outcome = (row[0] <= x) + (row[1] <= x) + (row[2] <= x) + (row[3] <= x);
+        outcome -= outcome > 3;
+        const int hit1 = (outcome == 0) | (outcome == 1), hit2 = (outcome == 0) | (outcome == 2);
+        ts[pick(hit1, c1, sink)] = t;
+        c1 += hit1;
+        ts[pick(hit2, c2, sink)] = t;
+        c2 += hit2;
+    }
+    /* the C2 hits were written after room for every C1 hit; close the gap */
+    memmove(ts + c1, ts + c2_start, (c2 - c2_start) * sizeof *ts);
+    memset(ch, 0, count[0]);
+    memset(ch + count[0], 3, count[0]);
+    memset(ch + u2_start, 1, count[1]);
+    memset(ch + u2_start + count[1], 2, count[1]);
+    memset(ch + c1_start, 4, c1 - c1_start);
+    memset(ch + c1, 5, c2 - c2_start);
+    return c1 + c2 - c2_start;
+}
+
+/* Detector efficiency: keeps tag i when u[i] < eta[ch[i]], compacting
+ * (ts, ch) in place, and returns how many stay. Channel codes must be < 6. */
+int64_t qf_thin(int64_t *ts, uint8_t *ch, int64_t n, const double *u, const double *eta)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (u[i] < eta[ch[i]]) {
+            ts[k] = ts[i];
+            ch[k++] = ch[i];
+        }
+    return k;
+}
+
+/* Timing jitter: ts[i] += rint(sigma * z[i]) for standard normals z, then
+ * clipped to [0, duration]. sigma * z is the double that numpy's
+ * normal(0, sigma) draws from the same generator state. */
+void qf_jitter(int64_t *ts, int64_t n, const double *z, double sigma, int64_t duration)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t t = ts[i] + (int64_t)rint(sigma * z[i]);
+        ts[i] = t < 0 ? 0 : t > duration ? duration : t;
+    }
+}
+
+/* Channel codes of the signal groups, in their order in a slice:
+ * U1, D2, U2, D1, C1, C2. */
+static const uint8_t signal_group_channel[6] = {0, 3, 1, 2, 4, 5};
+
+/* Sort keys for one slice's tags: (ts, ch)[0:n_dark] are its dark tags, by
+ * channel code, and (ts, ch)[n_dark:n] its signal tags in group order. The
+ * key of a tag is (t - lo) << 4 | rank, with lo the slice's earliest time,
+ * rank = ch for a dark tag and 6 + its group's position for a signal tag.
+ * Ranks rise in slice order, and tags with equal time and rank are
+ * identical, so sorting the keys by value gives the stable time order of
+ * the slice.
+ *
+ * Writes keys[0:n] and *lo and returns 0, or returns -1 without writing
+ * when a channel code exceeds 5 or the time span needs more than 59 bits.
+ */
+int qf_slice_keys(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t n_dark,
+                  uint64_t *keys, int64_t *lo)
+{
+    uint8_t rank_of[12];
+    for (int r = 0; r < 6; r++) {
+        rank_of[r] = r;
+        rank_of[6 + signal_group_channel[r]] = 6 + r;
+    }
+    int64_t min = n ? ts[0] : 0, max = min;
+    int bad_code = 0;
+    for (int64_t i = 0; i < n; i++) {
+        min = ts[i] < min ? ts[i] : min;
+        max = ts[i] > max ? ts[i] : max;
+        bad_code |= ch[i] > 5;
+    }
+    if (bad_code || ((uint64_t)max - (uint64_t)min) >> 59)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        keys[i] = ((uint64_t)ts[i] - (uint64_t)min) << 4 | rank_of[(i >= n_dark) * 6 + ch[i]];
+    *lo = min;
+    return 0;
+}
+
+/* The tags of sorted keys from qf_slice_keys, written to (out_ts, out_ch). */
+void qf_slice_unpack(const uint64_t *keys, int64_t n, int64_t lo, int64_t *out_ts,
+                     uint8_t *out_ch)
+{
+    uint8_t channel_of[12];
+    for (int r = 0; r < 6; r++) {
+        channel_of[r] = r;
+        channel_of[6 + r] = signal_group_channel[r];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        out_ts[i] = (int64_t)((uint64_t)lo + (keys[i] >> 4));
+        out_ch[i] = channel_of[keys[i] & 15];
+    }
+}
+
+/* Stable insertion sort of (ts, ch) by ts, in place. Each tag moves past
+ * the earlier tags with a strictly larger time, so equal times keep their
+ * order, and the work is linear when few tags are out of place. Once more
+ * than max_moves moves have been made it stops, after finishing the tag in
+ * hand, and returns 0: the arrays then hold a permutation that kept the
+ * order of equal times, which a stable sort completes to the same result.
+ * Returns 1 when the arrays are sorted. */
+int qf_settle(int64_t *ts, uint8_t *ch, int64_t n, int64_t max_moves)
+{
+    int64_t moves = 0;
+    for (int64_t i = 1; i < n; i++) {
+        const int64_t t = ts[i];
+        if (t >= ts[i - 1])
+            continue;
+        const uint8_t c = ch[i];
+        int64_t j = i;
+        while (j > 0 && ts[j - 1] > t) {
+            ts[j] = ts[j - 1];
+            ch[j] = ch[j - 1];
+            j--;
+        }
+        ts[j] = t;
+        ch[j] = c;
+        moves += i - j;
+        if (moves > max_moves)
+            return 0;
+    }
+    return 1;
+}
+
+/* Non-paralyzable dead time on a time-ordered stream, per channel: a tag
+ * stays if it is its channel's first or trails the channel's last kept
+ * tag by at least dead_time. Compacts (ts, ch) in place and returns how
+ * many stay. */
+int64_t qf_dead_time(int64_t *ts, uint8_t *ch, int64_t n, int64_t dead_time)
+{
+    int64_t last[256], k = 0;
+    uint8_t seen[256] = {0};
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t c = ch[i];
+        if (seen[c] && ts[i] - last[c] < dead_time)
+            continue;
+        seen[c] = 1;
+        last[c] = ts[i];
+        ts[k] = ts[i];
+        ch[k++] = c;
+    }
+    return k;
+}
 
 /* Stable split of a time-ordered tag stream into its six channels.
  *

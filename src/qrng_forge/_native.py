@@ -1,7 +1,16 @@
-"""C kernels for the three hot loops, built from ``_kernels.c`` on first use.
+"""C kernels for the hot loops, built from ``_kernels.c`` on first use.
 
 The kernels and the numpy references they must match bit for bit:
 
+* ``qf_slice_signal``, ``qf_thin`` and ``qf_jitter``: one source slice's
+  signal tags, efficiency thinning and timing jitter (``source._slice_py``,
+  the per-slice numpy code)
+* ``qf_slice_keys`` and ``qf_slice_unpack``: a slice's tags packed with
+  their rank in the slice, for a value sort in numpy, and unpacked into
+  the output (``source._slice_order``)
+* ``qf_settle``: the insertion pass that settles the concatenated slices
+  into one time-ordered stream (``source._settle_py``, a stable argsort)
+* ``qf_dead_time``: per-channel dead time (``source._dead_time_keep_py``)
 * ``qf_split_channels``: one-pass channel split of a tag stream
   (``timetags._split_channels_np``)
 * ``qf_match``: the exact coincidence matcher, a gap-tau cluster scan with
@@ -9,6 +18,12 @@ The kernels and the numpy references they must match bit for bit:
   full table)
 * ``qf_fr_accumulate``: four-Russians Toeplitz accumulate
   (``extract._fr_accumulate_py``)
+
+The kernels called once per slice or per Toeplitz block take raw
+addresses (``c_void_p``) rather than ``ndpointer`` arguments, whose
+conversion costs several microseconds per array. Their Python wrappers get
+each address from :func:`address`, which checks dtype, contiguity and size
+first, so no check is lost.
 
 The system ``gcc`` compiles the source into a per-user cache directory,
 ``$XDG_CACHE_HOME/qrng_forge`` (``~/.cache/qrng_forge`` by default). The
@@ -38,6 +53,7 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
+LIBS = ("-lm",)
 
 
 class NativeKernelWarning(RuntimeWarning):
@@ -47,7 +63,7 @@ class NativeKernelWarning(RuntimeWarning):
 def _built_library(gcc: str) -> Path:
     key = hashlib.sha256(
         b"\0".join([SOURCE.read_bytes(), gcc.encode(), platform.machine().encode(),
-                    *(flag.encode() for flag in CFLAGS)])
+                    *(flag.encode() for flag in CFLAGS + LIBS)])
     ).hexdigest()[:20]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qrng_forge"
     target = cache / f"kernels-{key}.so"
@@ -57,7 +73,7 @@ def _built_library(gcc: str) -> Path:
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([gcc, *CFLAGS, "-o", tmp, str(SOURCE)],
+        subprocess.run([gcc, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS],
                        check=True, capture_output=True, text=True, timeout=120)
         os.replace(tmp, target)
     finally:
@@ -82,10 +98,36 @@ def library() -> ctypes.CDLL | None:
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     n = ctypes.c_int64
-    lib.qf_split_channels.argtypes = [i64, u8, n, i64, i64]
-    lib.qf_split_channels.restype = None
-    lib.qf_match.argtypes = [i64, n, i64, n, n, i64, i64]
-    lib.qf_match.restype = n
-    lib.qf_fr_accumulate.argtypes = [u8, n, u8, n, n, u8]
-    lib.qf_fr_accumulate.restype = None
+    p = ctypes.c_void_p
+    for name, argtypes, restype in (
+        ("qf_slice_signal", [p, p, n, p, n, p, n, n, p, p], n),
+        ("qf_thin", [p, p, n, p, p], n),
+        ("qf_jitter", [p, n, p, ctypes.c_double, n], None),
+        ("qf_slice_keys", [p, p, n, n, p, p], ctypes.c_int),
+        ("qf_slice_unpack", [p, n, n, p, p], None),
+        ("qf_settle", [p, p, n, n], ctypes.c_int),
+        ("qf_dead_time", [p, p, n, n], n),
+        ("qf_split_channels", [i64, u8, n, i64, i64], None),
+        ("qf_match", [i64, n, i64, n, n, i64, i64], n),
+        ("qf_fr_accumulate", [p, n, p, n, n, p], None),
+    ):
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
     return lib
+
+
+def address(arr: np.ndarray, dtype, size: int, writable: bool = False) -> int:
+    """The data address of ``arr``, to pass as a raw-pointer kernel argument.
+
+    Raises ValueError unless ``arr`` is a C-contiguous ndarray of ``dtype``
+    holding at least ``size`` items (and, with ``writable``, one that may be
+    written), so a kernel that reads or writes ``size`` items stays inside it.
+    """
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.c_contiguous):
+        raise ValueError(f"kernel argument must be a C-contiguous {np.dtype(dtype)} array")
+    if arr.size < size:
+        raise ValueError(f"kernel buffer holds {arr.size} items, needs {size}")
+    if writable and not arr.flags.writeable:
+        raise ValueError("kernel output buffer is read-only")
+    return arr.ctypes.data

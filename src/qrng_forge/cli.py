@@ -101,7 +101,7 @@ def _out_dir(cfg) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    stream, tag_path, rates = simulate_to_file(cfg, cfg.output_dir)
+    stream, tag_path, _, rates = simulate_to_file(cfg, cfg.output_dir)
     print(f"wrote {tag_path} ({len(stream)} tags, {cfg.source.duration} ps)")
     print(f"{'channel':>8} {'observed Hz':>14} {'expected Hz':>14}")
     for name, row in rates.items():

@@ -26,7 +26,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as _fft
 
 from . import _native
 from .timetags import BitSequence, as_bit_array
@@ -186,16 +185,6 @@ def _fr_accumulate_py(table, xbytes, mb, out):
             out[:mb] ^= table[b, t:t + mb]
 
 
-def _fr_accumulate(table, xbytes, mb, out):
-    if xbytes.size + mb > table.shape[1] or out.size < mb or table.shape[0] != 256:
-        raise ValueError("byte table, input and output sizes do not fit")
-    lib = _native.library()
-    if lib is None:
-        _fr_accumulate_py(table, xbytes, mb, out)
-    else:
-        lib.qf_fr_accumulate(table, table.shape[1], xbytes, xbytes.size, mb, out)
-
-
 class _ByteTableHasher:
     """Four-Russians evaluation: one 256-row table of packed, shifted
     reversed-seed combinations, shared by all blocks of a stream."""
@@ -217,28 +206,65 @@ class _ByteTableHasher:
             low = b & (-b)
             table[b] = table[b ^ low] ^ shifted[low.bit_length() - 1]
         self._table = table
+        self._table_p = _native.address(table, np.uint8, table.size)
         self._mb = (self.m + 7) // 8 + 1
+
+    def accumulate(self, xbytes: np.ndarray, out: np.ndarray) -> None:
+        """out[:mb] ^= table[b, t:t+mb] for every input byte b = xbytes[t],
+        by ``qf_fr_accumulate`` or, without a compiler, its reference.
+
+        The table's address is checked once, in the constructor; ``xbytes``
+        and ``out`` are checked here (uint8, contiguous, sizes that fit the
+        table), and a mismatch raises ValueError.
+        """
+        mb = self._mb
+        if xbytes.size + mb > self._table.shape[1]:
+            raise ValueError("input bytes and output size do not fit the byte table")
+        x_p = _native.address(xbytes, np.uint8, xbytes.size)
+        out_p = _native.address(out, np.uint8, mb, writable=True)
+        lib = _native.library()
+        if lib is None:
+            _fr_accumulate_py(self._table, xbytes, mb, out)
+        else:
+            lib.qf_fr_accumulate(self._table_p, self._table.shape[1], x_p, xbytes.size, mb, out_p)
 
     def extract_bits(self, x: np.ndarray) -> np.ndarray:
         xbytes = np.packbits(np.ascontiguousarray(x[::-1]), bitorder="little")
         out = np.zeros(self._mb, np.uint8)
-        _fr_accumulate(self._table, xbytes, self._mb, out)
+        self.accumulate(xbytes, out)
         return np.unpackbits(out, bitorder="little")[: self.m]
 
 
 class _FftHasher:
-    """Exact GF(2) Toeplitz product through float64 FFT convolution."""
+    """Exact GF(2) Toeplitz product through float64 FFT convolution.
+
+    With r the reversed seed (L = n + m - 1 bits), output bit i is
+    sum_j seed[m-1-i+j] x[j] = sum_j r[n-1+i-j] x[j], entry n - 1 + i of the
+    linear convolution r * x, which has L + n - 1 = 2n + m - 2 entries. A
+    circular convolution of length N >= L adds entry k + N of the linear
+    one onto entry k. For a kept entry k >= n - 1, so k + N >= 2n + m - 2
+    lies past the end and nothing is added: only the discarded entries
+    below n - 1 wrap. The transforms therefore use next_fast_len(L), not
+    the full linear length.
+
+    ``scipy.fft`` is imported here, not with the module, so callers that
+    never hash a block larger than the byte-table limit never load it.
+    """
 
     def __init__(self, params: ExtractorParams):
+        from scipy import fft
+
         self.n = params.n
         self.m = params.m
         r = params.seed.to_bits()[::-1].astype(np.float64)
-        self._size = _fft.next_fast_len(r.size + self.n - 1, real=True)
-        self._seed_fft = _fft.rfft(r, self._size)
+        self._size = fft.next_fast_len(r.size, real=True)
+        self._seed_fft = fft.rfft(r, self._size)
 
     def extract_bits(self, x: np.ndarray) -> np.ndarray:
-        fx = _fft.rfft(x.astype(np.float64), self._size)
-        conv = _fft.irfft(self._seed_fft * fx, self._size)[self.n - 1: self.n - 1 + self.m]
+        from scipy import fft
+
+        fx = fft.rfft(x.astype(np.float64), self._size)
+        conv = fft.irfft(self._seed_fft * fx, self._size)[self.n - 1: self.n - 1 + self.m]
         rounded = np.rint(conv)
         margin = float(np.abs(conv - rounded).max(initial=0.0))
         if margin > 0.25:

@@ -329,13 +329,14 @@ class PipelineResult:
     out_dir: Path
 
 
-def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, dict]:
+def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, str, dict]:
     """Generate events, write the QTT1 file, and report observed vs
-    analytic per-channel rates."""
+    analytic per-channel rates; returns the stream, the file's path and
+    sha256 digest, and the rates."""
     stream = generate_events(cfg.source)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag_path = out_dir / "tags.qtt"
-    write_stream(stream, tag_path)
+    tag_digest = write_stream(stream, tag_path)
     duration_s = cfg.source.duration * 1e-12
     expected = expected_rates(cfg.source)
     observed = stream.counts_by_channel()
@@ -346,7 +347,7 @@ def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, di
         }
         for ch in Channel
     }
-    return stream, tag_path, rates
+    return stream, tag_path, tag_digest, rates
 
 
 def certification_report(
@@ -494,11 +495,11 @@ def run_pipeline(
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     timing: dict[str, float] = {}
-    digested = ["tags.qtt", "raw.bits", "cert_report.json", "extracted.bits", "toeplitz_seed.bin"]
+    digested = ["raw.bits", "cert_report.json", "extracted.bits", "toeplitz_seed.bin"]
     duration_s = cfg.source.duration * 1e-12
 
     with _stage("simulate", timing):
-        stream, _, rates = simulate_to_file(cfg, out_dir)
+        stream, _, tag_digest, rates = simulate_to_file(cfg, out_dir)
     with _stage("coincide", timing):
         raw_bits, cert_coincs, pair_counts, _ = _coincide(cfg, stream, out_dir)
     with _stage("certify", timing):
@@ -535,7 +536,7 @@ def run_pipeline(
         "config": cfg.snapshot,
         "rng_seed": cfg.source.rng_seed,
         "extractor_seed_file": "toeplitz_seed.bin",
-        "digests": {name: _sha256(out_dir / name) for name in digested},
+        "digests": {"tags.qtt": tag_digest, **{name: _sha256(out_dir / name) for name in digested}},
         "timing_s": timing,
         "certification": {
             "verdict": verdict.value,

@@ -24,6 +24,14 @@ sampled slice by slice with a counter-based Philox generator keyed on
 Tags are ordered by time. Equal timestamps keep slice order; within a
 slice the dark tags come first, by channel code, followed by the detected
 signal tags in the order U1, D2, U2, D1, C1, C2.
+
+Each slice is built by the C kernels of ``_kernels.c`` (:class:`_SliceC`)
+or, as their reference and when no compiler is present, by per-slice
+numpy code (:func:`_slice_py`). Both make the same draws in the same order
+and give byte-identical streams. The slices go into one buffer, which an
+insertion pass settles into time order in place (slices overlap only where
+jitter carries a tag across a slice edge), and dead time then compacts it
+in place.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _native
 from .timetags import Channel, TagStream
 
 #: Fixed time-slice width for seeded event generation (1 ms of stream time).
@@ -304,17 +313,59 @@ def _slice_rng(seed: int, slice_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(root))
 
 
-def _prune_dead_time(times: np.ndarray, dead_time: int) -> np.ndarray:
-    """Non-paralyzable dead time: keep a tag only if it trails the last
-    kept tag on the same channel by at least ``dead_time``."""
-    keep = np.ones(times.size, dtype=bool)
-    last = -(1 << 62)
-    for i, t in enumerate(times.tolist()):
-        if t - last >= dead_time:
-            last = t
-        else:
+def _dead_time_keep_py(ts: np.ndarray, ch: np.ndarray, dead_time: int) -> np.ndarray:
+    """Non-paralyzable dead time on a time-ordered stream, per channel: a
+    tag stays if it is its channel's first or trails the channel's last
+    kept tag by at least ``dead_time``. Returns the mask of tags that stay,
+    by a Python loop: the reference for ``qf_dead_time``."""
+    keep = np.ones(ts.size, dtype=bool)
+    last: dict[int, int] = {}
+    for i, (t, c) in enumerate(zip(ts.tolist(), ch.tolist())):
+        if c in last and t - last[c] < dead_time:
             keep[i] = False
+        else:
+            last[c] = t
     return keep
+
+
+def _apply_dead_time(lib, ts: np.ndarray, ch: np.ndarray, dead_time: int) -> int:
+    """Drop the tags lost to dead time, moving the survivors to the front of
+    ``ts`` and ``ch`` in order; returns how many survive."""
+    n = ts.size
+    if lib is not None:
+        return lib.qf_dead_time(_native.address(ts, np.int64, n, True),
+                                _native.address(ch, np.uint8, n, True), n, dead_time)
+    keep = _dead_time_keep_py(ts, ch, dead_time)
+    k = int(keep.sum())
+    ts[:k] = ts[keep]
+    ch[:k] = ch[keep]
+    return k
+
+
+def _settle_py(ts: np.ndarray, ch: np.ndarray) -> None:
+    """Sort ``(ts, ch)`` by time in place, equal times in their given order:
+    the reference for ``qf_settle``."""
+    order = np.argsort(ts, kind="stable")
+    ts[:] = ts[order]
+    ch[:] = ch[order]
+
+
+def _settle(lib, ts: np.ndarray, ch: np.ndarray) -> bool:
+    """Sort the concatenated slices by time in place, equal times in slice
+    order, as :func:`_settle_py` does.
+
+    Slices are sorted runs that overlap only where jitter carries a tag
+    across a slice edge, so ``qf_settle``'s insertion pass makes few moves.
+    It stops after ``len(ts)`` moves; the stable argsort then finishes, with
+    the same result, since the pass never reorders equal times. Returns True
+    when the insertion pass alone sorted the stream.
+    """
+    n = ts.size
+    if lib is not None and lib.qf_settle(_native.address(ts, np.int64, n, True),
+                                         _native.address(ch, np.uint8, n, True), n, n):
+        return True
+    _settle_py(ts, ch)
+    return False
 
 
 def _slice_order(ts: np.ndarray) -> np.ndarray:
@@ -339,107 +390,251 @@ def _slice_order(ts: np.ndarray) -> np.ndarray:
     return key
 
 
+@dataclass(frozen=True)
+class _SliceModel:
+    """What every slice of one acquisition shares: the config and the
+    per-setting cumulative outcome table."""
+
+    config: SourceConfig
+    cum_probs: np.ndarray  # (settings, 4) float64
+    eta: np.ndarray
+    dark: np.ndarray
+    dark_channels: tuple[int, ...]  # channels with a dark rate above 0
+
+    @classmethod
+    def of(cls, config: SourceConfig) -> "_SliceModel":
+        sched = config.analyzer_schedule
+        cum_probs = np.stack([
+            np.cumsum(probs / probs.sum())
+            for probs in (joint_outcome_probs(config.state, t1, t2)
+                          for t1, t2 in sched.settings)
+        ])
+        dark = config.dark_array()
+        return cls(config, cum_probs, config.efficiency_array(), dark,
+                   tuple(np.flatnonzero(dark > 0).tolist()))
+
+    def dark_tags(self, rng, t0: int, t1: int) -> tuple[list, list]:
+        """Dark counts, uniform in [t0, t1), drawn channel by channel."""
+        dark_ts: list[np.ndarray] = []
+        dark_ch: list[np.ndarray] = []
+        for ch in self.dark_channels:
+            n_dark = rng.poisson(self.dark[ch] * 1e-12 * (t1 - t0))
+            if n_dark:
+                dark_ts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
+                dark_ch.append(np.full(n_dark, ch, dtype=np.uint8))
+        return dark_ts, dark_ch
+
+
+def _slice_py(model: _SliceModel, rng, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tags of slice [t0, t1) in time order, by numpy calls only: the
+    reference for :class:`_SliceC`, and what runs without a compiler.
+
+    Its draws from ``rng``, in this order and with these sizes, define the
+    stream: pair count, emission times, sections, one analyzer uniform per
+    (C1, C2) pair, one efficiency uniform per signal tag when some channel
+    has efficiency below 1, one jitter normal per surviving signal tag, then
+    dark counts channel by channel.
+    """
+    config = model.config
+    sched = config.analyzer_schedule
+    eta = model.eta
+    n_pairs = rng.poisson(config.pair_rate * 1e-12 * (t1 - t0))
+    times = rng.integers(t0, t1, n_pairs, dtype=np.int64)
+    section = rng.integers(0, 3, n_pairs, dtype=np.int64)
+
+    slice_ts: list[np.ndarray] = []
+    slice_ch: list[np.ndarray] = []
+
+    # direct section pairs: one tag per channel at the emission time
+    for sec, (ca, cb) in ((0, (Channel.U1, Channel.D2)), (1, (Channel.U2, Channel.D1))):
+        t_sec = times[section == sec]
+        for ch in (ca, cb):
+            slice_ts.append(t_sec)
+            slice_ch.append(np.full(t_sec.size, int(ch), dtype=np.uint8))
+
+    # analyzed pair: joint outcome decides which C detectors fire; the
+    # count of cumulative probabilities <= u is searchsorted(side="right")
+    t_c = times[section == 2]
+    idx = sched.setting_index_at(t_c)
+    u = rng.random(t_c.size)
+    outcome = np.minimum((model.cum_probs[idx] <= u[:, None]).sum(axis=1), 3)
+    c1_hit = (outcome == 0) | (outcome == 1)
+    c2_hit = (outcome == 0) | (outcome == 2)
+    slice_ts.append(t_c[c1_hit])
+    slice_ch.append(np.full(int(c1_hit.sum()), int(Channel.C1), dtype=np.uint8))
+    slice_ts.append(t_c[c2_hit])
+    slice_ch.append(np.full(int(c2_hit.sum()), int(Channel.C2), dtype=np.uint8))
+
+    ts_sig = np.concatenate(slice_ts)
+    ch_sig = np.concatenate(slice_ch)
+
+    # detector efficiency thins signal tags per channel
+    if np.any(eta < 1.0):
+        survive = rng.random(ts_sig.size) < eta[ch_sig]
+        ts_sig = ts_sig[survive]
+        ch_sig = ch_sig[survive]
+
+    # timing jitter on detected signal photons
+    if config.jitter_sigma > 0 and ts_sig.size:
+        ts_sig = ts_sig + np.rint(
+            rng.normal(0.0, config.jitter_sigma, ts_sig.size)
+        ).astype(np.int64)
+        np.clip(ts_sig, 0, config.duration, out=ts_sig)
+
+    dark_ts, dark_ch = model.dark_tags(rng, t0, t1)
+    ts_slice = np.concatenate([*dark_ts, ts_sig])
+    ch_slice = np.concatenate([*dark_ch, ch_sig])
+    order = _slice_order(ts_slice)
+    return ts_slice[order], ch_slice[order]
+
+
+class _TagBuffer:
+    """Append-only timestamp and channel columns. The first allocation is
+    sized from the expected tag count; pages past what is written are
+    never touched, so the slack costs address space, not memory."""
+
+    def __init__(self, capacity: int):
+        self.n = 0
+        self._alloc(capacity)
+
+    def _alloc(self, capacity: int) -> None:
+        ts = np.empty(capacity, np.int64)
+        ch = np.empty(capacity, np.uint8)
+        if self.n:
+            ts[: self.n] = self.ts[: self.n]
+            ch[: self.n] = self.ch[: self.n]
+        self.ts, self.ch = ts, ch
+        self.ts_p = _native.address(ts, np.int64, capacity, True)
+        self.ch_p = _native.address(ch, np.uint8, capacity, True)
+
+    def reserve(self, k: int) -> None:
+        """Make room for ``k`` more tags after the first ``n``."""
+        if self.n + k > self.ts.size:
+            self._alloc(max(self.n + k, self.ts.size + self.ts.size // 4))
+
+    def append(self, ts: np.ndarray, ch: np.ndarray) -> None:
+        self.reserve(ts.size)
+        self.ts[self.n:self.n + ts.size] = ts
+        self.ch[self.n:self.n + ts.size] = ch
+        self.n += ts.size
+
+
+class _SliceC:
+    """:func:`_slice_py` with the C kernels: the same draws, in the same
+    order and sizes, and the numpy glue between them replaced by
+    ``qf_slice_signal``, ``qf_thin``, ``qf_jitter``, ``qf_slice_keys`` and
+    ``qf_slice_unpack``, which writes the sorted slice straight into the
+    output buffer. Draws that numpy can write into a buffer go to one
+    reused float scratch, and the kernels work in reused tag scratch, whose
+    addresses are checked once per allocation.
+    """
+
+    def __init__(self, lib, model: _SliceModel):
+        config = model.config
+        self.lib = lib
+        self.model = model
+        self.rate = config.pair_rate * 1e-12
+        self.thin = bool(np.any(model.eta < 1.0))
+        self.sigma = float(config.jitter_sigma)
+        self.duration = config.duration
+        self.dwell = config.analyzer_schedule.dwell
+        self.cum_p = _native.address(model.cum_probs, np.float64, model.cum_probs.size)
+        self.eta_p = _native.address(model.eta, np.float64, len(Channel))
+        self._alloc(1 << 13)
+
+    def _alloc(self, cap: int) -> None:
+        """Scratch for slices of up to ``cap`` tags."""
+        self.ts = np.empty(cap, np.int64)
+        self.ch = np.empty(cap, np.uint8)
+        self.f = np.empty(cap, np.float64)
+        self.keys = np.empty(cap, np.uint64)
+        self.lo = np.empty(1, np.int64)
+        self.ts_p, self.ch_p, self.f_p, self.keys_p, self.lo_p = (
+            _native.address(a, a.dtype, a.size, True)
+            for a in (self.ts, self.ch, self.f, self.keys, self.lo))
+
+    def __call__(self, rng, t0: int, t1: int, tags: _TagBuffer) -> None:
+        lib = self.lib
+        n_pairs = int(rng.poisson(self.rate * (t1 - t0)))
+        times = rng.integers(t0, t1, n_pairs, dtype=np.int64)
+        section = rng.integers(0, 3, n_pairs, dtype=np.int64)
+        if 2 * n_pairs + 1 > self.ts.size:
+            self._alloc(4 * n_pairs + 1)
+        n_c = int(np.count_nonzero(section == 2))
+        rng.random(out=self.f[:n_c])
+        n = lib.qf_slice_signal(
+            _native.address(times, np.int64, n_pairs), _native.address(section, np.int64, n_pairs),
+            n_pairs, self.f_p, n_c, self.cum_p, len(self.model.cum_probs), self.dwell,
+            self.ts_p, self.ch_p)
+        if n < 0:
+            raise ValueError("pair sections must be 0, 1 or 2")
+        if self.thin:
+            rng.random(out=self.f[:n])
+            n = lib.qf_thin(self.ts_p, self.ch_p, n, self.f_p, self.eta_p)
+        if self.sigma > 0 and n:
+            # normal(0, sigma) is sigma times these standard normals, bit for bit
+            rng.standard_normal(out=self.f[:n])
+            lib.qf_jitter(self.ts_p, n, self.f_p, self.sigma, self.duration)
+        dark_ts, dark_ch = self.model.dark_tags(rng, t0, t1)
+        if dark_ts:
+            # the slice's tags are its dark tags, then its signal tags
+            ts = np.concatenate([*dark_ts, self.ts[:n]])
+            self.append_sorted(ts, np.concatenate([*dark_ch, self.ch[:n]]), ts.size - n, tags)
+        else:
+            self.append_sorted(self.ts[:n], self.ch[:n], 0, tags)
+
+    def append_sorted(self, ts: np.ndarray, ch: np.ndarray, n_dark: int, tags: _TagBuffer) -> None:
+        """Append a slice's tags, ``n_dark`` dark tags then its signal tags
+        in group order, to ``tags`` in the order of :func:`_slice_order`:
+        ``qf_slice_keys`` packs each tag with its rank in the slice, numpy
+        sorts the keys by value, and ``qf_slice_unpack`` writes them out."""
+        n = ts.size
+        if n > self.keys.size:
+            self._alloc(n)
+        if self.lib.qf_slice_keys(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n),
+                                  n, n_dark, self.keys_p, self.lo_p):
+            # a span too wide for the keys: sort the slice as the reference does
+            order = _slice_order(ts)
+            tags.append(ts[order], ch[order])
+            return
+        self.keys[:n].sort()
+        tags.reserve(n)
+        self.lib.qf_slice_unpack(self.keys_p, n, int(self.lo[0]), tags.ts_p + 8 * tags.n,
+                                 tags.ch_p + tags.n)
+        tags.n += n
+
+
 def generate_events(config: SourceConfig) -> TagStream:
     """Sample one full acquisition into a sorted six-channel TagStream,
-    in the tag order stated in the module docstring."""
+    in the tag order stated in the module docstring.
+
+    Each slice is built by :class:`_SliceC` (or, without a compiler, by
+    its reference :func:`_slice_py`) and appended to one buffer, which
+    :func:`_settle` sorts in place and dead time then compacts in place.
+    """
     if config.expected_pairs() >= PAIR_BUDGET:
         raise EventBudgetError("event budget exceeded")
 
-    sched = config.analyzer_schedule
-    eta = config.efficiency_array()
-    dark = config.dark_array()
-    pair_rate_per_ps = config.pair_rate * 1e-12
-    # cumulative outcome probabilities, one row per schedule setting
-    cum_probs = np.stack([
-        np.cumsum(probs / probs.sum())
-        for probs in (joint_outcome_probs(config.state, t1, t2) for t1, t2 in sched.settings)
-    ])
-
-    ts_parts: list[np.ndarray] = []
-    ch_parts: list[np.ndarray] = []
+    lib = _native.library()
+    model = _SliceModel.of(config)
+    if lib is not None:
+        build = _SliceC(lib, model)
+    else:
+        def build(rng, t0, t1, tags):
+            tags.append(*_slice_py(model, rng, t0, t1))
+    expected = sum(expected_rates(config).singles.values()) * config.duration * 1e-12
+    tags = _TagBuffer(int(expected + 8 * math.sqrt(expected)) + 4096)
 
     n_slices = (config.duration + SLICE_PS - 1) // SLICE_PS
     for s in range(n_slices):
         t0 = s * SLICE_PS
-        t1 = min(t0 + SLICE_PS, config.duration)
-        rng = _slice_rng(config.rng_seed, s)
-        span = t1 - t0
+        build(_slice_rng(config.rng_seed, s), t0, min(t0 + SLICE_PS, config.duration), tags)
 
-        n_pairs = rng.poisson(pair_rate_per_ps * span)
-        times = rng.integers(t0, t1, n_pairs, dtype=np.int64)
-        section = rng.integers(0, 3, n_pairs, dtype=np.int64)
-
-        slice_ts: list[np.ndarray] = []
-        slice_ch: list[np.ndarray] = []
-
-        # direct section pairs: one tag per channel at the emission time
-        for sec, (ca, cb) in ((0, (Channel.U1, Channel.D2)), (1, (Channel.U2, Channel.D1))):
-            t_sec = times[section == sec]
-            for ch in (ca, cb):
-                slice_ts.append(t_sec)
-                slice_ch.append(np.full(t_sec.size, int(ch), dtype=np.uint8))
-
-        # analyzed pair: joint outcome decides which C detectors fire; the
-        # count of cumulative probabilities <= u is searchsorted(side="right")
-        t_c = times[section == 2]
-        idx = sched.setting_index_at(t_c)
-        u = rng.random(t_c.size)
-        outcome = np.minimum((cum_probs[idx] <= u[:, None]).sum(axis=1), 3)
-        c1_hit = (outcome == 0) | (outcome == 1)
-        c2_hit = (outcome == 0) | (outcome == 2)
-        slice_ts.append(t_c[c1_hit])
-        slice_ch.append(np.full(int(c1_hit.sum()), int(Channel.C1), dtype=np.uint8))
-        slice_ts.append(t_c[c2_hit])
-        slice_ch.append(np.full(int(c2_hit.sum()), int(Channel.C2), dtype=np.uint8))
-
-        ts_sig = np.concatenate(slice_ts)
-        ch_sig = np.concatenate(slice_ch)
-
-        # detector efficiency thins signal tags per channel
-        if np.any(eta < 1.0):
-            survive = rng.random(ts_sig.size) < eta[ch_sig]
-            ts_sig = ts_sig[survive]
-            ch_sig = ch_sig[survive]
-
-        # timing jitter on detected signal photons
-        if config.jitter_sigma > 0 and ts_sig.size:
-            ts_sig = ts_sig + np.rint(
-                rng.normal(0.0, config.jitter_sigma, ts_sig.size)
-            ).astype(np.int64)
-            np.clip(ts_sig, 0, config.duration, out=ts_sig)
-
-        # dark counts, uniform in the slice, per channel
-        dark_ts: list[np.ndarray] = []
-        dark_ch: list[np.ndarray] = []
-        for ch in Channel:
-            rate = dark[int(ch)]
-            if rate > 0:
-                n_dark = rng.poisson(rate * 1e-12 * span)
-                if n_dark:
-                    dark_ts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
-                    dark_ch.append(np.full(n_dark, int(ch), dtype=np.uint8))
-
-        ts_slice = np.concatenate([*dark_ts, ts_sig])
-        ch_slice = np.concatenate([*dark_ch, ch_sig])
-        order = _slice_order(ts_slice)
-        ts_parts.append(ts_slice[order])
-        ch_parts.append(ch_slice[order])
-
-    ts = np.concatenate(ts_parts)
-    ch = np.concatenate(ch_parts)
-    # slices are sorted runs that overlap only where jitter crosses a slice
-    # edge, so the stable sort (timsort) merges them in near-linear time
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    ch = ch[order]
-
+    ts = tags.ts[: tags.n]
+    ch = tags.ch[: tags.n]
+    _settle(lib, ts, ch)
     if config.dead_time > 0 and ts.size:
-        keep = np.ones(ts.size, dtype=bool)
-        for c in Channel:
-            sel = np.flatnonzero(ch == int(c))
-            if sel.size:
-                keep[sel] = _prune_dead_time(ts[sel], config.dead_time)
-        ts = ts[keep]
-        ch = ch[keep]
-
+        n = _apply_dead_time(lib, ts, ch, config.dead_time)
+        ts = ts[:n]
+        ch = ch[:n]
     return TagStream(ts, ch, config.duration, validate=False)

@@ -19,6 +19,7 @@ stored at ``<path>.json``.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -255,11 +256,18 @@ def decode_stream(data: bytes) -> TagStream:
         raise CorruptionError(str(exc)) from exc
 
 
-def write_stream(stream: TagStream, path) -> None:
-    """Write the bytes of :func:`encode_stream` straight from the record array."""
+def write_stream(stream: TagStream, path) -> str:
+    """Write the bytes of :func:`encode_stream` straight from the record
+    array; returns the sha256 hex digest of those bytes, hashed from the
+    buffers as they are written rather than by reading the file back."""
+    header = _header(stream)
+    records = memoryview(_records(stream)).cast("B")
+    digest = hashlib.sha256(header)
+    digest.update(records)
     with open(path, "wb") as f:
-        f.write(_header(stream))
-        f.write(memoryview(_records(stream)).cast("B"))
+        f.write(header)
+        f.write(records)
+    return digest.hexdigest()
 
 
 def read_stream(path) -> TagStream:

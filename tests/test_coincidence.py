@@ -240,6 +240,14 @@ class TestGoldenMatching:
     implementation of the matcher must reproduce them."""
 
     def test_pileup_stream_digests(self, tmp_path):
+        self.check_digests(tmp_path)
+
+    def test_pileup_stream_digests_numpy_backend(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_native, "library", lambda: None)
+        self.check_digests(tmp_path)
+
+    @staticmethod
+    def check_digests(tmp_path):
         cfg = build_config({
             "source.pair_rate_coeff": 10**7, "source.pump_power": 1.0,
             "source.duration_s": 0.005, "source.jitter_sigma": 350.0,

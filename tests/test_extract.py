@@ -134,6 +134,24 @@ class TestToeplitzExtract:
             row = seed[m - 1 - i: m - 1 - i + n]
             assert y[i] == (int(np.dot(row.astype(np.int64), x)) & 1)
 
+    @pytest.mark.parametrize("n, m", [
+        (1001, 1000),  # m close to n; n + m - 1 = 2000 is a fast length, so no padding
+        (1500, 1500),
+        (1990, 11),  # m much smaller than n, again 2000 with no padding
+        (1500, 1),
+        (1237, 37),
+    ])
+    def test_fft_length_is_seed_length(self, rng, n, m):
+        # a circular convolution of length n + m - 1 is exact on the kept outputs
+        from scipy.fft import next_fast_len
+
+        seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+        hasher = _FftHasher(ExtractorParams(n, m, 2.0**-50, BitSequence.from_bits(seed)))
+        assert hasher._size == next_fast_len(n + m - 1, real=True)
+        for density in (0.5, 1.0):
+            x = (rng.random(n) < density).astype(np.uint8)
+            assert np.array_equal(hasher.extract_bits(x), naive_toeplitz(seed, x, m)), (n, m)
+
     def test_linearity_over_gf2(self, rng):
         n, m = 512, 400
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)

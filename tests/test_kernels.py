@@ -125,7 +125,7 @@ def test_channel_times_read_only_and_cached(rng, backend, monkeypatch):
 
 @needs_gcc
 def test_fr_accumulate_c_equals_numpy(rng):
-    lib = _native.library()
+    assert _native.library() is not None
     for n, m in ((1, 1), (7, 3), (8, 8), (64, 50), (1000, 977), (8192, 8110)):
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         hasher = _ByteTableHasher(ExtractorParams(n, m, 2.0**-50, BitSequence.from_bits(seed)))
@@ -136,9 +136,50 @@ def test_fr_accumulate_c_equals_numpy(rng):
             want = np.zeros(mb, np.uint8)
             _fr_accumulate_py(table, xbytes, mb, want)
             got = np.zeros(mb, np.uint8)
-            lib.qf_fr_accumulate(table, table.shape[1], xbytes, xbytes.size, mb, got)
+            hasher.accumulate(xbytes, got)
             assert np.array_equal(got, want), (n, m, density)
             assert np.array_equal(hasher.extract_bits(x), naive_toeplitz(seed, x, m)), (n, m)
+
+
+def test_address_checks_dtype_contiguity_and_size():
+    a = np.zeros(8, np.int64)
+    assert _native.address(a, np.int64, 8) == a.ctypes.data
+    with pytest.raises(ValueError):
+        _native.address(a.astype(np.int32), np.int64, 8)  # wrong dtype
+    with pytest.raises(ValueError):
+        _native.address(a, np.int64, 9)  # short buffer
+    with pytest.raises(ValueError):
+        _native.address(a[::2], np.int64, 4)  # not contiguous
+    with pytest.raises(ValueError):
+        _native.address(list(range(8)), np.int64, 8)  # not an array
+    a.setflags(write=False)
+    with pytest.raises(ValueError):
+        _native.address(a, np.int64, 8, writable=True)  # read-only output
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_gcc),
+    "numpy",
+])
+def test_fr_accumulate_rejects_bad_buffers(rng, backend, monkeypatch):
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    n, m = 64, 50
+    seed = BitSequence.from_bits(rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+    hasher = _ByteTableHasher(ExtractorParams(n, m, 2.0**-50, seed))
+    xbytes = np.packbits(rng.integers(0, 2, n, dtype=np.uint8), bitorder="little")
+    mb = hasher._mb
+    with pytest.raises(ValueError):
+        hasher.accumulate(xbytes.astype(np.int64), np.zeros(mb, np.uint8))  # wrong dtype
+    with pytest.raises(ValueError):
+        hasher.accumulate(xbytes, np.zeros(mb - 1, np.uint8))  # short output
+    with pytest.raises(ValueError):
+        hasher.accumulate(np.zeros(hasher._table.shape[1], np.uint8), np.zeros(mb, np.uint8))
+    out = np.zeros(mb, np.uint8)
+    hasher.accumulate(xbytes, out)  # the same buffers, correct, pass
+    want = np.zeros(mb, np.uint8)
+    _fr_accumulate_py(hasher._table, xbytes, mb, want)
+    assert np.array_equal(out, want)
 
 
 def test_missing_compiler_warns_once_and_falls_back(monkeypatch):

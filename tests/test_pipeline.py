@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -174,6 +175,13 @@ class TestRunAndManifest:
         assert manifest["rates"]["h_min"] > 0.9
         assert set(manifest["digests"]) >= {"tags.qtt", "raw.bits", "extracted.bits"}
 
+    def test_manifest_digests_are_file_sha256(self, run_result):
+        # tags.qtt is hashed as it is written, the other files read back
+        _, out = run_result
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name, digest in manifest["digests"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+
     def test_manifest_names_kernel_backend(self, run_result, tmp_path, monkeypatch):
         _, out = run_result
         manifest = json.loads((out / "manifest.json").read_text())
@@ -207,8 +215,8 @@ class TestRunAndManifest:
         cfg = build_config(fast_overrides(**{"source.duration_s": 0.05}))
         from qrng_forge.pipeline import simulate_to_file
 
-        _, path_a, _ = simulate_to_file(cfg, tmp_path / "a")
-        _, path_b, _ = simulate_to_file(cfg, tmp_path / "b")
+        _, path_a, _, _ = simulate_to_file(cfg, tmp_path / "a")
+        _, path_b, _, _ = simulate_to_file(cfg, tmp_path / "b")
         assert path_a.read_bytes() == path_b.read_bytes()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from qrng_forge import (
     state_from_hwp,
     visibility,
 )
-from qrng_forge import source
-from qrng_forge.source import EventBudgetError
+from qrng_forge import _native, source
+from qrng_forge.source import SLICE_PS, EventBudgetError
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not on PATH")
 
 BELL = TwoPhotonState.bell()
 
@@ -237,6 +240,25 @@ class TestGoldenStreams:
         kwargs, digest = GOLDEN[name]
         assert stream_digest(small_config(**kwargs)) == digest
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest_numpy_backend(self, name, monkeypatch):
+        # the per-slice numpy reference and the stable-argsort settle
+        monkeypatch.setattr(_native, "library", lambda: None)
+        kwargs, digest = GOLDEN[name]
+        assert stream_digest(small_config(**kwargs)) == digest
+
+    @needs_gcc
+    def test_only_wide_jitter_takes_settle_fallback(self, monkeypatch):
+        settled = {}
+        settle = source._settle
+        for name, (kwargs, digest) in sorted(GOLDEN.items()):
+            def spy(lib, ts, ch):
+                settled[name] = settle(lib, ts, ch)
+                return settled[name]
+            monkeypatch.setattr(source, "_settle", spy)
+            assert stream_digest(small_config(**kwargs)) == digest
+        assert settled == {name: name != "wide_jitter" for name in GOLDEN}
+
     def test_slice_order_equals_stable_argsort(self, rng):
         big = 2**62
         cases = [
@@ -276,3 +298,137 @@ class TestNoiseMonotonicity:
         assert fits[0] < fits[1] < fits[2]
         for fit, noise in zip(fits, (0.5, 0.75, 0.95)):
             assert fit == pytest.approx(noise, abs=0.03)
+
+
+def slice_kernel_configs(rng):
+    """Configs whose slices the C kernels must build exactly as the numpy
+    reference does."""
+    yield small_config(  # dark counts, per-channel efficiency, no jitter,
+        # a partial last slice and a dwell that does not divide SLICE_PS
+        duration=3 * SLICE_PS + 123_457, rng_seed=1, dark_rate=10**5, jitter_sigma=0.0,
+        det_efficiency={ch: 0.5 + 0.09 * int(ch) for ch in Channel},
+        analyzer_schedule=AnalyzerSchedule.chsh(dwell=3_333_331),
+    )
+    yield small_config(  # most slices hold no pair
+        pair_rate_coeff=500, duration=20 * SLICE_PS, rng_seed=2, jitter_sigma=350.0,
+    )
+    yield small_config(  # a fringe schedule, pure and noisy states
+        duration=2 * SLICE_PS, rng_seed=3, jitter_sigma=350.0, det_efficiency=0.7,
+        state=TwoPhotonState.bell(0.8),
+        analyzer_schedule=AnalyzerSchedule.fringe(45.0, steps=7, dwell=123_456_789),
+    )
+    yield small_config(  # dark counts only
+        pair_rate_coeff=0.0, dark_rate=10**6, duration=2 * SLICE_PS, rng_seed=4,
+    )
+    for seed in range(5, 11):
+        yield small_config(
+            pair_rate_coeff=float(rng.choice([10**3, 10**5, 3 * 10**6])),
+            duration=int(rng.integers(1, 3 * SLICE_PS)),
+            rng_seed=seed,
+            state=state_from_hwp(float(rng.uniform(0, 45)), float(rng.uniform(0, 1))),
+            analyzer_schedule=AnalyzerSchedule(
+                tuple(map(tuple, rng.uniform(-90, 270, (int(rng.integers(1, 20)), 2)))),
+                int(rng.integers(1, 2 * SLICE_PS)),
+            ),
+            det_efficiency={ch: float(rng.uniform(0.05, 1.0)) for ch in Channel}
+            if seed % 2 else 1.0,
+            dark_rate=float(rng.choice([0.0, 10**4, 10**6])),
+            jitter_sigma=float(rng.choice([0.0, 100.0, 5e7])),
+        )
+
+
+@needs_gcc
+class TestSliceKernels:
+    """The C slice path (``_SliceC``, ``_settle``, dead time) against the
+    numpy reference it replaces."""
+
+    def test_slices_equal_numpy_reference(self, rng):
+        lib = _native.library()
+        for cfg in slice_kernel_configs(rng):
+            model = source._SliceModel.of(cfg)
+            fast = source._SliceC(lib, model)
+            tags = source._TagBuffer(16)  # grows as slices arrive
+            for s in range((cfg.duration + SLICE_PS - 1) // SLICE_PS):
+                t0, t1 = s * SLICE_PS, min((s + 1) * SLICE_PS, cfg.duration)
+                start = tags.n
+                fast(source._slice_rng(cfg.rng_seed, s), t0, t1, tags)
+                want_ts, want_ch = source._slice_py(model, source._slice_rng(cfg.rng_seed, s), t0, t1)
+                assert np.array_equal(tags.ts[start:tags.n], want_ts), (cfg, s)
+                assert np.array_equal(tags.ch[start:tags.n], want_ch), (cfg, s)
+
+    def test_streams_equal_numpy_backend(self, rng, monkeypatch):
+        configs = list(slice_kernel_configs(rng))
+        fast = [encode_stream(generate_events(cfg)) for cfg in configs]
+        monkeypatch.setattr(_native, "library", lambda: None)
+        for cfg, got in zip(configs, fast):
+            assert got == encode_stream(generate_events(cfg)), cfg
+
+    def test_append_sorted_equals_slice_order(self, rng):
+        fast = source._SliceC(_native.library(), source._SliceModel.of(small_config()))
+        big = 2**60
+        cases = [
+            (np.empty(0, np.int64), np.empty(0, np.uint8), 0),
+            # equal times across dark and signal tags and across groups
+            (np.array([5, 5, 5, 5, 5, 5, 5, 5]), np.array([4, 0, 0, 3, 1, 2, 4, 5]), 2),
+            (rng.integers(0, 30, 3000), rng.integers(0, 6, 3000), 500),
+            (rng.integers(10**9, 2 * 10**9, 6000), rng.integers(0, 6, 6000), 17),
+            # a span that uses most of the packed key's 59 time bits
+            (np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]), np.array([1, 2, 3, 4, 5, 0]), 1),
+            # a span too wide for the packed keys: the numpy fallback
+            (np.array([big, 0, big, 1]), np.array([1, 2, 3, 4]), 1),
+        ]
+        for ts, ch, n_dark in cases:
+            ts = ts.astype(np.int64)
+            ch = ch.astype(np.uint8)
+            # dark tags come by channel code, signal tags in group order
+            # U1, D2, U2, D1, C1, C2
+            ch[:n_dark].sort()
+            ch[n_dark:] = ch[n_dark:][np.argsort(np.array([0, 2, 3, 1, 4, 5])[ch[n_dark:]],
+                                                 kind="stable")]
+            tags = source._TagBuffer(4)
+            fast.append_sorted(ts, ch, n_dark, tags)
+            order = source._slice_order(ts)
+            assert np.array_equal(tags.ts[:tags.n], ts[order])
+            assert np.array_equal(tags.ch[:tags.n], ch[order])
+
+    def test_settle_equals_stable_argsort(self, rng):
+        lib = _native.library()
+        runs = [np.sort(rng.integers(k * 1000 - 30, k * 1000 + 1030, 200)) for k in range(50)]
+        near = np.concatenate(runs)  # sorted runs that overlap at their edges
+        cases = [
+            (np.empty(0, np.int64), True),
+            (np.array([7]), True),
+            (np.array([1, 3, 2, 3, 3, 2]), True),
+            (np.array([3, 3, 1, 3, 1, 2]), False),  # 8 moves for 6 tags
+            (near, True),
+            (rng.integers(0, 100, 5000), False),  # far from sorted: past the move cap
+            (np.repeat(np.arange(500)[::-1], 3), False),
+        ]
+        for ts, settled in cases:
+            ts = ts.astype(np.int64)
+            ch = rng.integers(0, 6, ts.size).astype(np.uint8)
+            want_ts, want_ch = ts.copy(), ch.copy()
+            source._settle_py(want_ts, want_ch)
+            assert source._settle(lib, ts, ch) is settled
+            assert np.array_equal(ts, want_ts) and np.array_equal(ch, want_ch)
+
+    def test_dead_time_equals_reference(self, rng):
+        lib = _native.library()
+        cases = [
+            (np.empty(0, np.int64), 5),
+            (np.array([0, 0, 0, 1, 1, 2]), 1),  # equal timestamps, dead time 1
+            (np.sort(rng.integers(0, 2000, 3000)), 1),
+            (np.sort(rng.integers(0, 10**6, 20_000)), 500),
+            (np.sort(rng.integers(0, 10**6, 20_000)), 10**7),  # one tag per channel
+        ]
+        for ts, dead_time in cases:
+            ts = ts.astype(np.int64)
+            ch = rng.integers(0, 6, ts.size).astype(np.uint8)
+            keep = source._dead_time_keep_py(ts, ch, dead_time)
+            got_ts, got_ch = ts.copy(), ch.copy()
+            n = source._apply_dead_time(lib, got_ts, got_ch, dead_time)
+            assert n == keep.sum()
+            assert np.array_equal(got_ts[:n], ts[keep]) and np.array_equal(got_ch[:n], ch[keep])
+            ref_ts, ref_ch = ts.copy(), ch.copy()
+            assert source._apply_dead_time(None, ref_ts, ref_ch, dead_time) == n
+            assert np.array_equal(ref_ts[:n], ts[keep]) and np.array_equal(ref_ch[:n], ch[keep])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -123,6 +124,14 @@ class TestCodec:
             stream = TagStream(ts, rng.integers(0, 6, n), 10**9)
             write_stream(stream, path)
             assert path.read_bytes() == encode_stream(stream)
+
+
+    def test_write_returns_file_sha256(self, tmp_path, rng):
+        path = tmp_path / "tags.qtt"
+        for n in (0, 1, 5000):
+            ts = np.sort(rng.integers(0, 10**9, n))
+            digest = write_stream(TagStream(ts, rng.integers(0, 6, n), 10**9), path)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestMerge:
