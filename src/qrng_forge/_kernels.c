@@ -11,7 +11,8 @@
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
  *   qf_match           coincidence._match_py
- *   qf_fr_accumulate   extract._fr_accumulate_py
+ *   qf_toeplitz        extract._FftHasher, block by block (qf_clmul runs its
+ *                      product with either word multiply, for tests)
  * Callers check dtypes, contiguity and buffer sizes (_native.address).
  */
 
@@ -19,6 +20,9 @@
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 /* i if c, else j, by masks: compilers keep this free of branches */
 static inline int64_t pick(int c, int64_t i, int64_t j)
@@ -354,26 +358,169 @@ int64_t qf_match(const int64_t *ta, int64_t na, const int64_t *tb, int64_t nb, i
     return k;
 }
 
-/* Four-Russians Toeplitz accumulation over packed bytes: for every input
- * byte x[t], out[0:mb] ^= table[x[t]][t:t + mb]. Row 0 of the table must be
- * zero (the reference skips zero bytes). Four input bytes share one pass
- * over out, which cuts the loads and stores of out to a quarter. Needs
- * nx + mb <= row_len. */
-void qf_fr_accumulate(const uint8_t *table, int64_t row_len, const uint8_t *x,
-                      int64_t nx, int64_t mb, uint8_t *out)
+/* Operands of at most this many words are multiplied by a schoolbook. */
+#define KARATSUBA_BASE 16
+
+/* r[0:2n] = a * b over GF(2)[z] for n-word operands, n <= KARATSUBA_BASE,
+ * word k holding the coefficients of z^(64k) to z^(64k + 63): a schoolbook
+ * of one carry-less word multiply per pair of words, here by shift and xor. */
+typedef void (*schoolbook)(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n);
+
+static void schoolbook_portable(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
 {
-    int64_t t = 0;
-    for (; t + 4 <= nx; t += 4) {
-        const uint8_t *r0 = table + (int64_t)x[t] * row_len + t;
-        const uint8_t *r1 = table + (int64_t)x[t + 1] * row_len + t + 1;
-        const uint8_t *r2 = table + (int64_t)x[t + 2] * row_len + t + 2;
-        const uint8_t *r3 = table + (int64_t)x[t + 3] * row_len + t + 3;
-        for (int64_t q = 0; q < mb; q++)
-            out[q] ^= r0[q] ^ r1[q] ^ r2[q] ^ r3[q];
+    memset(r, 0, 2 * n * sizeof *r);
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < n; j++)
+            for (int s = 0; s < 64; s++) {
+                const uint64_t mask = -(b[j] >> s & 1);
+                r[i + j] ^= a[i] << s & mask;
+                r[i + j + 1] ^= s ? a[i] >> (64 - s) & mask : 0;
+            }
+}
+
+/* The schoolbook of every product, picked once when the library loads. */
+static schoolbook base = schoolbook_portable;
+
+#if defined(__x86_64__)
+/* The schoolbook by pclmulqdq: each 128-bit product is xored into the
+ * accumulator of its low word, and the high halves carry into the next word
+ * at the end. */
+__attribute__((target("pclmul,sse4.1")))
+static void schoolbook_pclmul(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
+{
+    __m128i acc[2 * KARATSUBA_BASE], bw[KARATSUBA_BASE];
+    for (int64_t j = 0; j < n; j++)
+        bw[j] = _mm_cvtsi64_si128((long long)b[j]);
+    for (int64_t k = 0; k < 2 * n; k++)
+        acc[k] = _mm_setzero_si128();
+    for (int64_t i = 0; i < n; i++) {
+        const __m128i ai = _mm_cvtsi64_si128((long long)a[i]);
+        for (int64_t j = 0; j < n; j++)
+            acc[i + j] = _mm_xor_si128(acc[i + j], _mm_clmulepi64_si128(ai, bw[j], 0));
     }
-    for (; t < nx; t++) {
-        const uint8_t *r0 = table + (int64_t)x[t] * row_len + t;
-        for (int64_t q = 0; q < mb; q++)
-            out[q] ^= r0[q];
+    uint64_t carry = 0;
+    for (int64_t k = 0; k < 2 * n; k++) {
+        r[k] = (uint64_t)_mm_cvtsi128_si64(acc[k]) ^ carry;
+        carry = (uint64_t)_mm_extract_epi64(acc[k], 1);
     }
+}
+
+__attribute__((constructor)) static void pick_schoolbook(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("pclmul"))
+        base = schoolbook_pclmul;
+}
+#endif
+
+/* r[0:2n] = a * b as in schoolbook, splitting each operand at h words:
+ * a0 b0 + z^(64h) ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1) + z^(128h) a1 b1.
+ * Each level takes 4h <= 2n + 4 words of w, so 4n + 256 words are enough. */
+static void karatsuba(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n,
+                      uint64_t *w, schoolbook mul)
+{
+    if (n <= KARATSUBA_BASE) {
+        mul(r, a, b, n);
+        return;
+    }
+    const int64_t h = (n + 1) / 2, l = n - h;
+    uint64_t *sa = w, *sb = w + h, *mid = w + 2 * h;
+    for (int64_t i = 0; i < h; i++) {
+        sa[i] = a[i] ^ (i < l ? a[h + i] : 0);
+        sb[i] = b[i] ^ (i < l ? b[h + i] : 0);
+    }
+    karatsuba(r, a, b, h, w + 4 * h, mul);
+    karatsuba(r + 2 * h, a + h, b + h, l, w + 4 * h, mul);
+    karatsuba(mid, sa, sb, h, w + 4 * h, mul);
+    for (int64_t i = 0; i < 2 * h; i++)
+        mid[i] ^= r[i] ^ (i < 2 * l ? r[2 * h + i] : 0);
+    for (int64_t i = 0; i < 2 * h; i++)
+        r[h + i] ^= mid[i];
+}
+
+/* r[0:2n] = a * b by karatsuba with the portable schoolbook (pclmul = 0) or
+ * the pclmul one (pclmul = 1), so that tests can hold both to one oracle.
+ * Returns 0, -1 if the work space cannot be allocated, or -2 if this CPU
+ * runs without pclmul. */
+int64_t qf_clmul(const uint64_t *a, const uint64_t *b, int64_t n, int64_t pclmul, uint64_t *r)
+{
+    if (pclmul && base == schoolbook_portable)
+        return -2;
+    uint64_t *w = malloc((4 * n + 256) * sizeof *w);
+    if (!w)
+        return -1;
+    karatsuba(r, a, b, n, w, pclmul ? base : schoolbook_portable);
+    free(w);
+    return 0;
+}
+
+/* Bits p to p + 63 of the MSB-first bit string x as a word, bit p the
+ * highest. Bits from hi on read as 0, and no byte past bit hi - 1's is read. */
+static uint64_t get_bits(const uint8_t *x, int64_t p, int64_t hi)
+{
+    const int64_t b = p >> 3, last = (hi - 1) >> 3;
+    const int sh = p & 7;
+    uint64_t w = 0;
+    for (int i = 0; i < 8; i++)
+        w = w << 8 | (b + i <= last ? x[b + i] : 0);
+    if (sh)
+        w = w << sh | (b + 8 <= last ? x[b + 8] : 0) >> (8 - sh);
+    return hi - p < 64 ? w & ~(~0ULL >> (hi - p)) : w;
+}
+
+/* ORs the highest k bits of w, 1 <= k <= 64, into the MSB-first bit string
+ * out at bits p to p + k - 1. */
+static void put_bits(uint8_t *out, int64_t p, uint64_t w, int64_t k)
+{
+    const int64_t b = p >> 3, last = (p + k - 1) >> 3;
+    const int sh = p & 7;
+    w &= ~(~0ULL >> 1 >> (k - 1));
+    for (int64_t i = 0; b + i <= last; i++)
+        out[b + i] |= (uint8_t)(i < 8 ? w >> sh >> (56 - 8 * i) : w << (8 - sh));
+}
+
+/* Toeplitz hashing of n_blocks consecutive n-bit blocks of the MSB-first bit
+ * string x into n_blocks consecutive m-bit outputs in out, (n_blocks m + 7) / 8
+ * bytes, with the matrix T[i][j] = seed[m - 1 - i + j] of an (n + m - 1)-bit
+ * seed. seed holds the seed in words, bit b of word k being seed bit 64k + b.
+ *
+ * A block of nw = ceil(n / 64) words, read as big-endian words from its
+ * start, is the polynomial x(z) = sum x[j] z^(64 nw - 1 - j) with its words
+ * in reverse order. With s(z) = sum seed[k] z^k, output bit i is then
+ * coefficient top - i of s x, top = (n + m - 2) + (64 nw - n), so the product's
+ * words from the top are the output's big-endian words. A seed longer than
+ * a block is multiplied in two halves of nw words; top < 128 nw, so only the
+ * product's low 2 nw words are kept.
+ *
+ * Returns 0, or -1 if the work space cannot be allocated.
+ */
+int64_t qf_toeplitz(const uint64_t *seed, const uint8_t *x, int64_t n_blocks, int64_t n,
+                    int64_t m, uint8_t *out)
+{
+    const int64_t nw = (n + 63) / 64, sw = (n + m + 62) / 64, top = m - 2 + 64 * nw;
+    uint64_t *s = calloc(11 * nw + 256, sizeof *s);
+    if (!s)
+        return -1;
+    uint64_t *xw = s + 2 * nw, *prod = xw + nw, *high = prod + 2 * nw, *w = high + 2 * nw;
+    memcpy(s, seed, sw * sizeof *s);
+    memset(out, 0, (n_blocks * m + 7) / 8);
+    for (int64_t k = 0; k < n_blocks; k++) {
+        for (int64_t i = 0; i < nw; i++)
+            xw[nw - 1 - i] = get_bits(x, k * n + 64 * i, k * n + n);
+        karatsuba(prod, s, xw, nw, w, base);
+        if (sw > nw) {
+            karatsuba(high, s + nw, xw, nw, w, base);
+            for (int64_t i = 0; i < nw; i++)
+                prod[nw + i] ^= high[i];
+        }
+        for (int64_t v = 0; 64 * v < m; v++) {
+            const int64_t c = top - 63 - 64 * v, bits = m - 64 * v < 64 ? m - 64 * v : 64;
+            uint64_t word = prod[c >> 6] >> (c & 63);
+            if (c & 63)
+                word |= prod[(c >> 6) + 1] << (64 - (c & 63));
+            put_bits(out, k * m + 64 * v, word, bits);
+        }
+    }
+    free(s);
+    return 0;
 }

@@ -16,10 +16,12 @@ The kernels and the numpy references they must match bit for bit:
 * ``qf_match``: the exact coincidence matcher, a gap-tau cluster scan with
   a banded DP per pileup cluster (``coincidence._match_py``, whose DP is a
   full table)
-* ``qf_fr_accumulate``: four-Russians Toeplitz accumulate
-  (``extract._fr_accumulate_py``)
+* ``qf_toeplitz``: Toeplitz hashing of a whole packed stream, one
+  carry-less polynomial product per block (``extract._FftHasher``, block by
+  block); ``qf_clmul`` exposes its product with either word multiply, the
+  portable one or pclmul, for tests
 
-The kernels called once per slice or per Toeplitz block take raw
+The kernels called once per slice or per stream take raw
 addresses (``c_void_p``) rather than ``ndpointer`` arguments, whose
 conversion costs several microseconds per array. Their Python wrappers get
 each address from :func:`address`, which checks dtype, contiguity and size
@@ -109,7 +111,8 @@ def library() -> ctypes.CDLL | None:
         ("qf_dead_time", [p, p, n, n], n),
         ("qf_split_channels", [i64, u8, n, i64, i64], None),
         ("qf_match", [i64, n, i64, n, n, i64, i64], n),
-        ("qf_fr_accumulate", [p, n, p, n, n, p], None),
+        ("qf_toeplitz", [p, p, n, n, n, p], n),
+        ("qf_clmul", [p, p, n, n, p], n),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes

@@ -2,15 +2,13 @@
 
 The extractor output block y is the GF(2) product T @ x of an m x n
 Toeplitz matrix with the raw block, where T[i][j] = seed[m-1-i+j] over an
-(n+m-1)-bit seed. Two internally different but bit-identical evaluation
-paths sit behind one interface:
-
-  * small blocks (n <= 32768): a byte-table ("four Russians") kernel that
-    XOR-accumulates precomputed shifted seed combinations, in C
-    (``_kernels.c``) with a numpy reference;
-  * large blocks: float64 FFT convolution with the seed transform cached.
-    Column sums are bounded by n, so rounding stays 8+ orders of magnitude
-    below 1/2; a guard raises if the margin ever degrades.
+(n+m-1)-bit seed. Output bit i is one coefficient of a product of two
+GF(2)[z] polynomials, one from the seed and one from the block, so one
+carry-less multiply serves every block size exactly: ``qf_toeplitz`` in
+``_kernels.c`` hashes a whole packed stream in one call. Its reference, and
+the path without a compiler, is float64 FFT convolution (:class:`_FftHasher`);
+column sums are bounded by n, so rounding stays 8+ orders of magnitude
+below 1/2, and a guard raises if the margin ever degrades.
 
 Output sizing follows the leftover-hash budget m = floor(n*H - 2*log2(1/eps)).
 One seed serves every block of a stream: Toeplitz hashing is a strong
@@ -22,19 +20,19 @@ from __future__ import annotations
 import math
 import secrets
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import _native
-from .timetags import BitSequence, as_bit_array
+from .timetags import BitSequence
 
-#: Largest input block handled by the byte-table kernel.
-FR_MAX_N = 1 << 15
-
-#: Block length for the per-block worst-case entropy scan.
+#: Block length for the per-block worst-case entropy scan, a whole number
+#: of bytes.
 ENTROPY_BLOCK = 10**6
+
+#: The number of one bits in each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 class BlockTooSmallError(ValueError):
@@ -67,12 +65,14 @@ class EntropyReport:
 
 
 def min_entropy(bits) -> EntropyReport:
-    """Empirical min-entropy of a bit sequence (needs >= 10^4 bits)."""
-    arr = as_bit_array(bits)
-    n = arr.size
+    """Empirical min-entropy of a bit sequence (needs >= 10^4 bits), with the
+    ones counted from its packed bytes."""
+    seq = bits if isinstance(bits, BitSequence) else BitSequence.from_bits(bits)
+    n = len(seq)
     if n < 10**4:
         raise ValueError(f"min_entropy needs >= 1e4 bits, got {n}")
-    ones = int(arr.sum())
+    counts = _POPCOUNT[seq.packed]
+    ones = int(counts.sum())
     p1 = ones / n
     p_max = max(p1, 1.0 - p1)
     degenerate = ones == 0 or ones == n
@@ -81,13 +81,11 @@ def min_entropy(bits) -> EntropyReport:
     if n <= ENTROPY_BLOCK:
         per_block = h
     else:
-        n_blocks = n // ENTROPY_BLOCK
-        per_block = math.inf
-        for k in range(n_blocks):
-            seg = arr[k * ENTROPY_BLOCK:(k + 1) * ENTROPY_BLOCK]
-            p = seg.mean()
-            pm = max(p, 1.0 - p)
-            per_block = min(per_block, 0.0 if pm >= 1.0 else -math.log2(pm))
+        # the worst block has the largest p_max, since -log2 falls
+        n_blocks, row = n // ENTROPY_BLOCK, ENTROPY_BLOCK // 8
+        p = counts[: n_blocks * row].reshape(n_blocks, row).sum(axis=1) / ENTROPY_BLOCK
+        pm = float(np.maximum(p, 1.0 - p).max())
+        per_block = 0.0 if pm >= 1.0 else -math.log2(pm)
     return EntropyReport(h, p_max, n, per_block, degenerate)
 
 
@@ -176,65 +174,6 @@ def resolve_seed(source, n_bits: int) -> BitSequence:
 # evaluation kernels
 
 
-def _fr_accumulate_py(table, xbytes, mb, out):
-    """Reference for ``qf_fr_accumulate``: out[:mb] ^= table[b, t:t+mb]
-    for every nonzero input byte b = xbytes[t]."""
-    for t in range(xbytes.size):
-        b = xbytes[t]
-        if b:
-            out[:mb] ^= table[b, t:t + mb]
-
-
-class _ByteTableHasher:
-    """Four-Russians evaluation: one 256-row table of packed, shifted
-    reversed-seed combinations, shared by all blocks of a stream."""
-
-    def __init__(self, params: ExtractorParams):
-        self.n = params.n
-        self.m = params.m
-        r = params.seed.to_bits()[::-1].copy()  # r[p] = seed[L-1-p]
-        length = r.size
-        nbytes = (length + 7) // 8 + 2
-        shifted = np.zeros((8, nbytes), np.uint8)
-        for u in range(8):
-            arr = np.zeros(length, np.uint8)
-            if u < length:
-                arr[: length - u] = r[u:]
-            shifted[u, : (length + 7) // 8] = np.packbits(arr, bitorder="little")
-        table = np.zeros((256, nbytes), np.uint8)
-        for b in range(1, 256):
-            low = b & (-b)
-            table[b] = table[b ^ low] ^ shifted[low.bit_length() - 1]
-        self._table = table
-        self._table_p = _native.address(table, np.uint8, table.size)
-        self._mb = (self.m + 7) // 8 + 1
-
-    def accumulate(self, xbytes: np.ndarray, out: np.ndarray) -> None:
-        """out[:mb] ^= table[b, t:t+mb] for every input byte b = xbytes[t],
-        by ``qf_fr_accumulate`` or, without a compiler, its reference.
-
-        The table's address is checked once, in the constructor; ``xbytes``
-        and ``out`` are checked here (uint8, contiguous, sizes that fit the
-        table), and a mismatch raises ValueError.
-        """
-        mb = self._mb
-        if xbytes.size + mb > self._table.shape[1]:
-            raise ValueError("input bytes and output size do not fit the byte table")
-        x_p = _native.address(xbytes, np.uint8, xbytes.size)
-        out_p = _native.address(out, np.uint8, mb, writable=True)
-        lib = _native.library()
-        if lib is None:
-            _fr_accumulate_py(self._table, xbytes, mb, out)
-        else:
-            lib.qf_fr_accumulate(self._table_p, self._table.shape[1], x_p, xbytes.size, mb, out_p)
-
-    def extract_bits(self, x: np.ndarray) -> np.ndarray:
-        xbytes = np.packbits(np.ascontiguousarray(x[::-1]), bitorder="little")
-        out = np.zeros(self._mb, np.uint8)
-        self.accumulate(xbytes, out)
-        return np.unpackbits(out, bitorder="little")[: self.m]
-
-
 class _FftHasher:
     """Exact GF(2) Toeplitz product through float64 FFT convolution.
 
@@ -248,7 +187,7 @@ class _FftHasher:
     the full linear length.
 
     ``scipy.fft`` is imported here, not with the module, so callers that
-    never hash a block larger than the byte-table limit never load it.
+    run the C kernel never load it.
     """
 
     def __init__(self, params: ExtractorParams):
@@ -274,13 +213,31 @@ class _FftHasher:
         return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
-# one entry: callers hash every block of a run with one params value, and an
-# FFT seed transform at n = 1e6 holds about 23 MB
-@lru_cache(maxsize=1)
-def _hasher(params: ExtractorParams):
-    if params.n <= FR_MAX_N:
-        return _ByteTableHasher(params)
-    return _FftHasher(params)
+def _hash_blocks(params: ExtractorParams, packed: np.ndarray, n_blocks: int) -> BitSequence:
+    """Hash the first ``n_blocks`` n-bit blocks of the MSB-first bytes
+    ``packed`` to as many m-bit outputs, by ``qf_toeplitz`` or, without a
+    compiler, block by block through its reference, :class:`_FftHasher`.
+
+    ``packed`` must be a contiguous uint8 array holding every block;
+    ValueError otherwise.
+    """
+    n, m = params.n, params.m
+    x_p = _native.address(packed, np.uint8, (n_blocks * n + 7) // 8)
+    lib = _native.library()
+    if lib is None:
+        hasher = _FftHasher(params)
+        bits = np.unpackbits(packed, count=n_blocks * n)
+        out = [hasher.extract_bits(bits[k * n:(k + 1) * n]) for k in range(n_blocks)]
+        return BitSequence.from_bits(np.concatenate(out) if out else np.empty(0, np.uint8))
+    # seed bit 64k + b becomes bit b of word k
+    bits = np.zeros(-(-len(params.seed) // 64) * 64, np.uint8)
+    bits[: len(params.seed)] = params.seed.to_bits()
+    seed = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    out = np.empty((n_blocks * m + 7) // 8, np.uint8)
+    if lib.qf_toeplitz(_native.address(seed, np.uint64, seed.size), x_p, n_blocks, n, m,
+                       _native.address(out, np.uint8, out.size, writable=True)) < 0:
+        raise MemoryError("qf_toeplitz could not allocate its work space")
+    return BitSequence(out, n_blocks * m)
 
 
 def toeplitz_extract(block, params: ExtractorParams) -> BitSequence:
@@ -289,10 +246,11 @@ def toeplitz_extract(block, params: ExtractorParams) -> BitSequence:
     Bit-identical to the direct matrix definition regardless of the
     evaluation path chosen internally.
     """
-    x = as_bit_array(block)
-    if x.size != params.n:
-        raise ValueError(f"block holds {x.size} bits, params expect n={params.n}")
-    return BitSequence.from_bits(_hasher(params).extract_bits(x))
+    if not isinstance(block, BitSequence):
+        block = BitSequence.from_bits(block)
+    if len(block) != params.n:
+        raise ValueError(f"block holds {len(block)} bits, params expect n={params.n}")
+    return _hash_blocks(params, block.packed, 1)
 
 
 @dataclass(frozen=True)
@@ -345,25 +303,18 @@ def extract_stream(
         raise ValueError(f"raw stream holds {len(raw)} bits, need >= n_block = {n_block}")
     report = min_entropy(raw)
     params = ExtractorParams.sized(n_block, report.h_min_per_bit, epsilon, seed_source)
-    bits = raw.to_bits()
-    n_blocks = bits.size // n_block
-    hasher = _hasher(params)
-    out_parts = [
-        hasher.extract_bits(bits[k * n_block:(k + 1) * n_block])
-        for k in range(n_blocks)
-    ]
-    out_bits = np.concatenate(out_parts) if out_parts else np.empty(0, np.uint8)
-    out = BitSequence.from_bits(out_bits)
+    n_blocks = len(raw) // n_block
+    out = _hash_blocks(params, raw.packed, n_blocks)
     mbps = None
     if acquisition_seconds:
-        mbps = out_bits.size / acquisition_seconds / 1e6
+        mbps = len(out) / acquisition_seconds / 1e6
     info = ExtractionReport(
         h_min=report.h_min_per_bit,
         n=params.n,
         m=params.m,
         ratio=params.m / params.n,
         bits_in=n_blocks * n_block,
-        bits_out=int(out_bits.size),
+        bits_out=len(out),
         blocks=n_blocks,
         seconds=acquisition_seconds,
         mbps=mbps,

@@ -506,7 +506,7 @@ def run_pipeline(
         blocks, cert_report = _certify(cfg, stream, cert_coincs, out_dir)
     verdict = Verdict(cert_report["verdict"])
     # the tags and coincidences are done with; free them before extraction
-    # allocates its FFT buffers
+    # allocates its output
     del stream, cert_coincs
 
     if verdict is Verdict.UNCERTIFIED and not force:

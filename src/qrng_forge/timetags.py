@@ -36,6 +36,8 @@ _MAGIC = b"QTT1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
+#: Records that write_stream encodes, hashes and writes at a time (576 KiB).
+WRITE_RECORDS = 1 << 16
 
 
 class TagFileError(Exception):
@@ -257,16 +259,22 @@ def decode_stream(data: bytes) -> TagStream:
 
 
 def write_stream(stream: TagStream, path) -> str:
-    """Write the bytes of :func:`encode_stream` straight from the record
-    array; returns the sha256 hex digest of those bytes, hashed from the
-    buffers as they are written rather than by reading the file back."""
+    """Write the bytes of :func:`encode_stream`, encoding the records
+    :data:`WRITE_RECORDS` at a time into one reused buffer; returns the
+    sha256 hex digest of those bytes, hashed from the buffers as they are
+    written rather than by reading the file back."""
     header = _header(stream)
-    records = memoryview(_records(stream)).cast("B")
     digest = hashlib.sha256(header)
-    digest.update(records)
+    buf = np.empty(min(len(stream), WRITE_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(records)
+        for start in range(0, len(stream), WRITE_RECORDS):
+            piece = buf[: min(WRITE_RECORDS, len(stream) - start)]
+            piece["t"] = stream.timestamps[start:start + piece.size]
+            piece["ch"] = stream.channels[start:start + piece.size]
+            data = memoryview(piece).cast("B")
+            digest.update(data)
+            f.write(data)
     return digest.hexdigest()
 
 

@@ -283,13 +283,13 @@ def test_criterion_10_throughput(rng):
     find_coincidences(ta, tb, WINDOW)
     match_rate = 2 * n / (time.perf_counter() - t0)
 
-    # Toeplitz extraction, byte-table path
+    # Toeplitz extraction at n = 8192, one carry-less product per block
     n_block, h = 8192, 0.99
     m = output_length(n_block, h, 2.0**-50)
     seed = rng.integers(0, 2, n_block + m - 1, dtype=np.uint8)
     params = ExtractorParams(n_block, m, 2.0**-50, BitSequence.from_bits(seed))
     blocks = [rng.integers(0, 2, n_block, dtype=np.uint8) for _ in range(256)]
-    toeplitz_extract(blocks[0], params)  # load the C accumulate kernel, build the seed table
+    toeplitz_extract(blocks[0], params)  # build or load the C kernel
     t0 = time.perf_counter()
     out_bits = sum(len(toeplitz_extract(b, params)) for b in blocks)
     extract_rate = out_bits / (time.perf_counter() - t0)

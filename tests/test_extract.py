@@ -12,13 +12,12 @@ from qrng_forge import (
     output_length,
     toeplitz_extract,
 )
+from qrng_forge import _native
 from qrng_forge.extract import (
-    FR_MAX_N,
     BlockTooSmallError,
     SeedError,
-    _ByteTableHasher,
     _FftHasher,
-    _hasher,
+    _hash_blocks,
     resolve_seed,
 )
 
@@ -29,6 +28,16 @@ def exact_bias_bits(n, ones):
     bits = np.zeros(n, np.uint8)
     bits[:ones] = 1
     return bits
+
+
+def naive_in_chunks(seed, x, m, chunk=256):
+    """naive_toeplitz holding at most ``chunk`` rows of T at once: rows i0 to
+    i1 - 1 of T are the whole matrix of the seed from bit m - i1 on."""
+    n = x.size
+    return np.concatenate([
+        naive_toeplitz(seed[m - i1: m - i1 + n + i1 - i0 - 1], x, i1 - i0)
+        for i0 in range(0, m, chunk) for i1 in [min(m, i0 + chunk)]
+    ])
 
 
 class TestMinEntropy:
@@ -58,6 +67,22 @@ class TestMinEntropy:
         report = min_entropy(np.concatenate([block_a, block_b]))
         assert report.per_block_min == pytest.approx(-math.log2(0.7), abs=1e-12)
         assert report.per_block_min < report.h_min_per_bit
+
+    def test_packed_counts_equal_unpacked_reference(self, rng):
+        # 3e6 + 5 bits, so the last byte is partial, with the middle 1e6-bit block biased
+        bits = (rng.random(3 * 10**6 + 5) < 0.5).astype(np.uint8)
+        bits[10**6: 2 * 10**6] = rng.permutation(exact_bias_bits(10**6, 700_000))
+        report = min_entropy(BitSequence.from_bits(bits))
+        p1 = int(bits.sum()) / bits.size
+        assert report.p_max == max(p1, 1.0 - p1)
+        assert report.h_min_per_bit == -math.log2(report.p_max)
+        assert report.n_bits == bits.size
+        worst = math.inf
+        for k in range(3):
+            p = bits[k * 10**6:(k + 1) * 10**6].mean()
+            worst = min(worst, -math.log2(max(p, 1.0 - p)))
+        assert report.per_block_min == worst
+        assert report.per_block_min == pytest.approx(-math.log2(0.7), abs=1e-12)
 
     def test_accepts_bitsequence(self, rng):
         bits = rng.integers(0, 2, 50_000, dtype=np.uint8)
@@ -103,36 +128,34 @@ class TestToeplitzExtract:
         assert toeplitz_extract(x, params).to_bits().sum() == 0
 
     def test_bit_exact_vs_naive_oracle(self, rng):
-        for _ in range(1000):
-            n = int(rng.integers(1, 65))
-            m = int(rng.integers(1, n + 1))
+        cases = [(n, int(rng.integers(1, n + 1))) for n in rng.integers(1, 65, 1000)]
+        # every word count to past two schoolbook sizes, then byte and word edges
+        for n in [*range(1, 131), 255, 256, 257, 1000, 4095, 4096, 8191, 8192]:
+            cases += [(n, m) for m in sorted({1, max(1, n // 10), max(1, n - 1), n})]
+        for n, m in cases:
             seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
             x = rng.integers(0, 2, n, dtype=np.uint8)
             params = self.make_params(seed, n, m)
             got = toeplitz_extract(x, params).to_bits()
-            assert np.array_equal(got, naive_toeplitz(seed, x, m)), (n, m)
-
-    def test_byte_table_and_fft_paths_agree(self, rng):
-        for n, m in ((300, 200), (1000, 977), (4096, 4000)):
-            seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
-            params = self.make_params(seed, n, m)
-            x = rng.integers(0, 2, n, dtype=np.uint8)
-            fast = _ByteTableHasher(params).extract_bits(x)
-            fft = _FftHasher(params).extract_bits(x)
-            assert np.array_equal(fast, fft), (n, m)
-            assert np.array_equal(fast, naive_toeplitz(seed, x, m)), (n, m)
+            assert np.array_equal(got, naive_in_chunks(seed, x, m)), (n, m)
 
     def test_fft_path_spot_checked_at_scale(self, rng):
-        n = 200_000
-        m = 180_000
-        seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
-        params = self.make_params(seed, n, m)
-        x = rng.integers(0, 2, n, dtype=np.uint8)
-        y = toeplitz_extract(x, params).to_bits()
-        # independent exact parity oracle on 100 random output rows
-        for i in rng.integers(0, m, 100):
-            row = seed[m - 1 - i: m - 1 - i + n]
-            assert y[i] == (int(np.dot(row.astype(np.int64), x)) & 1)
+        # the kernel against its FFT reference at the paper's block size, with
+        # m near n and m much smaller than n, three blocks in one call
+        n = 10**6
+        for m in (970_000, 1000):
+            seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+            params = self.make_params(seed, n, m)
+            x = rng.integers(0, 2, 3 * n, dtype=np.uint8)
+            y = _hash_blocks(params, np.packbits(x), 3).to_bits()
+            fft = _FftHasher(params)
+            for k in range(3):
+                block = x[k * n:(k + 1) * n]
+                assert np.array_equal(y[k * m:(k + 1) * m], fft.extract_bits(block)), (m, k)
+            # independent exact parity oracle on 100 random output rows of the last block
+            for i in rng.integers(0, m, 100):
+                row = seed[m - 1 - i: m - 1 - i + n]
+                assert y[2 * m + i] == (int(np.dot(row.astype(np.int64), block)) & 1)
 
     @pytest.mark.parametrize("n, m", [
         (1001, 1000),  # m close to n; n + m - 1 = 2000 is a fast length, so no padding
@@ -169,12 +192,6 @@ class TestToeplitzExtract:
         params = self.make_params(seed, n, m)
         x = rng.integers(0, 2, n, dtype=np.uint8)
         assert toeplitz_extract(x, params) == toeplitz_extract(x, params)
-
-    def test_hasher_cache_keeps_one_transform(self, rng):
-        for n in (64, FR_MAX_N + 1):
-            params = self.make_params(rng.integers(0, 2, 2 * n - 1, dtype=np.uint8), n, n)
-            toeplitz_extract(rng.integers(0, 2, n, dtype=np.uint8), params)
-        assert _hasher.cache_info().currsize == 1
 
     def test_length_mismatch(self):
         params = self.make_params(np.zeros(7, np.uint8), 4, 4)
@@ -223,21 +240,37 @@ class TestExtractStream:
             extract_stream(raw, n_block=20_000, seed_source=b"\x01\x02")
 
     def test_blocks_and_trailing_discard(self, rng):
-        raw = BitSequence.from_bits(rng.integers(0, 2, 70_000, dtype=np.uint8))
-        out, report, params = extract_stream(raw, n_block=20_000)
+        # n = 20001 starts the second and third blocks off a byte boundary, and
+        # h = 1 gives m = 19901, so the outputs do not fill whole bytes either
+        bits = rng.permutation(exact_bias_bits(70_000, 35_000))
+        n = 20_001
+        out, report, params = extract_stream(BitSequence.from_bits(bits), n_block=n)
         assert report.blocks == 3
-        assert report.bits_in == 60_000
+        assert report.bits_in == 3 * n
         assert report.bits_out == 3 * params.m
         assert len(out) == report.bits_out
-        assert report.ratio == params.m / 20_000
+        assert report.ratio == params.m / n
+        m = params.m
+        assert m % 8
+        seed, y = params.seed.to_bits(), out.to_bits()
+        for k in range(3):
+            block = bits[k * n:(k + 1) * n]
+            for i in [0, m - 1, *rng.integers(0, m, 30)]:
+                row = naive_toeplitz(seed[m - 1 - i: m - 1 - i + n], block, 1)
+                assert y[k * m + i] == row[0], (k, i)
 
-    def test_same_seed_reproduces(self, rng):
+    def test_same_seed_reproduces(self, rng, monkeypatch):
         raw = BitSequence.from_bits(rng.integers(0, 2, 50_000, dtype=np.uint8))
         seed = bytes(rng.integers(0, 256, 8000, dtype=np.uint8).tolist())
         out1, rep1, _ = extract_stream(raw, n_block=20_000, seed_source=seed)
         out2, rep2, _ = extract_stream(raw, n_block=20_000, seed_source=seed)
         assert out1 == out2
         assert rep1.seed_sha256 == rep2.seed_sha256
+        # the FFT reference, which runs without a compiler, gives the same bytes
+        monkeypatch.setattr(_native, "library", lambda: None)
+        out3, rep3, _ = extract_stream(raw, n_block=20_000, seed_source=seed)
+        assert out3 == out1
+        assert rep3 == rep1
 
     def test_report_rate_accounting(self, rng):
         raw = BitSequence.from_bits(rng.integers(0, 2, 40_000, dtype=np.uint8))

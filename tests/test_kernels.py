@@ -20,7 +20,7 @@ from qrng_forge import (
     find_coincidences,
 )
 from qrng_forge import coincidence, timetags
-from qrng_forge.extract import _ByteTableHasher, _fr_accumulate_py
+from qrng_forge.extract import _hash_blocks
 
 from conftest import naive_toeplitz
 
@@ -123,22 +123,38 @@ def test_channel_times_read_only_and_cached(rng, backend, monkeypatch):
     assert all(stream.channel_times(c) is a for c, a in zip(Channel, first))
 
 
+def clmul_py(a, b):
+    """Carry-less product of two nonnegative integers by shift and xor."""
+    r = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            r ^= a << i
+    return r
+
+
+def words_to_int(words):
+    return sum(int(w) << (64 * k) for k, w in enumerate(words))
+
+
 @needs_gcc
-def test_fr_accumulate_c_equals_numpy(rng):
-    assert _native.library() is not None
-    for n, m in ((1, 1), (7, 3), (8, 8), (64, 50), (1000, 977), (8192, 8110)):
-        seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
-        hasher = _ByteTableHasher(ExtractorParams(n, m, 2.0**-50, BitSequence.from_bits(seed)))
-        table, mb = hasher._table, hasher._mb
-        for density in (0.0, 0.5, 1.0):
-            x = (rng.random(n) < density).astype(np.uint8)
-            xbytes = np.packbits(x[::-1], bitorder="little")
-            want = np.zeros(mb, np.uint8)
-            _fr_accumulate_py(table, xbytes, mb, want)
-            got = np.zeros(mb, np.uint8)
-            hasher.accumulate(xbytes, got)
-            assert np.array_equal(got, want), (n, m, density)
-            assert np.array_equal(hasher.extract_bits(x), naive_toeplitz(seed, x, m)), (n, m)
+@pytest.mark.parametrize("pclmul", [0, 1], ids=["portable", "pclmul"])
+def test_clmul_c_equals_shift_xor(rng, pclmul):
+    # qf_clmul runs the product of qf_toeplitz with either word multiply: one
+    # word is the 64 x 64 multiply alone, more words add Karatsuba levels
+    lib = _native.library()
+    special = [0, 1, 1 << 63, 2**64 - 1]
+    cases = [([a], [b]) for a in special for b in special]
+    cases += [rng.integers(0, 2**64, (2, n), dtype=np.uint64) for n in [1] * 200 + [2, 16, 17, 33, 100]]
+    cases.append(([2**64 - 1] * 40, [2**64 - 1] * 40))
+    for a, b in cases:
+        a, b = np.array(a, np.uint64), np.array(b, np.uint64)
+        r = np.empty(2 * a.size, np.uint64)
+        code = lib.qf_clmul(_native.address(a, np.uint64, a.size), _native.address(b, np.uint64, b.size),
+                            a.size, pclmul, _native.address(r, np.uint64, r.size, writable=True))
+        if code == -2:
+            pytest.skip("this CPU has no pclmul")
+        assert code == 0
+        assert words_to_int(r) == clmul_py(words_to_int(a), words_to_int(b)), (a, b)
 
 
 def test_address_checks_dtype_contiguity_and_size():
@@ -161,25 +177,31 @@ def test_address_checks_dtype_contiguity_and_size():
     pytest.param("c", marks=needs_gcc),
     "numpy",
 ])
-def test_fr_accumulate_rejects_bad_buffers(rng, backend, monkeypatch):
+def test_toeplitz_rejects_bad_buffers(rng, backend, monkeypatch):
     if backend == "numpy":
         monkeypatch.setattr(_native, "library", lambda: None)
     n, m = 64, 50
-    seed = BitSequence.from_bits(rng.integers(0, 2, n + m - 1, dtype=np.uint8))
-    hasher = _ByteTableHasher(ExtractorParams(n, m, 2.0**-50, seed))
-    xbytes = np.packbits(rng.integers(0, 2, n, dtype=np.uint8), bitorder="little")
-    mb = hasher._mb
+    seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    params = ExtractorParams(n, m, 2.0**-50, BitSequence.from_bits(seed))
+    x = rng.integers(0, 2, 2 * n, dtype=np.uint8)
+    packed = np.packbits(x)
     with pytest.raises(ValueError):
-        hasher.accumulate(xbytes.astype(np.int64), np.zeros(mb, np.uint8))  # wrong dtype
+        _hash_blocks(params, packed.astype(np.int64), 2)  # wrong dtype
     with pytest.raises(ValueError):
-        hasher.accumulate(xbytes, np.zeros(mb - 1, np.uint8))  # short output
+        _hash_blocks(params, packed[:-1], 2)  # short input
     with pytest.raises(ValueError):
-        hasher.accumulate(np.zeros(hasher._table.shape[1], np.uint8), np.zeros(mb, np.uint8))
-    out = np.zeros(mb, np.uint8)
-    hasher.accumulate(xbytes, out)  # the same buffers, correct, pass
-    want = np.zeros(mb, np.uint8)
-    _fr_accumulate_py(hasher._table, xbytes, mb, want)
-    assert np.array_equal(out, want)
+        _hash_blocks(params, np.repeat(packed, 2)[::2], 2)  # not contiguous
+    got = _hash_blocks(params, packed, 2).to_bits()  # the same bytes, correct, pass
+    for k in range(2):
+        assert np.array_equal(got[k * m:(k + 1) * m], naive_toeplitz(seed, x[k * n:(k + 1) * n], m))
+
+
+@needs_gcc
+def test_kernel_source_compiles_without_warnings():
+    # keeps the target-attribute and intrinsic code warning-clean
+    result = subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                             str(_native.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_missing_compiler_warns_once_and_falls_back(monkeypatch):

@@ -18,6 +18,7 @@ from qrng_forge import (
     write_bits,
 )
 from qrng_forge.timetags import (
+    WRITE_RECORDS,
     CorruptionError,
     FormatError,
     TruncationError,
@@ -119,7 +120,7 @@ class TestCodec:
 
     def test_written_file_equals_encoding(self, tmp_path, rng):
         path = tmp_path / "tags.qtt"
-        for n in (0, 1, 5000):
+        for n in (0, 1, 5000, 2 * WRITE_RECORDS + 3):
             ts = np.sort(rng.integers(0, 10**9, n))
             stream = TagStream(ts, rng.integers(0, 6, n), 10**9)
             write_stream(stream, path)
@@ -128,7 +129,7 @@ class TestCodec:
 
     def test_write_returns_file_sha256(self, tmp_path, rng):
         path = tmp_path / "tags.qtt"
-        for n in (0, 1, 5000):
+        for n in (0, 1, 5000, 2 * WRITE_RECORDS + 3):  # the last in three pieces
             ts = np.sort(rng.integers(0, 10**9, n))
             digest = write_stream(TagStream(ts, rng.integers(0, 6, n), 10**9), path)
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
