@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,14 @@ class ExtractorParams:
                 f"seed holds {len(self.seed)} bits, need n+m-1 = {self.n + self.m - 1}"
             )
 
+    @cached_property
+    def _seed_words(self) -> np.ndarray:
+        """The seed as ``qf_toeplitz`` reads it: seed bit 64k + b is bit b of
+        word k, with the last word zero-padded. Built once per params."""
+        bits = np.zeros(-(-len(self.seed) // 64) * 64, np.uint8)
+        bits[: len(self.seed)] = self.seed.to_bits()
+        return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
     @classmethod
     def sized(
         cls, n: int, h_min: float, epsilon: float, seed_source=None
@@ -174,6 +183,20 @@ def resolve_seed(source, n_bits: int) -> BitSequence:
 # evaluation kernels
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): a length at which real FFTs
+    are fast, the one ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class _FftHasher:
     """Exact GF(2) Toeplitz product through float64 FFT convolution.
 
@@ -183,27 +206,23 @@ class _FftHasher:
     circular convolution of length N >= L adds entry k + N of the linear
     one onto entry k. For a kept entry k >= n - 1, so k + N >= 2n + m - 2
     lies past the end and nothing is added: only the discarded entries
-    below n - 1 wrap. The transforms therefore use next_fast_len(L), not
-    the full linear length.
+    below n - 1 wrap. The transforms therefore use :func:`_fast_len` (L),
+    the smallest 2^a 3^b 5^c >= L, not the full linear length.
 
-    ``scipy.fft`` is imported here, not with the module, so callers that
-    run the C kernel never load it.
+    The transforms are ``numpy.fft``'s real FFTs, which are fast at any
+    5-smooth length.
     """
 
     def __init__(self, params: ExtractorParams):
-        from scipy import fft
-
         self.n = params.n
         self.m = params.m
         r = params.seed.to_bits()[::-1].astype(np.float64)
-        self._size = fft.next_fast_len(r.size, real=True)
-        self._seed_fft = fft.rfft(r, self._size)
+        self._size = _fast_len(r.size)
+        self._seed_fft = np.fft.rfft(r, self._size)
 
     def extract_bits(self, x: np.ndarray) -> np.ndarray:
-        from scipy import fft
-
-        fx = fft.rfft(x.astype(np.float64), self._size)
-        conv = fft.irfft(self._seed_fft * fx, self._size)[self.n - 1: self.n - 1 + self.m]
+        fx = np.fft.rfft(x.astype(np.float64), self._size)
+        conv = np.fft.irfft(self._seed_fft * fx, self._size)[self.n - 1: self.n - 1 + self.m]
         rounded = np.rint(conv)
         margin = float(np.abs(conv - rounded).max(initial=0.0))
         if margin > 0.25:
@@ -229,10 +248,7 @@ def _hash_blocks(params: ExtractorParams, packed: np.ndarray, n_blocks: int) -> 
         bits = np.unpackbits(packed, count=n_blocks * n)
         out = [hasher.extract_bits(bits[k * n:(k + 1) * n]) for k in range(n_blocks)]
         return BitSequence.from_bits(np.concatenate(out) if out else np.empty(0, np.uint8))
-    # seed bit 64k + b becomes bit b of word k
-    bits = np.zeros(-(-len(params.seed) // 64) * 64, np.uint8)
-    bits[: len(params.seed)] = params.seed.to_bits()
-    seed = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    seed = params._seed_words
     out = np.empty((n_blocks * m + 7) // 8, np.uint8)
     if lib.qf_toeplitz(_native.address(seed, np.uint64, seed.size), x_p, n_blocks, n, m,
                        _native.address(out, np.uint8, out.size, writable=True)) < 0:

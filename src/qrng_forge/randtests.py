@@ -3,10 +3,16 @@ the two-level P-value analysis (uniformity + pass proportion).
 
 Implemented tests: frequency, block_frequency (M=128), runs, longest_run,
 cumulative_sums_fwd/rev, serial (m=2, first P-value), approximate_entropy
-(m=2). These are the closed-form members of the NIST battery; the
-template/rank/excursion tests need large precomputed tables and are left
-to external harnesses via :func:`export_bits`. For TestU01 runs on
-exported bits, interpret P-values inside [1e-3, 1 - 1e-3] as a success.
+(m=2). The other SP 800-22 tests (rank, spectral, templates, universal,
+linear complexity, random excursions) are not implemented yet (see
+ROADMAP.md, direction 8); run them on bits written by :func:`export_bits`.
+For TestU01 runs on exported bits, interpret P-values inside
+[1e-3, 1 - 1e-3] as a success.
+
+Every P-value here is erfc(z) or igamc(k/2, x) for a positive integer k,
+as SP 800-22 Rev. 1a states them, and both have closed forms: erfc is
+:func:`math.erfc`, and igamc at a half-integer shape is a finite sum
+(:func:`_igamc`). So the battery needs nothing beyond numpy.
 
 The battery's per-test "final P-value" is the goodness-of-fit uniformity
 value P_T = igamc(9/2, chi2/2) over ten P-value bins; the pass
@@ -15,11 +21,11 @@ proportion must land inside phat +/- 3*sqrt(phat*(1-phat)/n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 from .timetags import BitSequence, as_bit_array
 
@@ -87,6 +93,62 @@ def autocorr(bits, max_lag: int = 100) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# closed-form P-value functions
+
+def _log_poisson(nu: float, x: float) -> float:
+    """log(x^nu e^-x / Gamma(nu + 1)) for nu >= 0 and x > 0.
+
+    From nu = 16 on, Stirling's series replaces log Gamma, and the terms
+    of order nu that cancel are folded into nu*log1p((nu - x)/x) - (nu - x),
+    whose rounding error is a few ulps of |nu - x|. At the peak term of
+    :func:`_igamc`, where |nu - x| <= 1, the result is good to a few ulps
+    of 1 even at nu = 10^4.
+    """
+    if nu < 16.0:
+        return nu * math.log(x) - x - math.lgamma(nu + 1.0)
+    d = nu - x
+    r = 1.0 / (nu * nu)
+    stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / nu
+    return d - nu * math.log1p(d / x) - 0.5 * math.log(2.0 * math.pi * nu) - stirlerr
+
+
+def _igamc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) at a = k/2, k a positive
+    integer: the chi-square survival function with k degrees of freedom,
+    at 2x. Any other shape raises ValueError.
+
+    With h = a - floor(a) (0 or 1/2) and n = floor(a),
+    Q(a, x) = [h = 1/2]*erfc(sqrt(x)) + sum_{j<n} t_j, where
+    t_j = x^(j+h) e^-x / Gamma(j + h + 1), so t_j = t_{j-1} * x/(j + h).
+    The sum starts from its largest term, at j + h just below x, scaled by
+    :func:`_log_poisson`, and recurs outward both ways. Terms fall at least
+    as fast as a Gaussian in the distance from the peak, so 12*sqrt(x) + 40
+    terms each way reach below 2^-100 of the peak.
+    """
+    k = 2.0 * a
+    if not (k >= 1.0 and k == int(k)):
+        raise ValueError(f"shape {a} is not k/2 for a positive integer k")
+    if not x > 0.0:
+        return 1.0 if x == 0.0 else math.nan
+    if math.isinf(x):
+        return 0.0
+    h, n = 0.5 * (int(k) & 1), int(k) // 2
+    q = math.erfc(math.sqrt(x)) if h else 0.0
+    if n == 0:
+        return q
+    p = min(n - 1, max(0, int(x - h)))
+    w = int(12.0 * math.sqrt(x)) + 40
+    up = np.cumprod(x / (np.arange(p + 1, min(n, p + w + 1)) + h))
+    down = np.cumprod((np.arange(p, max(0, p - w), -1) + h) / x)
+    return min(1.0, q + math.exp(_log_poisson(p + h, x)) * float(1.0 + up.sum() + down.sum()))
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal distribution function."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
 # SP 800-22 core subset
 
 
@@ -96,7 +158,7 @@ def frequency_test(bits) -> float:
     if n == 0:
         raise SequenceLengthError("empty sequence")
     s = abs(2.0 * int(x.sum()) - n)
-    return float(erfc(s / np.sqrt(n) / np.sqrt(2.0)))
+    return math.erfc(s / math.sqrt(n) / math.sqrt(2.0))
 
 
 def block_frequency_test(bits, block_size: int = 128) -> float:
@@ -108,7 +170,7 @@ def block_frequency_test(bits, block_size: int = 128) -> float:
     trimmed = x[: n_blocks * block_size].reshape(n_blocks, block_size)
     pi = trimmed.mean(axis=1)
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    return float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+    return _igamc(n_blocks / 2.0, chi2 / 2.0)
 
 
 def runs_test(bits) -> float:
@@ -122,7 +184,7 @@ def runs_test(bits) -> float:
     v = 1 + int(np.count_nonzero(np.diff(x)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(erfc(num / den))
+    return math.erfc(num / den)
 
 
 _LONGEST_RUN_TABLES = (
@@ -161,7 +223,7 @@ def longest_run_test(bits) -> float:
     probs_arr = np.asarray(probs)
     expected = n_blocks * probs_arr
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
-    return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
+    return _igamc((len(cats) - 1) / 2.0, chi2 / 2.0)
 
 
 def cumulative_sums_test(bits, reverse: bool = False) -> float:
@@ -174,14 +236,14 @@ def cumulative_sums_test(bits, reverse: bool = False) -> float:
     z = int(np.abs(np.cumsum(x)).max())
     if z == 0:
         return 1.0
-    sqrt_n = np.sqrt(n)
-    k1 = np.arange((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
-    k2 = np.arange((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
-    term1 = np.sum(
-        ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)
+    sqrt_n = math.sqrt(n)
+    term1 = math.fsum(
+        _ndtr((4 * k + 1) * z / sqrt_n) - _ndtr((4 * k - 1) * z / sqrt_n)
+        for k in range((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
     )
-    term2 = np.sum(
-        ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)
+    term2 = math.fsum(
+        _ndtr((4 * k + 3) * z / sqrt_n) - _ndtr((4 * k + 1) * z / sqrt_n)
+        for k in range((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
     )
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
 
@@ -206,7 +268,13 @@ def _psi_sq(x: np.ndarray, m: int) -> float:
 
 
 def serial_test(bits, m: int = 2) -> tuple[float, float]:
-    """NIST serial test; returns both P-values (del-psi^2, del^2-psi^2)."""
+    """NIST serial test; returns both P-values (del-psi^2, del^2-psi^2).
+
+    Needs m >= 2, since the second P-value is igamc(2^(m-3), .) and a
+    chi-square shape is k/2; ValueError otherwise.
+    """
+    if m < 2:
+        raise ValueError(f"serial test needs m >= 2, got m={m}")
     x = as_bit_array(bits)
     if x.size < 1 << (m + 2):
         raise SequenceLengthError(f"serial test with m={m} needs more bits")
@@ -215,8 +283,8 @@ def serial_test(bits, m: int = 2) -> tuple[float, float]:
     psi_m2 = _psi_sq(x, m - 2)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
-    p2 = float(gammaincc(2 ** (m - 3), d2 / 2.0))
+    p1 = _igamc(2 ** (m - 2), d1 / 2.0)
+    p2 = _igamc(2 ** (m - 3), d2 / 2.0)
     return p1, p2
 
 
@@ -233,7 +301,7 @@ def approximate_entropy_test(bits, m: int = 2) -> float:
 
     ap_en = phi(m) - phi(m + 1)
     chi2 = max(2.0 * n * (np.log(2.0) - ap_en), 0.0)  # analytic >= 0; guard float dust
-    return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
+    return _igamc(2 ** (m - 1), chi2 / 2.0)
 
 
 #: test id -> (function returning a P-value, minimum bits)
@@ -279,7 +347,7 @@ def pvalue_uniformity(pvalues: Sequence[float], min_sequences: int = 55) -> floa
     observed = np.bincount(bins, minlength=10)
     expected = p.size / 10.0
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    return float(gammaincc(4.5, chi2 / 2.0))
+    return _igamc(4.5, chi2 / 2.0)
 
 
 def proportion_range(n_sequences: int, significance: float) -> tuple[float, float]:

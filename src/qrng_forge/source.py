@@ -308,9 +308,20 @@ def expected_rates(config: SourceConfig) -> RateSummary:
     return RateSummary(singles, coinc)
 
 
-def _slice_rng(seed: int, slice_index: int) -> np.random.Generator:
-    root = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, slice_index])
-    return np.random.Generator(np.random.Philox(root))
+def _slice_rngs(seed: int, slices):
+    """Yield, for each index s in ``slices``, the generator that draws slice
+    s: one Generator, re-keyed in place before each yield, in the state a
+    fresh ``Generator(Philox(SeedSequence([seed mod 2^64, s])))`` starts in,
+    which is counter 0, an empty buffer and the key that SeedSequence
+    generates. Each yielded state holds until the next one is drawn."""
+    bit_gen = np.random.Philox(0)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state  # counter 0 and an empty buffer; only the key changes
+    for s in slices:
+        root = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, s])
+        state["state"]["key"] = root.generate_state(2, np.uint64)
+        bit_gen.state = state
+        yield rng
 
 
 def _dead_time_keep_py(ts: np.ndarray, ch: np.ndarray, dead_time: int) -> np.ndarray:
@@ -626,9 +637,9 @@ def generate_events(config: SourceConfig) -> TagStream:
     tags = _TagBuffer(int(expected + 8 * math.sqrt(expected)) + 4096)
 
     n_slices = (config.duration + SLICE_PS - 1) // SLICE_PS
-    for s in range(n_slices):
+    for s, rng in enumerate(_slice_rngs(config.rng_seed, range(n_slices))):
         t0 = s * SLICE_PS
-        build(_slice_rng(config.rng_seed, s), t0, min(t0 + SLICE_PS, config.duration), tags)
+        build(rng, t0, min(t0 + SLICE_PS, config.duration), tags)
 
     ts = tags.ts[: tags.n]
     ch = tags.ch[: tags.n]

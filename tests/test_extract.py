@@ -17,6 +17,7 @@ from qrng_forge.extract import (
     BlockTooSmallError,
     SeedError,
     _FftHasher,
+    _fast_len,
     _hash_blocks,
     resolve_seed,
 )
@@ -174,6 +175,13 @@ class TestToeplitzExtract:
         for density in (0.5, 1.0):
             x = (rng.random(n) < density).astype(np.uint8)
             assert np.array_equal(hasher.extract_bits(x), naive_toeplitz(seed, x, m)), (n, m)
+
+    def test_fast_len_equals_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        ns = list(range(1, 20_001)) + [10**6 - 1, 10**6, 10**6 + 7, 2**40 + 1, 3**25 + 1]
+        for n in ns:
+            assert _fast_len(n) == next_fast_len(n, real=True), n
 
     def test_linearity_over_gf2(self, rng):
         n, m = 512, 400

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from qrng_forge import (
 from qrng_forge.randtests import (
     TEST_IDS,
     SequenceLengthError,
+    _igamc,
+    _ndtr,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -104,6 +108,12 @@ class TestIndividualTests:
         p1, p2 = serial_test(prng_bits(10**5, 5))
         assert 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
 
+    @pytest.mark.parametrize("m", [1, 0, -1])
+    def test_serial_needs_m_at_least_two(self, m):
+        # at m = 1 the second P-value would need igamc(1/4, .), not a chi-square shape
+        with pytest.raises(ValueError, match="m >= 2"):
+            serial_test(prng_bits(1000, 5), m=m)
+
     def test_serial_pattern_counter_against_slow_oracle(self, rng):
         bits = rng.integers(0, 2, 500, dtype=np.uint8)
         from qrng_forge.randtests import _pattern_counts
@@ -140,6 +150,49 @@ class TestIndividualTests:
         for test_id in TEST_IDS:
             ps = [run_test(test_id, row).p_value for row in bits]
             assert pvalue_uniformity(ps) >= 1e-4, test_id
+
+
+def close_to(got, want, abs_tol=1e-12, rel_tol=1e-10):
+    """Absolute error <= abs_tol, and relative error <= rel_tol wherever the
+    reference value is at least 1e-300."""
+    return abs(got - want) <= abs_tol and (want < 1e-300 or abs(got - want) <= rel_tol * want)
+
+
+class TestClosedForms:
+    """The closed forms the battery's P-values use, against scipy.special."""
+
+    @pytest.mark.parametrize("k", list(range(1, 21)) + [781, 1562, 7812])
+    def test_igamc_equals_scipy(self, k):
+        from scipy.special import gammaincc
+
+        a = k / 2
+        xs = np.concatenate([
+            np.linspace(0.0, 3 * a + 30, 301),
+            a + 8 * np.sqrt(a + 1) * np.linspace(-1, 1, 101),
+            [1e-300, 1e-12, 1e-3, 0.5, max(a - 0.5, 0.0), a, a + 0.5],
+        ])
+        for x in xs[xs >= 0]:
+            got, want = _igamc(a, float(x)), float(gammaincc(a, x))
+            assert close_to(got, want), (k, x, got, want)
+
+    def test_igamc_edges(self):
+        assert _igamc(3.5, 0.0) == 1.0
+        assert _igamc(3.5, float("inf")) == 0.0
+        assert np.isnan(_igamc(3.5, -1e-12))  # as scipy: a negative statistic has no P-value
+        assert _igamc(2, 10**6) == 0.0  # the peak term underflows
+
+    @pytest.mark.parametrize("a", [0.25, 0.0, -0.5, 1.75, 1 / 3])
+    def test_igamc_refuses_shapes_not_k_over_2(self, a):
+        with pytest.raises(ValueError, match="k/2"):
+            _igamc(a, 1.0)
+
+    def test_erfc_and_ndtr_equal_scipy(self):
+        from scipy.special import erfc, ndtr
+
+        zs = np.concatenate([np.linspace(-40, 40, 2001), [-1e-300, 0.0, 1e-300]])
+        for z in zs:
+            assert close_to(math.erfc(z), float(erfc(z))), z
+            assert close_to(_ndtr(z), float(ndtr(z))), z
 
 
 class TestUniformityAndProportion:

@@ -276,6 +276,36 @@ class TestGoldenStreams:
             assert np.array_equal(source._slice_order(ts), np.argsort(ts, kind="stable"))
 
 
+def fresh_slice_rng(seed: int, s: int) -> np.random.Generator:
+    """The generator that slice ``s`` of an acquisition is defined to draw from."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed & (2**64 - 1), s])))
+
+
+class TestSliceRng:
+    SEEDS = (0, 1, 7, 42, 2**31, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1, -(2**40))
+    SLICES = (0, 1, 2, 3, 4, 5, 9, 10, 99, 999, 1000, 4499, 4500, 46399, 46400,
+              10**6, 2**31 - 1, 2**32, 2**32 + 3, 2**40)
+    DRAWS = {
+        "random": lambda g: g.random(3),
+        "standard_normal": lambda g: g.standard_normal(3),
+        "standard_exponential": lambda g: g.standard_exponential(3),
+        "integers": lambda g: g.integers(0, 10**12, 3),
+    }
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_reused_generator_starts_as_fresh_one(self, draw):
+        # 11 seeds x 20 slices: the re-keyed generator's first draws equal a
+        # fresh generator's, also after the previous slice left a half-used
+        # 64-bit word (one uint32 draw) and a part-used Philox buffer behind
+        draw = self.DRAWS[draw]
+        for seed in self.SEEDS:
+            for s, rng in zip(self.SLICES, source._slice_rngs(seed, self.SLICES)):
+                fresh = fresh_slice_rng(seed, s)
+                assert np.array_equal(draw(rng), draw(fresh)), (seed, s)
+                assert rng.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
+                assert rng.bit_generator.state["has_uint32"] == 1
+
+
 class TestNoiseMonotonicity:
     def test_noise_p_raises_diagonal_visibility(self):
         fits = []
@@ -348,11 +378,12 @@ class TestSliceKernels:
             model = source._SliceModel.of(cfg)
             fast = source._SliceC(lib, model)
             tags = source._TagBuffer(16)  # grows as slices arrive
-            for s in range((cfg.duration + SLICE_PS - 1) // SLICE_PS):
+            n_slices = (cfg.duration + SLICE_PS - 1) // SLICE_PS
+            for s, rng in enumerate(source._slice_rngs(cfg.rng_seed, range(n_slices))):
                 t0, t1 = s * SLICE_PS, min((s + 1) * SLICE_PS, cfg.duration)
                 start = tags.n
-                fast(source._slice_rng(cfg.rng_seed, s), t0, t1, tags)
-                want_ts, want_ch = source._slice_py(model, source._slice_rng(cfg.rng_seed, s), t0, t1)
+                fast(rng, t0, t1, tags)
+                want_ts, want_ch = source._slice_py(model, fresh_slice_rng(cfg.rng_seed, s), t0, t1)
                 assert np.array_equal(tags.ts[start:tags.n], want_ts), (cfg, s)
                 assert np.array_equal(tags.ch[start:tags.n], want_ch), (cfg, s)
 
