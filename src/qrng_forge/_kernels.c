@@ -13,6 +13,8 @@
  *   qf_match           coincidence._match_py
  *   qf_toeplitz        extract._FftHasher, block by block (qf_clmul runs its
  *                      product with either word multiply, for tests)
+ *   qf_bit_stats       randtests._bit_stats_py (every count of one battery
+ *                      sequence in one pass over its packed bits)
  * Callers check dtypes, contiguity and buffer sizes (_native.address).
  */
 
@@ -522,5 +524,80 @@ int64_t qf_toeplitz(const uint64_t *seed, const uint8_t *x, int64_t n_blocks, in
         }
     }
     free(s);
+    return 0;
+}
+
+/* The battery statistics of the n-bit sequence at bits start to start + n - 1
+ * of the MSB-first bit string x, counted in one pass (randtests._bit_stats_py):
+ *   stats[0]   the ones
+ *   stats[1]   the transitions, the i >= 1 with x[i] != x[i - 1]
+ *   stats[2]   the forward cumulative-sum maximum, max over 1 <= j <= n of
+ *              |S_j|, where S_j sums the first j bits as +1 and -1
+ *   stats[3]   the reverse one, max over 0 <= j < n of |S_n - S_j|
+ *   block_ones[k]   the ones in block_size-bit block k, for k < n / block_size
+ *   run_counts[c - run_lo]   the run_block-bit blocks whose longest run of
+ *              ones, clipped to [run_lo, run_hi], is c; none if run_block is 0
+ *   patterns[v]   the cyclic count of the pattern_bits-bit pattern v: the
+ *              i < n with x[i], x[(i + 1) % n], ... read MSB first equal to v
+ * block_ones holds n / block_size values, run_counts run_hi - run_lo + 1
+ * (none if run_block is 0) and patterns 2^pattern_bits. A pattern ends at
+ * each bit from bit pattern_bits - 1 on, and the first pattern_bits - 1 bits,
+ * taken cyclically, end the patterns that wrap around. Returns 0, or -1,
+ * writing nothing, if an argument is out of range.
+ */
+int64_t qf_bit_stats(const uint8_t *x, int64_t start, int64_t n, int64_t block_size,
+                     int64_t run_block, int64_t run_lo, int64_t run_hi, int64_t pattern_bits,
+                     int64_t *stats, int64_t *block_ones, int64_t *run_counts,
+                     int64_t *patterns)
+{
+    if (start < 0 || n < 0 || block_size < 1 || run_block < 0 || pattern_bits < 0
+        || pattern_bits > 32 || (run_block && (run_lo < 0 || run_hi < run_lo)))
+        return -1;
+    const int64_t end = start + n, n_patterns = (int64_t)1 << pattern_bits;
+    const uint64_t mask = (uint64_t)n_patterns - 1;
+    if (run_block)
+        memset(run_counts, 0, (run_hi - run_lo + 1) * sizeof *run_counts);
+    memset(patterns, 0, n_patterns * sizeof *patterns);
+    int64_t ones = 0, trans = 0, s = 0, hi = 0, lo = 0;
+    int64_t block_left = block_size, block = 0, n_blocks = 0;
+    int64_t run_left = run_block ? run_block : n + 1, run = 0, best = 0;
+    uint64_t w = 0, prev = n ? get_bits(x, start, end) >> 63 : 0;
+    for (int64_t i = 0; i < n; i += 64) {
+        uint64_t word = get_bits(x, start + i, end);
+        const int64_t k_end = n - i < 64 ? n - i : 64;
+        for (int64_t k = 0; k < k_end; k++, word <<= 1) {
+            const uint64_t b = word >> 63;
+            ones += b;
+            trans += b ^ prev;
+            prev = b;
+            hi = s > hi ? s : hi;
+            lo = s < lo ? s : lo;
+            s += 2 * (int64_t)b - 1;
+            block += b;
+            if (--block_left == 0) {
+                block_ones[n_blocks++] = block;
+                block = 0;
+                block_left = block_size;
+            }
+            run = (run + 1) & -(int64_t)b;
+            best = run > best ? run : best;
+            if (--run_left == 0) {
+                run_counts[(best < run_lo ? run_lo : best > run_hi ? run_hi : best) - run_lo]++;
+                run = best = 0;
+                run_left = run_block;
+            }
+            w = (w << 1 | b) & mask;
+            patterns[w] += i + k >= pattern_bits - 1;
+        }
+    }
+    for (int64_t j = 0; n && j < pattern_bits - 1; j++) {
+        w = (w << 1 | get_bits(x, start + j % n, end) >> 63) & mask;
+        patterns[w] += n + j >= pattern_bits - 1;
+    }
+    const int64_t top = s > hi ? s : hi, bottom = s < lo ? s : lo;
+    stats[0] = ones;
+    stats[1] = trans;
+    stats[2] = top > -bottom ? top : -bottom;
+    stats[3] = s - lo > hi - s ? s - lo : hi - s;
     return 0;
 }

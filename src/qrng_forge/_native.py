@@ -20,6 +20,10 @@ The kernels and the numpy references they must match bit for bit:
   carry-less polynomial product per block (``extract._FftHasher``, block by
   block); ``qf_clmul`` exposes its product with either word multiply, the
   portable one or pclmul, for tests
+* ``qf_bit_stats``: every integer statistic of one battery sequence in one
+  pass over its packed bits: ones, transitions, block ones, longest runs,
+  cumulative-sum maxima and cyclic pattern counts
+  (``randtests._bit_stats_py``, the numpy statistics test by test)
 
 The kernels called once per slice or per stream take raw
 addresses (``c_void_p``) rather than ``ndpointer`` arguments, whose
@@ -113,6 +117,7 @@ def library() -> ctypes.CDLL | None:
         ("qf_match", [i64, n, i64, n, n, i64, i64], n),
         ("qf_toeplitz", [p, p, n, n, n, p], n),
         ("qf_clmul", [p, p, n, n, p], n),
+        ("qf_bit_stats", [p, n, n, n, n, n, n, n, p, p, p, p], n),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
-from .timetags import BitSequence
+from .timetags import BitSequence, as_bit_array
 
 #: Block length for the per-block worst-case entropy scan, a whole number
 #: of bytes.
@@ -173,7 +173,7 @@ def resolve_seed(source, n_bits: int) -> BitSequence:
         return BitSequence.from_bits(arr)
     if isinstance(source, (str, Path)):
         return resolve_seed(Path(source).read_bytes(), n_bits)
-    arr = np.asarray(source, dtype=np.uint8)
+    arr = as_bit_array(source)
     if arr.size < n_bits:
         raise SeedError(f"seed holds {arr.size} bits, need {n_bits}")
     return BitSequence.from_bits(arr[:n_bits])

@@ -33,7 +33,8 @@ comments), overridable from the command line:
     output_dir             = qrng_run
 
 Every run writes a manifest with the full resolved config, RNG seed,
-output digests, and stage timings; re-running from a manifest reproduces
+output digests, stage timings and stage telemetry (items in and out,
+rate, peak memory); re-running from a manifest reproduces
 the bit outputs byte for byte.
 """
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -474,15 +476,28 @@ def _test(cfg: RunConfig, bits: BitSequence, out_dir: Path):
 
 
 @contextmanager
-def _stage(name: str, timing: dict[str, float]):
-    """Time one stage into ``timing[name]``; a failure inside it raises
-    :class:`StageError` naming the stage."""
+def _stage(name: str, timing: dict[str, float], stages: dict[str, dict],
+           unit_in: str, unit_out: str):
+    """Time one stage into ``timing[name]``, and record its telemetry into
+    ``stages[name]``: items in and out (the body sets ``counts["in"]`` and
+    ``counts["out"]`` on the yielded dict), items in per second, and the
+    process's peak resident memory so far. A failure inside the stage raises
+    :class:`StageError` naming it."""
+    counts = {"in": 0, "out": 0}
     t0 = time.perf_counter()
     try:
-        yield
+        yield counts
     except Exception as exc:
         raise StageError(name, exc) from exc
-    timing[name] = time.perf_counter() - t0
+    timing[name] = seconds = time.perf_counter() - t0
+    stages[name] = {
+        "items_in": counts["in"],
+        "unit_in": unit_in,
+        "items_out": counts["out"],
+        "unit_out": unit_out,
+        "rate_per_s": counts["in"] / seconds if seconds > 0 else 0.0,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
 
 
 def run_pipeline(
@@ -495,15 +510,19 @@ def run_pipeline(
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     timing: dict[str, float] = {}
+    stages: dict[str, dict] = {}
     digested = ["raw.bits", "cert_report.json", "extracted.bits", "toeplitz_seed.bin"]
     duration_s = cfg.source.duration * 1e-12
 
-    with _stage("simulate", timing):
+    with _stage("simulate", timing, stages, "acquisition_s", "tags") as counts:
         stream, _, tag_digest, rates = simulate_to_file(cfg, out_dir)
-    with _stage("coincide", timing):
+        counts["in"], counts["out"] = duration_s, len(stream)
+    with _stage("coincide", timing, stages, "tags", "raw_bits") as counts:
         raw_bits, cert_coincs, pair_counts, _ = _coincide(cfg, stream, out_dir)
-    with _stage("certify", timing):
+        counts["in"], counts["out"] = len(stream), len(raw_bits)
+    with _stage("certify", timing, stages, "coincidences", "blocks") as counts:
         blocks, cert_report = _certify(cfg, stream, cert_coincs, out_dir)
+        counts["in"], counts["out"] = len(cert_coincs), len(blocks)
     verdict = Verdict(cert_report["verdict"])
     # the tags and coincidences are done with; free them before extraction
     # allocates its output
@@ -514,16 +533,18 @@ def run_pipeline(
             "run verdict is UNCERTIFIED; pass --force to extract anyway"
         )
 
-    with _stage("extract", timing):
+    with _stage("extract", timing, stages, "raw_bits", "bits") as counts:
         extracted, extraction = _extract(
             cfg, raw_bits, out_dir, extractor_seed, acquisition_seconds=duration_s
         )
+        counts["in"], counts["out"] = len(raw_bits), len(extracted)
     need = cfg.battery.n_sequences * cfg.battery.seq_len
     battery = {"note": f"skipped: needs {need} bits, extracted {len(extracted)}"}
-    with _stage("test", timing):
+    with _stage("test", timing, stages, "bits", "sequences") as counts:
         if len(extracted) >= need:
             battery = _test(cfg, extracted, out_dir).to_dict()
             digested.append("battery_report.json")
+            counts["in"], counts["out"] = need, cfg.battery.n_sequences
 
     raw_rate = len(raw_bits) / duration_s if duration_s else 0.0
     h_min = extraction.h_min
@@ -538,6 +559,7 @@ def run_pipeline(
         "extractor_seed_file": "toeplitz_seed.bin",
         "digests": {"tags.qtt": tag_digest, **{name: _sha256(out_dir / name) for name in digested}},
         "timing_s": timing,
+        "stages": stages,
         "certification": {
             "verdict": verdict.value,
             "forced": bool(force and verdict is Verdict.UNCERTIFIED),

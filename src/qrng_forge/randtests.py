@@ -9,6 +9,17 @@ ROADMAP.md, direction 8); run them on bits written by :func:`export_bits`.
 For TestU01 runs on exported bits, interpret P-values inside
 [1e-3, 1 - 1e-3] as a success.
 
+Each test is split in two. Its statistics are integer counts of the
+sequence (:class:`BitStats`): the ones, the transitions, the ones per
+block, the longest run of ones per block, the two cumulative-sum maxima
+and the cyclic m-bit pattern counts. Its P-value is a function of those
+counts alone. The C kernel ``qf_bit_stats`` counts everything a sequence
+needs in one pass over its packed bits, so :func:`run_battery` reads each
+sequence once. The numpy statistics, test by test (:func:`_bit_stats_py`),
+are the kernel's oracle and run where no compiler is available. Counts are
+integers and the P-value expressions are shared, so both paths give the
+same floats.
+
 Every P-value here is erfc(z) or igamc(k/2, x) for a positive integer k,
 as SP 800-22 Rev. 1a states them, and both have closed forms: erfc is
 :func:`math.erfc`, and igamc at a half-integer shape is a finite sum
@@ -27,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .timetags import BitSequence, as_bit_array
 
 
@@ -149,43 +161,7 @@ def _ndtr(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# SP 800-22 core subset
-
-
-def frequency_test(bits) -> float:
-    x = as_bit_array(bits)
-    n = x.size
-    if n == 0:
-        raise SequenceLengthError("empty sequence")
-    s = abs(2.0 * int(x.sum()) - n)
-    return math.erfc(s / math.sqrt(n) / math.sqrt(2.0))
-
-
-def block_frequency_test(bits, block_size: int = 128) -> float:
-    x = as_bit_array(bits)
-    n = x.size
-    n_blocks = n // block_size
-    if n_blocks < 1:
-        raise SequenceLengthError(f"need at least one {block_size}-bit block")
-    trimmed = x[: n_blocks * block_size].reshape(n_blocks, block_size)
-    pi = trimmed.mean(axis=1)
-    chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    return _igamc(n_blocks / 2.0, chi2 / 2.0)
-
-
-def runs_test(bits) -> float:
-    x = as_bit_array(bits)
-    n = x.size
-    if n < 2:
-        raise SequenceLengthError("runs test needs at least 2 bits")
-    pi = float(x.mean())
-    if abs(pi - 0.5) >= 2.0 / np.sqrt(n):
-        return 0.0  # frequency pre-test fails; not applicable
-    v = 1 + int(np.count_nonzero(np.diff(x)))
-    num = abs(v - 2.0 * n * pi * (1.0 - pi))
-    den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return math.erfc(num / den)
-
+# SP 800-22 core subset: one pass counts a sequence, then each test's P-value
 
 _LONGEST_RUN_TABLES = (
     # (min_n, M, categories, probabilities)
@@ -197,16 +173,118 @@ _LONGEST_RUN_TABLES = (
      (0.2148, 0.3672, 0.2305, 0.1875)),
 )
 
+#: The battery's block_frequency block size, and the pattern length it
+#: counts: serial (m = 2) uses 2-bit patterns, approximate_entropy (m = 2)
+#: 2- and 3-bit ones.
+BLOCK_SIZE = 128
+PATTERN_BITS = 3
 
-def longest_run_test(bits) -> float:
-    x = as_bit_array(bits)
+
+@dataclass(frozen=True, eq=False)
+class BitStats:
+    """The integer statistics of one n-bit sequence that the P-values use.
+
+    ``cusum_z`` holds the forward and reverse cumulative-sum maxima,
+    ``block_ones`` the ones in each ``block_size``-bit block, ``run_counts``
+    the blocks in each category of the sequence's ``_LONGEST_RUN_TABLES``
+    row (none below 128 bits), and ``patterns`` the cyclic counts of the
+    ``pattern_bits``-bit patterns, from which those of shorter patterns
+    follow (:func:`_fold`).
+    """
+
+    n: int
+    ones: int
+    transitions: int
+    cusum_z: tuple[int, int]
+    block_size: int
+    block_ones: np.ndarray
+    run_counts: np.ndarray
+    pattern_bits: int
+    patterns: np.ndarray
+
+
+def _longest_run_row(n: int):
+    """The ``_LONGEST_RUN_TABLES`` row for n bits, or None below 128 bits."""
+    return next((row for row in _LONGEST_RUN_TABLES if n >= row[0]), None)
+
+
+def _packed(bits) -> tuple[np.ndarray, int]:
+    """A BitSequence or 0/1 array-like as MSB-first bytes and its bit count."""
+    if isinstance(bits, BitSequence):
+        return bits.packed, bits.length
+    x = as_bit_array(bits).ravel()
+    return np.packbits(x), x.size
+
+
+def _bit_stats(packed: np.ndarray, start: int, n: int, block_size: int = BLOCK_SIZE,
+               pattern_bits: int = PATTERN_BITS) -> BitStats:
+    """The statistics of bits ``start`` to ``start + n - 1`` of the MSB-first
+    bytes ``packed``, counted in one pass by ``qf_bit_stats`` or, without a
+    compiler, by its reference :func:`_bit_stats_py`.
+
+    ValueError if block_size < 1, if pattern_bits is outside 0..32, or if
+    ``packed`` is not a contiguous uint8 array holding the bits.
+    """
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if not 0 <= pattern_bits <= 32:
+        raise ValueError(f"pattern length must lie in 0..32, got {pattern_bits}")
+    x_p = _native.address(packed, np.uint8, (start + n + 7) // 8)
+    lib = _native.library()
+    if lib is None:
+        bits = np.unpackbits(packed[start >> 3:(start + n + 7) >> 3])
+        return _bit_stats_py(bits[start & 7:(start & 7) + n], block_size, pattern_bits)
+    row = _longest_run_row(n)
+    run_block, run_lo, run_hi = (row[1], row[2][0], row[2][-1]) if row else (0, 0, -1)
+    out = [np.empty(size, np.int64) for size in
+           (4, n // block_size, run_hi - run_lo + 1, 1 << pattern_bits)]
+    if lib.qf_bit_stats(x_p, start, n, block_size, run_block, run_lo, run_hi, pattern_bits,
+                        *(_native.address(a, np.int64, a.size, writable=True) for a in out)) < 0:
+        raise ValueError("qf_bit_stats refused its arguments")
+    stats, block_ones, run_counts, patterns = out
+    ones, transitions, z_fwd, z_rev = stats.tolist()
+    return BitStats(n, ones, transitions, (z_fwd, z_rev), block_size, block_ones,
+                    run_counts, pattern_bits, patterns)
+
+
+def _sequence_stats(bits, block_size: int = BLOCK_SIZE,
+                    pattern_bits: int = PATTERN_BITS) -> BitStats:
+    packed, n = _packed(bits)
+    return _bit_stats(packed, 0, n, block_size, pattern_bits)
+
+
+# The numpy statistics: the reference of qf_bit_stats and its test oracle
+
+def _bit_stats_py(x: np.ndarray, block_size: int = BLOCK_SIZE,
+                  pattern_bits: int = PATTERN_BITS) -> BitStats:
+    """:class:`BitStats` of the 0/1 uint8 array ``x``, test by test in numpy."""
     n = x.size
-    for min_n, m_len, cats, probs in _LONGEST_RUN_TABLES:
-        if n >= min_n:
-            break
-    else:
-        raise SequenceLengthError("longest_run needs at least 128 bits")
-    n_blocks = n // m_len
+    n_blocks = n // block_size
+    row = _longest_run_row(n)
+    return BitStats(
+        n=n,
+        ones=int(x.sum()),
+        transitions=int(np.count_nonzero(np.diff(x))),
+        cusum_z=(_cusum_z_py(x), _cusum_z_py(x[::-1])),
+        block_size=block_size,
+        block_ones=x[: n_blocks * block_size].reshape(n_blocks, block_size).sum(
+            axis=1, dtype=np.int64),
+        run_counts=_longest_run_counts_py(x, row) if row else np.zeros(0, np.int64),
+        pattern_bits=pattern_bits,
+        patterns=_pattern_counts(x, pattern_bits),
+    )
+
+
+def _cusum_z_py(x: np.ndarray) -> int:
+    """max |S_j| over the partial sums S_j of x as +1/-1 steps (0 for no bits)."""
+    return int(np.abs(np.cumsum(x.astype(np.int64) * 2 - 1)).max(initial=0))
+
+
+def _longest_run_counts_py(x: np.ndarray, row) -> np.ndarray:
+    """Blocks of x per category of the ``_LONGEST_RUN_TABLES`` row ``row``,
+    by the longest run of ones in each block, clipped to the categories."""
+    _, m_len, cats, _ = row
+    n_blocks = x.size // m_len
     blocks = x[: n_blocks * m_len].reshape(n_blocks, m_len)
     # longest run per block, vectorized over cumulative resets
     padded = np.zeros((n_blocks, m_len + 1), np.int64)
@@ -215,25 +293,79 @@ def longest_run_test(bits) -> float:
         np.where(padded == 0, np.arange(m_len + 1)[None, :], -1), axis=1
     )
     longest = np.max(np.arange(m_len + 1)[None, :] - cums, axis=1)
-    lo, hi = cats[0], cats[-1]
-    nu = np.zeros(len(cats), np.int64)
-    clipped = np.clip(longest, lo, hi)
-    for i, c in enumerate(cats):
-        nu[i] = int(np.count_nonzero(clipped == c))
-    probs_arr = np.asarray(probs)
-    expected = n_blocks * probs_arr
-    chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    clipped = np.clip(longest, cats[0], cats[-1])
+    return np.array([np.count_nonzero(clipped == c) for c in cats], np.int64)
+
+
+def _pattern_counts(x: np.ndarray, m: int) -> np.ndarray:
+    """Cyclic counts of the 2^m m-bit patterns: pattern i is x[i],
+    x[(i + 1) % n], ..., x[(i + m - 1) % n], read MSB first."""
+    if m <= 0:
+        return np.array([x.size], dtype=np.int64)
+    w = np.resize(x, x.size + m - 1)  # x repeated cyclically
+    val = np.zeros(x.size, dtype=np.int64)
+    for u in range(m):
+        val = (val << 1) | w[u: u + x.size]
+    return np.bincount(val, minlength=1 << m)
+
+
+# P-values from the counts
+
+def _fold(patterns: np.ndarray, k: int) -> np.ndarray:
+    """Cyclic counts of the k-bit patterns from those of longer ones: each
+    k-bit pattern leads the longer patterns that start at the same bit."""
+    return patterns.reshape(1 << max(k, 0), -1).sum(axis=1)
+
+
+def _require(n: int, need: int, what: str) -> None:
+    if n < need:
+        raise SequenceLengthError(f"{what} needs more bits")
+
+
+def _frequency_p(st: BitStats) -> float:
+    if st.n == 0:
+        raise SequenceLengthError("empty sequence")
+    s = abs(2.0 * st.ones - st.n)
+    return math.erfc(s / math.sqrt(st.n) / math.sqrt(2.0))
+
+
+def _block_frequency_p(st: BitStats) -> float:
+    n_blocks = st.block_ones.size
+    if n_blocks < 1:
+        raise SequenceLengthError(f"need at least one {st.block_size}-bit block")
+    pi = st.block_ones / st.block_size
+    chi2 = 4.0 * st.block_size * float(np.sum((pi - 0.5) ** 2))
+    return _igamc(n_blocks / 2.0, chi2 / 2.0)
+
+
+def _runs_p(st: BitStats) -> float:
+    n = st.n
+    if n < 2:
+        raise SequenceLengthError("runs test needs at least 2 bits")
+    pi = st.ones / n
+    if abs(pi - 0.5) >= 2.0 / np.sqrt(n):
+        return 0.0  # frequency pre-test fails; not applicable
+    v = 1 + st.transitions
+    num = abs(v - 2.0 * n * pi * (1.0 - pi))
+    den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
+    return math.erfc(num / den)
+
+
+def _longest_run_p(st: BitStats) -> float:
+    row = _longest_run_row(st.n)
+    if row is None:
+        raise SequenceLengthError("longest_run needs at least 128 bits")
+    _, m_len, cats, probs = row
+    expected = st.n // m_len * np.asarray(probs)
+    chi2 = float(np.sum((st.run_counts - expected) ** 2 / expected))
     return _igamc((len(cats) - 1) / 2.0, chi2 / 2.0)
 
 
-def cumulative_sums_test(bits, reverse: bool = False) -> float:
-    x = as_bit_array(bits).astype(np.int64) * 2 - 1
-    if reverse:
-        x = x[::-1]
-    n = x.size
+def _cumulative_sums_p(st: BitStats, reverse: bool = False) -> float:
+    n = st.n
     if n < 2:
         raise SequenceLengthError("cumulative sums needs at least 2 bits")
-    z = int(np.abs(np.cumsum(x)).max())
+    z = st.cusum_z[1 if reverse else 0]
     if z == 0:
         return 1.0
     sqrt_n = math.sqrt(n)
@@ -248,23 +380,59 @@ def cumulative_sums_test(bits, reverse: bool = False) -> float:
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
 
 
-def _pattern_counts(x: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the 2^m overlapping m-bit patterns with wraparound."""
-    if m <= 0:
-        return np.array([x.size], dtype=np.int64)
-    w = np.concatenate([x, x[: m - 1]])
-    val = np.zeros(x.size, dtype=np.int64)
-    for u in range(m):
-        val = (val << 1) | w[u: u + x.size]
-    return np.bincount(val, minlength=1 << m)
-
-
-def _psi_sq(x: np.ndarray, m: int) -> float:
+def _psi_sq(st: BitStats, m: int) -> float:
     if m <= 0:
         return 0.0
-    counts = _pattern_counts(x, m)
-    n = x.size
-    return float((1 << m) / n * np.sum(counts.astype(np.float64) ** 2) - n)
+    counts = _fold(st.patterns, m)
+    return float((1 << m) / st.n * np.sum(counts.astype(np.float64) ** 2) - st.n)
+
+
+def _serial_p(st: BitStats, m: int = 2) -> tuple[float, float]:
+    _require(st.n, 1 << (m + 2), f"serial test with m={m}")
+    psi_m = _psi_sq(st, m)
+    psi_m1 = _psi_sq(st, m - 1)
+    psi_m2 = _psi_sq(st, m - 2)
+    d1 = psi_m - psi_m1
+    d2 = psi_m - 2.0 * psi_m1 + psi_m2
+    p1 = _igamc(2 ** (m - 2), d1 / 2.0)
+    p2 = _igamc(2 ** (m - 3), d2 / 2.0)
+    return p1, p2
+
+
+def _approximate_entropy_p(st: BitStats, m: int = 2) -> float:
+    n = st.n
+    _require(n, 1 << (m + 3), f"approximate entropy with m={m}")
+
+    def phi(mm: int) -> float:
+        counts = _fold(st.patterns, mm)
+        probs = counts[counts > 0].astype(np.float64) / n
+        return float(np.sum(probs * np.log(probs)))
+
+    ap_en = phi(m) - phi(m + 1)
+    chi2 = max(2.0 * n * (np.log(2.0) - ap_en), 0.0)  # analytic >= 0; guard float dust
+    return _igamc(2 ** (m - 1), chi2 / 2.0)
+
+
+# The tests on bits
+
+def frequency_test(bits) -> float:
+    return _frequency_p(_sequence_stats(bits))
+
+
+def block_frequency_test(bits, block_size: int = 128) -> float:
+    return _block_frequency_p(_sequence_stats(bits, block_size=block_size))
+
+
+def runs_test(bits) -> float:
+    return _runs_p(_sequence_stats(bits))
+
+
+def longest_run_test(bits) -> float:
+    return _longest_run_p(_sequence_stats(bits))
+
+
+def cumulative_sums_test(bits, reverse: bool = False) -> float:
+    return _cumulative_sums_p(_sequence_stats(bits), reverse)
 
 
 def serial_test(bits, m: int = 2) -> tuple[float, float]:
@@ -275,61 +443,51 @@ def serial_test(bits, m: int = 2) -> tuple[float, float]:
     """
     if m < 2:
         raise ValueError(f"serial test needs m >= 2, got m={m}")
-    x = as_bit_array(bits)
-    if x.size < 1 << (m + 2):
-        raise SequenceLengthError(f"serial test with m={m} needs more bits")
-    psi_m = _psi_sq(x, m)
-    psi_m1 = _psi_sq(x, m - 1)
-    psi_m2 = _psi_sq(x, m - 2)
-    d1 = psi_m - psi_m1
-    d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = _igamc(2 ** (m - 2), d1 / 2.0)
-    p2 = _igamc(2 ** (m - 3), d2 / 2.0)
-    return p1, p2
+    packed, n = _packed(bits)
+    _require(n, 1 << (m + 2), f"serial test with m={m}")  # before a 2^m-count table
+    return _serial_p(_bit_stats(packed, 0, n, pattern_bits=m), m)
 
 
 def approximate_entropy_test(bits, m: int = 2) -> float:
-    x = as_bit_array(bits)
-    n = x.size
-    if n < 1 << (m + 3):
-        raise SequenceLengthError(f"approximate entropy with m={m} needs more bits")
-
-    def phi(mm: int) -> float:
-        counts = _pattern_counts(x, mm)
-        probs = counts[counts > 0].astype(np.float64) / n
-        return float(np.sum(probs * np.log(probs)))
-
-    ap_en = phi(m) - phi(m + 1)
-    chi2 = max(2.0 * n * (np.log(2.0) - ap_en), 0.0)  # analytic >= 0; guard float dust
-    return _igamc(2 ** (m - 1), chi2 / 2.0)
+    """Approximate entropy with m-bit blocks; ValueError for m < 0."""
+    if m < 0:
+        raise ValueError(f"approximate entropy needs m >= 0, got m={m}")
+    packed, n = _packed(bits)
+    _require(n, 1 << (m + 3), f"approximate entropy with m={m}")  # before a 2^(m+1)-count table
+    return _approximate_entropy_p(_bit_stats(packed, 0, n, pattern_bits=m + 1), m)
 
 
-#: test id -> (function returning a P-value, minimum bits)
+#: test id -> (P-value from a sequence's BitStats at BLOCK_SIZE and
+#: PATTERN_BITS, minimum bits)
 TEST_IDS: dict[str, tuple] = {
-    "frequency": (frequency_test, 100),
-    "block_frequency": (block_frequency_test, 128),
-    "runs": (runs_test, 100),
-    "longest_run": (longest_run_test, 128),
-    "cumulative_sums_fwd": (lambda b: cumulative_sums_test(b, reverse=False), 100),
-    "cumulative_sums_rev": (lambda b: cumulative_sums_test(b, reverse=True), 100),
-    "serial": (lambda b: serial_test(b)[0], 100),
-    "approximate_entropy": (approximate_entropy_test, 100),
+    "frequency": (_frequency_p, 100),
+    "block_frequency": (_block_frequency_p, 128),
+    "runs": (_runs_p, 100),
+    "longest_run": (_longest_run_p, 128),
+    "cumulative_sums_fwd": (_cumulative_sums_p, 100),
+    "cumulative_sums_rev": (lambda st: _cumulative_sums_p(st, reverse=True), 100),
+    "serial": (lambda st: _serial_p(st)[0], 100),
+    "approximate_entropy": (_approximate_entropy_p, 100),
 }
+
+
+def _check_test(test_id: str, n: int, strict: bool = True) -> None:
+    """KeyError for an unknown test id; with ``strict``, SequenceLengthError
+    below the test's minimum length."""
+    if test_id not in TEST_IDS:
+        raise KeyError(f"unknown test id {test_id!r}; choose from {sorted(TEST_IDS)}")
+    min_len = TEST_IDS[test_id][1]
+    if strict and n < min_len:
+        raise SequenceLengthError(f"{test_id} needs >= {min_len} bits, got {n}")
 
 
 def run_test(
     test_id: str, bits, significance: float = 0.01, strict: bool = True
 ) -> TestResult:
     """Run one named test; ``strict`` enforces the per-test minimum length."""
-    if test_id not in TEST_IDS:
-        raise KeyError(f"unknown test id {test_id!r}; choose from {sorted(TEST_IDS)}")
-    func, min_len = TEST_IDS[test_id]
-    x = as_bit_array(bits)
-    if strict and x.size < min_len:
-        raise SequenceLengthError(
-            f"{test_id} needs >= {min_len} bits, got {x.size}"
-        )
-    p = func(x)
+    packed, n = _packed(bits)
+    _check_test(test_id, n, strict)
+    p = TEST_IDS[test_id][0](_bit_stats(packed, 0, n))
     return TestResult(test_id, p, p >= significance)
 
 
@@ -368,22 +526,26 @@ def run_battery(
     significance: float = 0.01,
     test_ids: Sequence[str] | None = None,
 ) -> BatteryReport:
-    """Split a bit stream into sequences and run the full core subset.
+    """Split a bit stream into sequences and run the full core subset, with
+    one count of each sequence (:func:`_bit_stats`) for all its tests.
 
     Verdict: every test's pass proportion inside the proportion range and
     every test's uniformity P_T >= 1e-4.
     """
-    x = as_bit_array(bits)
+    packed, size = _packed(bits)
     needed = n_sequences * seq_len
-    if x.size < needed:
+    if size < needed:
         raise SequenceLengthError(
-            f"battery needs {needed} bits ({n_sequences} x {seq_len}), got {x.size}"
+            f"battery needs {needed} bits ({n_sequences} x {seq_len}), got {size}"
         )
-    ids = list(test_ids) if test_ids is not None else list(TEST_IDS)
-    sequences = [x[k * seq_len:(k + 1) * seq_len] for k in range(n_sequences)]
-    p_values = {
-        t: [run_test(t, seq, significance).p_value for seq in sequences] for t in ids
-    }
+    ids = list(dict.fromkeys(test_ids if test_ids is not None else TEST_IDS))
+    for t in ids:
+        _check_test(t, seq_len)
+    p_values: dict[str, list[float]] = {t: [] for t in ids}
+    for k in range(n_sequences):
+        stats = _bit_stats(packed, k * seq_len, seq_len)
+        for t in ids:
+            p_values[t].append(TEST_IDS[t][0](stats))
     lo, hi = proportion_range(n_sequences, significance)
     uniformity = {
         t: pvalue_uniformity(p_values[t], min_sequences=1) for t in ids

@@ -362,9 +362,7 @@ class BitSequence:
 
     @classmethod
     def from_bits(cls, bits) -> "BitSequence":
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size and bits.max() > 1:
-            raise ValueError("bits must be 0/1")
+        bits = as_bit_array(bits)
         return cls(np.packbits(bits), bits.size)
 
     @classmethod
@@ -399,11 +397,17 @@ class BitSequence:
 
 
 def as_bit_array(bits) -> np.ndarray:
-    """A BitSequence or 0/1 array-like as a uint8 array of its bits."""
+    """A BitSequence, or a 0/1 array-like of any numeric or bool dtype, as a
+    uint8 array of its bits; ValueError("bits must be 0/1") for any other
+    value, NaN included."""
     if isinstance(bits, BitSequence):
         return bits.to_bits()
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
+    arr = np.asarray(bits)
+    if arr.dtype != np.uint8:
+        if arr.size and not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("bits must be 0/1")
+        arr = arr.astype(np.uint8)
+    elif arr.size and arr.max() > 1:
         raise ValueError("bits must be 0/1")
     return arr
 

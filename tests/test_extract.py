@@ -225,6 +225,11 @@ class TestExtractorParams:
         with pytest.raises(SeedError):
             resolve_seed(b"\x00\x01", 100)
 
+    @pytest.mark.parametrize("bad", [0.7, -1, 2, float("nan")])
+    def test_resolve_seed_rejects_values_other_than_0_and_1(self, bad):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            resolve_seed([1, bad, 0, 1], 4)
+
     def test_resolve_seed_from_file(self, tmp_path, rng):
         payload = bytes(rng.integers(0, 256, 64, dtype=np.uint8).tolist())
         path = tmp_path / "seed.bin"

@@ -19,7 +19,7 @@ from qrng_forge import (
     _native,
     find_coincidences,
 )
-from qrng_forge import coincidence, timetags
+from qrng_forge import coincidence, randtests, timetags
 from qrng_forge.extract import _hash_blocks
 
 from conftest import naive_toeplitz
@@ -196,11 +196,114 @@ def test_toeplitz_rejects_bad_buffers(rng, backend, monkeypatch):
         assert np.array_equal(got[k * m:(k + 1) * m], naive_toeplitz(seed, x[k * n:(k + 1) * n], m))
 
 
+def record_at_end(rng, n, reverse):
+    """n random bits whose cumulative-sum maximum is reached only at the last
+    partial sum: max |S_j| at j = n, or with ``reverse`` max |S_n - S_j| at
+    j = 0, so that an index off by one there changes it."""
+    while True:
+        x = rng.integers(0, 2, n, dtype=np.uint8)
+        walk = np.abs(np.cumsum((x[::-1] if reverse else x).astype(np.int64) * 2 - 1))
+        if walk[-1] > walk[:-1].max():
+            return x
+
+
+def stats_cases(rng):
+    """(bits, block_size, pattern_bits) for qf_bit_stats against its reference."""
+    default = (randtests.BLOCK_SIZE, randtests.PATTERN_BITS)
+    for reverse in (False, True):
+        yield record_at_end(rng, 10_007, reverse), *default
+    # lengths off every multiple of 8, of 128 and of the longest-run blocks, and
+    # each _LONGEST_RUN_TABLES row at and around its boundary
+    for n in (0, 1, 2, 3, 7, 9, 63, 65, 100, 127, 128, 129, 1001, 6271, 6272, 6273,
+              10_007, 749_999, 750_000, 750_001):
+        yield rng.integers(0, 2, n, dtype=np.uint8), *default
+    for n in (128, 6272, 750_000, 10_007):
+        yield np.zeros(n, np.uint8), *default
+        yield np.ones(n, np.uint8), *default
+        yield (np.arange(n) % 2).astype(np.uint8), *default
+    # fewer bits than the pattern length minus 1: the patterns wrap more than once
+    for n in range(1, 8):
+        yield rng.integers(0, 2, n, dtype=np.uint8), 128, 9
+    # other block sizes and pattern lengths
+    for block_size, pattern_bits in ((1, 0), (3, 1), (64, 2), (100, 5), (1000, 11)):
+        yield rng.integers(0, 2, 20_011, dtype=np.uint8), block_size, pattern_bits
+
+
+def assert_stats_equal(got, want):
+    for name in ("n", "ones", "transitions", "cusum_z", "block_size", "pattern_bits"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("block_ones", "run_counts", "patterns"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
 @needs_gcc
-def test_kernel_source_compiles_without_warnings():
-    # keeps the target-attribute and intrinsic code warning-clean
-    result = subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                             str(_native.SOURCE)], capture_output=True, text=True, timeout=120)
+@pytest.mark.parametrize("offset", [0, 5])
+def test_bit_stats_c_equals_numpy(rng, offset):
+    # the kernel reads a sequence at any bit offset into a packed buffer
+    assert _native.library() is not None
+    for x, block_size, pattern_bits in stats_cases(rng):
+        framed = np.concatenate([rng.integers(0, 2, offset, dtype=np.uint8), x,
+                                 rng.integers(0, 2, 11, dtype=np.uint8)])
+        got = randtests._bit_stats(np.packbits(framed), offset, x.size, block_size, pattern_bits)
+        assert_stats_equal(got, randtests._bit_stats_py(x, block_size, pattern_bits))
+
+
+def p_values(bits):
+    """Every battery P-value of ``bits``, plus the tests at other parameters."""
+    out = [randtests.run_test(t, bits).p_value for t in randtests.TEST_IDS]
+    out += [randtests.block_frequency_test(bits, 100), randtests.block_frequency_test(bits, 1000),
+            *randtests.serial_test(bits, 2), *randtests.serial_test(bits, 4),
+            randtests.approximate_entropy_test(bits, 0), randtests.approximate_entropy_test(bits, 4)]
+    return out
+
+
+@needs_gcc
+def test_p_values_c_equal_numpy(rng, monkeypatch):
+    cases = [x for x, block_size, pattern_bits in stats_cases(rng)
+             if x.size >= 1000 and (block_size, pattern_bits) == (128, 3)]
+    fast = [p_values(x) for x in cases] + [p_values(BitSequence.from_bits(x)) for x in cases[:3]]
+    monkeypatch.setattr(_native, "library", lambda: None)
+    ref = [p_values(x) for x in cases] + [p_values(BitSequence.from_bits(x)) for x in cases[:3]]
+    assert fast == ref
+
+
+@needs_gcc
+@pytest.mark.parametrize("n_sequences, seq_len", [(9, 10_007), (2, 750_001)])
+def test_battery_c_equals_numpy(rng, monkeypatch, n_sequences, seq_len):
+    # sequences start mid-byte; one is all ones, one alternates, the rest random,
+    # two of them with their cumulative-sum maxima at the ends
+    seqs = [np.ones(seq_len, np.uint8), (np.arange(seq_len) % 2).astype(np.uint8)]
+    seqs += [record_at_end(rng, seq_len, reverse) for reverse in (False, True)[: n_sequences - 2]]
+    seqs += [rng.integers(0, 2, seq_len, dtype=np.uint8) for _ in range(n_sequences - len(seqs))]
+    bits = np.concatenate(seqs + [np.ones(5, np.uint8)])
+    fast = [randtests.run_battery(b, n_sequences, seq_len) for b in (bits, BitSequence.from_bits(bits))]
+    monkeypatch.setattr(_native, "library", lambda: None)
+    ref = randtests.run_battery(bits, n_sequences, seq_len)
+    assert fast[0] == ref and fast[1] == ref
+
+
+def test_bit_stats_rejects_bad_arguments(rng):
+    packed = np.packbits(rng.integers(0, 2, 1000, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        randtests._bit_stats(packed, 0, 1000, block_size=0)
+    with pytest.raises(ValueError):
+        randtests._bit_stats(packed, 0, 1000, pattern_bits=-1)
+    with pytest.raises(ValueError):
+        randtests._bit_stats(packed, 0, 1000, pattern_bits=33)
+    with pytest.raises(ValueError):
+        randtests._bit_stats(packed, 1, 1000)  # past the end of the buffer
+    with pytest.raises(ValueError):
+        randtests._bit_stats(packed.astype(np.int64), 0, 1000)  # wrong dtype
+
+
+@needs_gcc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # a full compile at the library's -O3, since some warnings need the optimizer;
+    # keeps the target-attribute and intrinsic code and every new kernel warning-clean
+    result = subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-O3",
+                             "-c", "-o", str(tmp_path / "kernels.o"), str(_native.SOURCE)],
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 
 

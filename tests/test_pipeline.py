@@ -175,6 +175,24 @@ class TestRunAndManifest:
         assert manifest["rates"]["h_min"] > 0.9
         assert set(manifest["digests"]) >= {"tags.qtt", "raw.bits", "extracted.bits"}
 
+    def test_manifest_stage_telemetry(self, run_result):
+        result, out = run_result
+        manifest = json.loads((out / "manifest.json").read_text())
+        stages = manifest["stages"]
+        assert list(stages) == list(manifest["timing_s"])
+        keys = {"items_in", "unit_in", "items_out", "unit_out", "rate_per_s", "peak_rss_mib"}
+        for name, row in stages.items():
+            assert set(row) == keys, name
+            assert row["rate_per_s"] == pytest.approx(row["items_in"] / manifest["timing_s"][name])
+        peaks = [row["peak_rss_mib"] for row in stages.values()]
+        assert peaks == sorted(peaks) and peaks[0] > 0  # peak memory so far never falls
+        n_seq, seq_len = fast_overrides()["battery.n_sequences"], fast_overrides()["battery.seq_len"]
+        assert stages["test"]["items_in"] == n_seq * seq_len and stages["test"]["unit_in"] == "bits"
+        assert stages["test"]["items_out"] == n_seq and stages["test"]["unit_out"] == "sequences"
+        assert stages["coincide"]["items_out"] == stages["extract"]["items_in"] == len(
+            read_bits(out / "raw.bits"))
+        assert stages["extract"]["items_out"] == len(read_bits(out / "extracted.bits"))
+
     def test_manifest_digests_are_file_sha256(self, run_result):
         # tags.qtt is hashed as it is written, the other files read back
         _, out = run_result

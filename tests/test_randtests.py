@@ -128,6 +128,22 @@ class TestIndividualTests:
             slow[word] += 1
         assert np.array_equal(_pattern_counts(bits, m), slow)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 500])
+    def test_pattern_counts_are_cyclic_and_fold(self, rng, n):
+        # below m - 1 bits the patterns wrap around the sequence more than once;
+        # shorter patterns' counts are sums of longer ones', exactly
+        from qrng_forge.randtests import _fold, _pattern_counts
+
+        m = 6
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        slow = np.zeros(2**m, np.int64)
+        for i in range(n):
+            slow[int("".join(str(bits[(i + u) % n]) for u in range(m)), 2)] += 1
+        counts = _pattern_counts(bits, m)
+        assert np.array_equal(counts, slow)
+        for k in range(m + 1):
+            assert np.array_equal(_fold(counts, k), _pattern_counts(bits, k)), k
+
     def test_approximate_entropy_in_range(self):
         p = approximate_entropy_test(prng_bits(10**5, 6))
         assert 0.0 <= p <= 1.0

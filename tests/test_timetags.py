@@ -22,6 +22,7 @@ from qrng_forge.timetags import (
     CorruptionError,
     FormatError,
     TruncationError,
+    as_bit_array,
     read_stream,
     write_stream,
 )
@@ -236,6 +237,26 @@ class TestBitSequence:
         sidecar = json.loads((tmp_path / "out.bits.json").read_text())
         assert sidecar == {"bits": 1001}
         assert read_bits(path) == seq
+
+    @pytest.mark.parametrize("to_bits", [as_bit_array, BitSequence.from_bits],
+                             ids=["as_bit_array", "from_bits"])
+    @pytest.mark.parametrize("bad", [0.7, -1, 2, float("nan")])
+    def test_rejects_values_other_than_0_and_1(self, to_bits, bad):
+        # no cast may turn them into bits: 0.7 would truncate to 0, -1 wrap to 255
+        for bits in ([bad, 1.0, 0], np.array([0, bad, 1])):
+            with pytest.raises(ValueError, match="bits must be 0/1"):
+                to_bits(bits)
+
+    @pytest.mark.parametrize("to_bits", [as_bit_array, BitSequence.from_bits],
+                             ids=["as_bit_array", "from_bits"])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint64,
+                                       np.float32, np.float64])
+    def test_exact_bits_of_any_dtype_pass(self, to_bits, dtype):
+        bits = to_bits(np.array([1, 0, 0, 1, 1], dtype=dtype))
+        if isinstance(bits, BitSequence):
+            bits = bits.to_bits()
+        assert bits.dtype == np.uint8 and bits.tolist() == [1, 0, 0, 1, 1]
+        assert len(to_bits([])) == 0
 
 
 class TestStreamInvariants:
