@@ -2,11 +2,15 @@
  *
  * Each kernel has a numpy reference in the Python module that calls it, and
  * the two must agree bit for bit:
- *   qf_slice_signal    source._slice_py (routing and analyzer outcomes)
- *   qf_thin            source._slice_py (detector efficiency)
- *   qf_jitter          source._slice_py (rint(sigma * z), clipped)
- *   qf_slice_keys      source._slice_order (with qf_slice_unpack, a value
- *   qf_slice_unpack    sort of keys that carry each tag's rank in the slice)
+ *   qf_simulate        source._slice_py, slice by slice: a range of source
+ *                      slices, each drawn by numpy's own distribution code
+ *                      (libnpyrandom.a) from a Philox keyed as
+ *                      source._slice_rngs keys it, routed, thinned, jittered
+ *                      and sorted in C; built only when numpy's archive is
+ *                      there to link (QF_NPYRANDOM)
+ *   qf_slice_key       numpy's SeedSequence([seed, s]).generate_state(2, uint64)
+ *   qf_slice_sort      source._slice_order (qf_simulate's stable radix sort
+ *                      of one slice, for tests)
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
@@ -25,6 +29,9 @@
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
+#ifdef QF_NPYRANDOM
+#include "numpy/random/bitgen.h"
+#endif
 
 /* i if c, else j, by masks: compilers keep this free of branches */
 static inline int64_t pick(int c, int64_t i, int64_t j)
@@ -33,43 +40,202 @@ static inline int64_t pick(int c, int64_t i, int64_t j)
     return (i & mask) | (j & ~mask);
 }
 
+/* ---------------------------------------------------------------------------
+ * Source slices: qf_simulate draws each slice from numpy's own Philox and
+ * distribution code, so that it makes source._slice_py's draws bit for bit.
+ */
+
+int qf_settle(int64_t *ts, uint8_t *ch, int64_t n, int64_t max_moves);
+
+#define RADIX_BITS 11
+#define RADIX (1 << RADIX_BITS)
+
+/* Stable LSD radix sort of (ts, ch)[0:n] by time, in place, for times in
+ * [lo, lo + span]: RADIX_BITS bits of t - lo a pass, and a pass whose digit
+ * every key shares is skipped. Returns 0, or -1 when its scratch cannot be
+ * allocated. */
+static int radix_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t lo, uint64_t span)
+{
+    uint64_t *key[2] = {malloc(2 * n * sizeof **key), NULL};
+    uint8_t *kch[2] = {malloc(2 * n), NULL};
+    if (!key[0] || !kch[0]) {
+        free(key[0]);
+        free(kch[0]);
+        return -1;
+    }
+    key[1] = key[0] + n;
+    kch[1] = kch[0] + n;
+    int64_t count[RADIX];
+    for (int64_t i = 0; i < n; i++)
+        key[0][i] = (uint64_t)ts[i] - (uint64_t)lo;
+    memcpy(kch[0], ch, n);
+    int src = 0;
+    for (int shift = 0; shift < 64 && span >> shift; shift += RADIX_BITS) {
+        const uint64_t *k = key[src];
+        memset(count, 0, sizeof count);
+        for (int64_t i = 0; i < n; i++)
+            count[k[i] >> shift & (RADIX - 1)]++;
+        if (count[k[0] >> shift & (RADIX - 1)] == n)
+            continue;
+        for (int64_t d = 0, sum = 0; d < RADIX; d++) {
+            const int64_t c = count[d];
+            count[d] = sum;
+            sum += c;
+        }
+        uint64_t *to = key[!src];
+        const uint8_t *c = kch[src];
+        uint8_t *to_ch = kch[!src];
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t j = count[k[i] >> shift & (RADIX - 1)]++;
+            to[j] = k[i];
+            to_ch[j] = c[i];
+        }
+        src = !src;
+    }
+    for (int64_t i = 0; i < n; i++)
+        ts[i] = (int64_t)((uint64_t)lo + key[src][i]);
+    memcpy(ch, kch[src], n);
+    free(key[0]);
+    free(kch[0]);
+    return 0;
+}
+
+/* Writes (ts, ch)[0:n] to (out_ts, out_ch) in time order, equal times in
+ * their given order. One stable counting pass puts the tags in between n / 2
+ * and n buckets of equal time width (count is scratch of n + 1 items), and
+ * qf_settle's insertion pass orders each bucket: linear work for the
+ * near-uniform times of a slice. When the buckets are too uneven for that,
+ * the insertion pass stops after n moves and radix_sort finishes the sort.
+ * No pass reorders equal times. Returns 0, or -1 when radix_sort's scratch
+ * cannot be allocated. */
+static int sort_slice(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *count,
+                      int64_t *out_ts, uint8_t *out_ch)
+{
+    if (n <= 0)
+        return 0;
+    int64_t lo = ts[0], hi = ts[0];
+    for (int64_t i = 1; i < n; i++) {
+        lo = ts[i] < lo ? ts[i] : lo;
+        hi = ts[i] > hi ? ts[i] : hi;
+    }
+    const uint64_t span = (uint64_t)hi - (uint64_t)lo;
+    int bucket_bits = 0, shift = 0;
+    while ((int64_t)2 << bucket_bits <= n)
+        bucket_bits++;
+    while (span >> shift >> bucket_bits)
+        shift++;
+    const int64_t buckets = ((int64_t)1 << bucket_bits) + 1;
+    memset(count, 0, buckets * sizeof *count);
+    for (int64_t i = 0; i < n; i++)
+        count[(((uint64_t)ts[i] - (uint64_t)lo) >> shift) + 1]++;
+    for (int64_t b = 1; b < buckets; b++)
+        count[b] += count[b - 1];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t j = count[((uint64_t)ts[i] - (uint64_t)lo) >> shift]++;
+        out_ts[j] = ts[i];
+        out_ch[j] = ch[i];
+    }
+    return qf_settle(out_ts, out_ch, n, n) ? 0 : radix_sort(out_ts, out_ch, n, lo, span);
+}
+
+/* The sort of one slice's tags on its own, for tests: (out_ts, out_ch) get
+ * (ts, ch)[0:n] in stable time order. Returns 0, or -1 when the scratch
+ * cannot be allocated. */
+int64_t qf_slice_sort(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *out_ts,
+                      uint8_t *out_ch)
+{
+    int64_t *count = malloc((n + 1) * sizeof *count);
+    const int64_t status = count ? sort_slice(ts, ch, n, count, out_ts, out_ch) : -1;
+    free(count);
+    return status;
+}
+
+/* SeedSequence's hashes (numpy/random/bit_generator.pyx): hashmix folds a
+ * word into the pool under a running multiplier, mix combines two words. */
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* key[0:2] = SeedSequence([seed, s]).generate_state(2, uint64), the Philox
+ * key of slice s. Each value enters as its little-endian 32-bit words: one
+ * word below 2^32 (0 included), two from there on. So the entropy holds 2
+ * to 4 words, and the pool of 4 words takes all of it before mixing. */
+void qf_slice_key(uint64_t seed, uint64_t s, uint64_t *key)
+{
+    uint32_t entropy[4] = {0, 0, 0, 0}, pool[4], hash = 0x43b0d7e5u;
+    const uint64_t values[2] = {seed, s};
+    int n = 0;
+    for (int v = 0; v < 2; v++) {
+        entropy[n++] = (uint32_t)values[v];
+        if (values[v] >> 32)
+            entropy[n++] = (uint32_t)(values[v] >> 32);
+    }
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(entropy[i], &hash); /* past the entropy, words of 0 */
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    uint32_t out_hash = 0x8b51f9ddu, w[4];
+    for (int i = 0; i < 4; i++) {
+        uint32_t v = pool[i] ^ out_hash;
+        out_hash *= 0x58f38dedu;
+        v *= out_hash;
+        w[i] = v ^ (v >> 16);
+    }
+    key[0] = w[0] | (uint64_t)w[1] << 32;
+    key[1] = w[2] | (uint64_t)w[3] << 32;
+}
+
+#ifdef QF_NPYRANDOM
+/* numpy's distributions, linked from numpy/random/lib/libnpyrandom.a. They
+ * are declared here because numpy/random/distributions.h includes Python.h;
+ * its npy_intp is Py_ssize_t, as wide as a pointer. */
+int64_t random_poisson(bitgen_t *state, double lam);
+void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng, intptr_t cnt,
+                                bool use_masked, uint64_t *out);
+void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
+void random_standard_normal_fill(bitgen_t *state, intptr_t cnt, double *out);
+
 /* Signal tags of one source slice, before thinning and jitter.
  *
  * times[0:n] are the slice's pair emission times and section[0:n] their
- * section pairs, 0 (U1, D2), 1 (U2, D1) or 2 (C1, C2). u[0:n_u] holds one
- * uniform per section-2 pair, in pair order, and cum the n_settings x 4
- * cumulative joint-outcome probabilities of the analyzer settings. A
- * section-2 pair at time t >= 0 sees setting (t / dwell) % n_settings and
- * outcome min(#(cum[k] <= u), 3), compared on the same doubles as the
- * reference: outcomes 0 and 1 fire C1, outcomes 0 and 2 fire C2.
+ * section pairs, 0 (U1, D2), 1 (U2, D1) or 2 (C1, C2), of which there are
+ * per_section[0:3]. u holds one uniform per section-2 pair, in pair order,
+ * and cum the n_settings x 4 cumulative joint-outcome probabilities of the
+ * analyzer settings. A section-2 pair at time t >= 0 sees setting
+ * (t / dwell) % n_settings and outcome min(#(cum[k] <= u), 3), compared on
+ * the same doubles as the reference: outcomes 0 and 1 fire C1, outcomes 0
+ * and 2 fire C2.
  *
  * Writes the tags to (ts, ch) as U1 and D2 of the section-0 pairs, U2 and
  * D1 of the section-1 pairs, the C1 hits, then the C2 hits, each group in
  * pair order, and returns their number. ts must hold 2n + 1 values, ch 2n.
- * Returns -1, writing nothing, if a section is not 0, 1 or 2 or if n_u is
- * not the number of section-2 pairs.
  *
  * Sections and outcomes are random, so the loops do not branch on them:
  * every pair stores its time into each group it might join, and a store
  * that does not count goes to ts[2n], a slot past every group.
  */
-int64_t qf_slice_signal(const int64_t *times, const int64_t *section, int64_t n,
-                        const double *u, int64_t n_u, const double *cum, int64_t n_settings,
-                        int64_t dwell, int64_t *ts, uint8_t *ch)
+static int64_t route_pairs(const uint64_t *times, const uint64_t *section, int64_t n,
+                           const int64_t *per_section, const double *u, const double *cum,
+                           int64_t n_settings, int64_t dwell, int64_t *ts, uint8_t *ch)
 {
-    int64_t count[3] = {0, 0, 0};
-    for (int64_t i = 0; i < n; i++) {
-        if (section[i] < 0 || section[i] > 2)
-            return -1;
-        count[section[i]]++;
-    }
-    if (count[2] != n_u)
-        return -1;
-    const int64_t sink = 2 * n, u2_start = 2 * count[0], c1_start = u2_start + 2 * count[1];
-    const int64_t c2_start = c1_start + count[2];
+    const int64_t sink = 2 * n, u2_start = 2 * per_section[0];
+    const int64_t c1_start = u2_start + 2 * per_section[1], c2_start = c1_start + per_section[2];
     int64_t u1 = 0, u2 = u2_start, c = c1_start;
     for (int64_t i = 0; i < n; i++) {
-        const int64_t t = times[i], s = section[i];
+        const int64_t t = (int64_t)times[i];
+        const uint64_t s = section[i];
         ts[pick(s == 0, u1, sink)] = t;
         u1 += s == 0;
         ts[pick(s == 1, u2, sink)] = t;
@@ -77,11 +243,11 @@ int64_t qf_slice_signal(const int64_t *times, const int64_t *section, int64_t n,
         ts[pick(s == 2, c, sink)] = t;
         c += s == 2;
     }
-    memcpy(ts + count[0], ts, count[0] * sizeof *ts);
-    memcpy(ts + u2_start + count[1], ts + u2_start, count[1] * sizeof *ts);
+    memcpy(ts + per_section[0], ts, per_section[0] * sizeof *ts);
+    memcpy(ts + u2_start + per_section[1], ts + u2_start, per_section[1] * sizeof *ts);
     /* the section-2 times sit at c1_start; the C1 hits overwrite them in place */
     int64_t c1 = c1_start, c2 = c2_start;
-    for (int64_t k = 0; k < n_u; k++) {
+    for (int64_t k = 0; k < per_section[2]; k++) {
         const int64_t t = ts[c1_start + k];
         const double *row = cum + 4 * ((t / dwell) % n_settings), x = u[k];
         int outcome = (row[0] <= x) + (row[1] <= x) + (row[2] <= x) + (row[3] <= x);
@@ -94,10 +260,10 @@ int64_t qf_slice_signal(const int64_t *times, const int64_t *section, int64_t n,
     }
     /* the C2 hits were written after room for every C1 hit; close the gap */
     memmove(ts + c1, ts + c2_start, (c2 - c2_start) * sizeof *ts);
-    memset(ch, 0, count[0]);
-    memset(ch + count[0], 3, count[0]);
-    memset(ch + u2_start, 1, count[1]);
-    memset(ch + u2_start + count[1], 2, count[1]);
+    memset(ch, 0, per_section[0]);
+    memset(ch + per_section[0], 3, per_section[0]);
+    memset(ch + u2_start, 1, per_section[1]);
+    memset(ch + u2_start + per_section[1], 2, per_section[1]);
     memset(ch + c1_start, 4, c1 - c1_start);
     memset(ch + c1, 5, c2 - c2_start);
     return c1 + c2 - c2_start;
@@ -105,7 +271,7 @@ int64_t qf_slice_signal(const int64_t *times, const int64_t *section, int64_t n,
 
 /* Detector efficiency: keeps tag i when u[i] < eta[ch[i]], compacting
  * (ts, ch) in place, and returns how many stay. Channel codes must be < 6. */
-int64_t qf_thin(int64_t *ts, uint8_t *ch, int64_t n, const double *u, const double *eta)
+static int64_t thin_tags(int64_t *ts, uint8_t *ch, int64_t n, const double *u, const double *eta)
 {
     int64_t k = 0;
     for (int64_t i = 0; i < n; i++)
@@ -119,7 +285,7 @@ int64_t qf_thin(int64_t *ts, uint8_t *ch, int64_t n, const double *u, const doub
 /* Timing jitter: ts[i] += rint(sigma * z[i]) for standard normals z, then
  * clipped to [0, duration]. sigma * z is the double that numpy's
  * normal(0, sigma) draws from the same generator state. */
-void qf_jitter(int64_t *ts, int64_t n, const double *z, double sigma, int64_t duration)
+static void jitter_tags(int64_t *ts, int64_t n, const double *z, double sigma, int64_t duration)
 {
     for (int64_t i = 0; i < n; i++) {
         const int64_t t = ts[i] + (int64_t)rint(sigma * z[i]);
@@ -127,58 +293,227 @@ void qf_jitter(int64_t *ts, int64_t n, const double *z, double sigma, int64_t du
     }
 }
 
-/* Channel codes of the signal groups, in their order in a slice:
- * U1, D2, U2, D1, C1, C2. */
-static const uint8_t signal_group_channel[6] = {0, 3, 1, 2, 4, 5};
+__extension__ typedef unsigned __int128 u128;
 
-/* Sort keys for one slice's tags: (ts, ch)[0:n_dark] are its dark tags, by
- * channel code, and (ts, ch)[n_dark:n] its signal tags in group order. The
- * key of a tag is (t - lo) << 4 | rank, with lo the slice's earliest time,
- * rank = ch for a dark tag and 6 + its group's position for a signal tag.
- * Ranks rise in slice order, and tags with equal time and rank are
- * identical, so sorting the keys by value gives the stable time order of
- * the slice.
+/* Philox4x64-10 as numpy's Philox runs it: the 256-bit counter steps by one
+ * before each block of four words, the words go out in order, and a 32-bit
+ * draw takes the low half of a word and keeps the high half for the next
+ * one. A fresh generator has counter 0, an empty buffer and no half word. */
+typedef struct {
+    uint64_t ctr[4], key[2], buffer[4];
+    int next; /* the buffer's next word, 4 when it is used up */
+    int has_half;
+    uint32_t half;
+} philox;
+
+static uint64_t philox_next64(void *state)
+{
+    philox *p = state;
+    if (p->next == 4) {
+        for (int i = 0; i < 4; i++)
+            if (++p->ctr[i])
+                break;
+        uint64_t c0 = p->ctr[0], c1 = p->ctr[1], c2 = p->ctr[2], c3 = p->ctr[3];
+        uint64_t k0 = p->key[0], k1 = p->key[1];
+        for (int round = 0; round < 10; round++) {
+            const u128 m0 = (u128)0xD2E7470EE14C6C93u * c0, m1 = (u128)0xCA5A826395121157u * c2;
+            c0 = (uint64_t)(m1 >> 64) ^ c1 ^ k0;
+            c1 = (uint64_t)m1;
+            c2 = (uint64_t)(m0 >> 64) ^ c3 ^ k1;
+            c3 = (uint64_t)m0;
+            k0 += 0x9E3779B97F4A7C15u;
+            k1 += 0xBB67AE8584CAA73Bu;
+        }
+        p->buffer[0] = c0;
+        p->buffer[1] = c1;
+        p->buffer[2] = c2;
+        p->buffer[3] = c3;
+        p->next = 0;
+    }
+    return p->buffer[p->next++];
+}
+
+static uint32_t philox_next32(void *state)
+{
+    philox *p = state;
+    if (p->has_half) {
+        p->has_half = 0;
+        return p->half;
+    }
+    const uint64_t w = philox_next64(p);
+    p->has_half = 1;
+    p->half = (uint32_t)(w >> 32);
+    return (uint32_t)w;
+}
+
+static double philox_next_double(void *state)
+{
+    return (double)(philox_next64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* realloc that keeps p, and sets *failed, when it cannot grow it */
+static void *regrow(void *p, size_t bytes, int *failed)
+{
+    void *q = realloc(p, bytes);
+    *failed |= !q;
+    return q ? q : p;
+}
+
+/* The scratch of one qf_simulate call, grown as its slices need: pair draws
+ * for cap_pairs pairs, the slice's tags and bucket counts for cap_tags tags,
+ * and dark tags for cap_dark. */
+typedef struct {
+    uint64_t *times, *section, *dark_ts;
+    double *f;
+    int64_t *ts, *count;
+    uint8_t *ch, *dark_ch;
+    int64_t cap_pairs, cap_tags, cap_dark;
+    int failed;
+} slice_scratch;
+
+static void reserve_pairs(slice_scratch *w, int64_t n)
+{
+    if (n <= w->cap_pairs)
+        return;
+    const int64_t cap = n + n / 2;
+    w->times = regrow(w->times, cap * sizeof *w->times, &w->failed);
+    w->section = regrow(w->section, cap * sizeof *w->section, &w->failed);
+    w->f = regrow(w->f, 2 * cap * sizeof *w->f, &w->failed);
+    w->cap_pairs = w->failed ? w->cap_pairs : cap;
+}
+
+static void reserve_tags(slice_scratch *w, int64_t n)
+{
+    if (n <= w->cap_tags)
+        return;
+    const int64_t cap = n + n / 2;
+    w->ts = regrow(w->ts, cap * sizeof *w->ts, &w->failed);
+    w->ch = regrow(w->ch, cap, &w->failed);
+    w->count = regrow(w->count, (cap + 1) * sizeof *w->count, &w->failed);
+    w->cap_tags = w->failed ? w->cap_tags : cap;
+}
+
+static void reserve_dark(slice_scratch *w, int64_t n)
+{
+    if (n <= w->cap_dark)
+        return;
+    const int64_t cap = n + n / 2;
+    w->dark_ts = regrow(w->dark_ts, cap * sizeof *w->dark_ts, &w->failed);
+    w->dark_ch = regrow(w->dark_ch, cap, &w->failed);
+    w->cap_dark = w->failed ? w->cap_dark : cap;
+}
+
+/* The tags of slices s0 to s1 - 1 of one acquisition, each slice in stable
+ * time order, written one slice after the other to (ts, ch).
  *
- * Writes keys[0:n] and *lo and returns 0, or returns -1 without writing
- * when a channel code exceeds 5 or the time span needs more than 59 bits.
+ * Slice s covers [s * slice_ps, min((s + 1) * slice_ps, duration)) and draws
+ * from a fresh Philox keyed by qf_slice_key(seed, s), as source._slice_py
+ * draws from the generator that source._slice_rngs yields, in its order and
+ * sizes: the pair count (Poisson, mean rate times the slice's width), the
+ * emission times and the sections (bounded integers), one analyzer uniform
+ * per section-2 pair, one efficiency uniform per signal tag when some
+ * eta[c] < 1, one standard normal per surviving signal tag when sigma > 0,
+ * then, for each channel c with dark[c] > 0 in turn, a Poisson count of mean
+ * dark[c] times the width and that many uniform times. dark holds counts
+ * per picosecond, eta and dark one value per channel, and cum and dwell the
+ * analyzer settings, as in route_pairs.
+ *
+ * A slice whose tags do not fit in the capacity - counts[0] slots left is
+ * not written, and the call returns its index, with counts[1] set to its
+ * size; a later call can start there. Otherwise the call returns s1, with
+ * counts[1] = 0. counts[0] is the number of tags written. Returns -1 when
+ * the scratch cannot be allocated.
  */
-int qf_slice_keys(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t n_dark,
-                  uint64_t *keys, int64_t *lo)
+int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double rate,
+                    const double *dark, const double *eta, double sigma, const double *cum,
+                    int64_t n_settings, int64_t dwell, int64_t s0, int64_t s1, int64_t *ts,
+                    uint8_t *ch, int64_t capacity, int64_t *counts)
 {
-    uint8_t rank_of[12];
-    for (int r = 0; r < 6; r++) {
-        rank_of[r] = r;
-        rank_of[6 + signal_group_channel[r]] = 6 + r;
-    }
-    int64_t min = n ? ts[0] : 0, max = min;
-    int bad_code = 0;
-    for (int64_t i = 0; i < n; i++) {
-        min = ts[i] < min ? ts[i] : min;
-        max = ts[i] > max ? ts[i] : max;
-        bad_code |= ch[i] > 5;
-    }
-    if (bad_code || ((uint64_t)max - (uint64_t)min) >> 59)
-        return -1;
-    for (int64_t i = 0; i < n; i++)
-        keys[i] = ((uint64_t)ts[i] - (uint64_t)min) << 4 | rank_of[(i >= n_dark) * 6 + ch[i]];
-    *lo = min;
-    return 0;
-}
+    philox p;
+    bitgen_t rng = {&p, philox_next64, philox_next32, philox_next_double, philox_next64};
+    slice_scratch w;
+    memset(&w, 0, sizeof w);
+    int thin = 0;
+    for (int c = 0; c < 6; c++)
+        thin |= eta[c] < 1.0;
+    int64_t s = s0, written = 0;
+    counts[1] = 0;
+    for (; s < s1; s++) {
+        memset(&p, 0, sizeof p);
+        p.next = 4;
+        qf_slice_key(seed, (uint64_t)s, p.key);
+        const int64_t t0 = s * slice_ps, t1 = t0 + slice_ps < duration ? t0 + slice_ps : duration;
+        const double width = (double)(t1 - t0);
 
-/* The tags of sorted keys from qf_slice_keys, written to (out_ts, out_ch). */
-void qf_slice_unpack(const uint64_t *keys, int64_t n, int64_t lo, int64_t *out_ts,
-                     uint8_t *out_ch)
-{
-    uint8_t channel_of[12];
-    for (int r = 0; r < 6; r++) {
-        channel_of[r] = r;
-        channel_of[6 + r] = signal_group_channel[r];
+        const int64_t n_pairs = random_poisson(&rng, rate * width);
+        reserve_pairs(&w, n_pairs);
+        reserve_tags(&w, 2 * n_pairs + 1);
+        if (w.failed)
+            break;
+        random_bounded_uint64_fill(&rng, (uint64_t)t0, (uint64_t)(t1 - 1 - t0), n_pairs, false,
+                                   w.times);
+        random_bounded_uint64_fill(&rng, 0, 2, n_pairs, false, w.section);
+        int64_t per_section[3] = {0, 0, 0};
+        for (int64_t i = 0; i < n_pairs; i++)
+            per_section[w.section[i]]++;
+        random_standard_uniform_fill(&rng, per_section[2], w.f);
+        int64_t n = route_pairs(w.times, w.section, n_pairs, per_section, w.f, cum, n_settings,
+                                dwell, w.ts, w.ch);
+        if (thin) {
+            random_standard_uniform_fill(&rng, n, w.f);
+            n = thin_tags(w.ts, w.ch, n, w.f, eta);
+        }
+        if (sigma > 0 && n) {
+            random_standard_normal_fill(&rng, n, w.f);
+            jitter_tags(w.ts, n, w.f, sigma, duration);
+        }
+
+        int64_t n_dark = 0;
+        for (int c = 0; c < 6; c++) {
+            const int64_t k = dark[c] > 0 ? random_poisson(&rng, dark[c] * width) : 0;
+            if (!k)
+                continue;
+            reserve_dark(&w, n_dark + k);
+            if (w.failed)
+                break;
+            random_bounded_uint64_fill(&rng, (uint64_t)t0, (uint64_t)(t1 - 1 - t0), k, false,
+                                       w.dark_ts + n_dark);
+            memset(w.dark_ch + n_dark, c, k);
+            n_dark += k;
+        }
+        /* the slice's tags: its dark tags, then its signal tags */
+        reserve_tags(&w, n_dark + n);
+        if (w.failed)
+            break;
+        if (n_dark) {
+            memmove(w.ts + n_dark, w.ts, n * sizeof *w.ts);
+            memmove(w.ch + n_dark, w.ch, n);
+            memcpy(w.ts, w.dark_ts, n_dark * sizeof *w.ts);
+            memcpy(w.ch, w.dark_ch, n_dark);
+            n += n_dark;
+        }
+        if (n > capacity - written) {
+            counts[1] = n;
+            break;
+        }
+        if (sort_slice(w.ts, w.ch, n, w.count, ts + written, ch + written)) {
+            w.failed = 1;
+            break;
+        }
+        written += n;
     }
-    for (int64_t i = 0; i < n; i++) {
-        out_ts[i] = (int64_t)((uint64_t)lo + (keys[i] >> 4));
-        out_ch[i] = channel_of[keys[i] & 15];
-    }
+    free(w.times);
+    free(w.section);
+    free(w.f);
+    free(w.ts);
+    free(w.ch);
+    free(w.count);
+    free(w.dark_ts);
+    free(w.dark_ch);
+    counts[0] = written;
+    return w.failed ? -1 : s;
 }
+#endif
 
 /* Stable insertion sort of (ts, ch) by ts, in place. Each tag moves past
  * the earlier tags with a strictly larger time, so equal times keep their

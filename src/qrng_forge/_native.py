@@ -2,12 +2,13 @@
 
 The kernels and the numpy references they must match bit for bit:
 
-* ``qf_slice_signal``, ``qf_thin`` and ``qf_jitter``: one source slice's
-  signal tags, efficiency thinning and timing jitter (``source._slice_py``,
-  the per-slice numpy code)
-* ``qf_slice_keys`` and ``qf_slice_unpack``: a slice's tags packed with
-  their rank in the slice, for a value sort in numpy, and unpacked into
-  the output (``source._slice_order``)
+* ``qf_simulate``: a contiguous range of source slices in one call, with
+  the GIL released (``source._slice_py``, slice by slice). Each slice draws
+  from its own Philox, keyed by ``qf_slice_key`` as ``source._slice_rngs``
+  keys it (numpy's ``SeedSequence``), through numpy's own distribution
+  functions, linked from ``numpy/random/lib/libnpyrandom.a``; routing,
+  thinning, jitter and the stable sort of the slice (``qf_slice_sort``,
+  against ``source._slice_order``) run in C
 * ``qf_settle``: the insertion pass that settles the concatenated slices
   into one time-ordered stream (``source._settle_py``, a stable argsort)
 * ``qf_dead_time``: per-channel dead time (``source._dead_time_keep_py``)
@@ -25,21 +26,24 @@ The kernels and the numpy references they must match bit for bit:
   cumulative-sum maxima and cyclic pattern counts
   (``randtests._bit_stats_py``, the numpy statistics test by test)
 
-The kernels called once per slice or per stream take raw
-addresses (``c_void_p``) rather than ``ndpointer`` arguments, whose
-conversion costs several microseconds per array. Their Python wrappers get
-each address from :func:`address`, which checks dtype, contiguity and size
-first, so no check is lost.
+The kernels called once per chunk or per stream take raw addresses
+(``c_void_p``) rather than ``ndpointer`` arguments, whose conversion costs
+several microseconds per array. Their Python wrappers get each address
+from :func:`address`, which checks dtype, contiguity and size first, so no
+check is lost.
 
 The system ``gcc`` compiles the source into a per-user cache directory,
 ``$XDG_CACHE_HOME/qrng_forge`` (``~/.cache/qrng_forge`` by default). The
-library's file name hashes the source, the compiler, the flags and the
-machine type, so an edited source builds a new library while a second
-process loads the one already built. A build is written to a temporary
-file and renamed into place, so a process never loads a partial library.
+library's file name hashes the source, the compiler, the flags, the machine
+type, numpy's include path and the bytes of its ``libnpyrandom.a``, so an
+edited source or another numpy builds a new library, while a second process
+loads the one already built. A build is written to a temporary file and
+renamed into place, so a process never loads a partial library.
 
 :func:`library` returns None, after one warning per process, when no
-compiler works; callers then run their numpy reference kernels.
+compiler works; callers then run their numpy reference kernels. When numpy
+ships no ``libnpyrandom.a``, the library is built without ``qf_simulate``,
+after one warning, and the source runs its numpy reference.
 """
 
 from __future__ import annotations
@@ -60,26 +64,45 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 LIBS = ("-lm",)
+#: numpy's static library of its random distributions, which ``qf_simulate``
+#: links so that it draws exactly as ``numpy.random.Generator`` does.
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 
 class NativeKernelWarning(RuntimeWarning):
     """The C kernels could not be built or loaded; numpy kernels run instead."""
 
 
-def _built_library(gcc: str) -> Path:
-    key = hashlib.sha256(
-        b"\0".join([SOURCE.read_bytes(), gcc.encode(), platform.machine().encode(),
-                    *(flag.encode() for flag in CFLAGS + LIBS)])
+def _build_args(archive: Path | None) -> tuple[str, ...]:
+    """gcc's arguments after ``SOURCE``: ``qf_simulate`` is compiled and
+    linked against ``archive`` unless that is None."""
+    if archive is None:
+        return (*CFLAGS, *LIBS)
+    return (*CFLAGS, f"-I{np.get_include()}", "-DQF_NPYRANDOM", str(archive), *LIBS)
+
+
+def _library_key(gcc: str, archive: Path | None) -> str:
+    """The cache key of a build. It hashes the source, the archive's bytes,
+    the compiler, the machine type and the arguments, numpy's include path
+    among them, so that another numpy builds a library of its own; not the
+    source's path, so that every copy of one source shares a build."""
+    return hashlib.sha256(
+        b"\0".join([SOURCE.read_bytes(), archive.read_bytes() if archive else b"",
+                    gcc.encode(), platform.machine().encode(),
+                    *(arg.encode() for arg in _build_args(archive))])
     ).hexdigest()[:20]
+
+
+def _built_library(gcc: str, archive: Path | None) -> Path:
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qrng_forge"
-    target = cache / f"kernels-{key}.so"
+    target = cache / f"kernels-{_library_key(gcc, archive)}.so"
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([gcc, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS],
+        subprocess.run([gcc, "-o", tmp, str(SOURCE), *_build_args(archive)],
                        check=True, capture_output=True, text=True, timeout=120)
         os.replace(tmp, target)
     finally:
@@ -92,25 +115,29 @@ def _built_library(gcc: str) -> Path:
 def library() -> ctypes.CDLL | None:
     """The loaded kernel library, or None when it cannot be built here."""
     gcc = shutil.which("gcc")
+    archive = NPYRANDOM if NPYRANDOM.is_file() else None
     try:
         if gcc is None:
             raise FileNotFoundError("gcc not found on PATH")
-        lib = ctypes.CDLL(str(_built_library(gcc)))
+        lib = ctypes.CDLL(str(_built_library(gcc, archive)))
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(f"C kernels unavailable, numpy kernels run instead: {detail}",
                       NativeKernelWarning, stacklevel=2)
         return None
+    if archive is None:
+        warnings.warn(f"{NPYRANDOM} not found: the source simulation runs its numpy reference",
+                      NativeKernelWarning, stacklevel=2)
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     n = ctypes.c_int64
     p = ctypes.c_void_p
+    u64 = ctypes.c_uint64
+    f64 = ctypes.c_double
     for name, argtypes, restype in (
-        ("qf_slice_signal", [p, p, n, p, n, p, n, n, p, p], n),
-        ("qf_thin", [p, p, n, p, p], n),
-        ("qf_jitter", [p, n, p, ctypes.c_double, n], None),
-        ("qf_slice_keys", [p, p, n, n, p, p], ctypes.c_int),
-        ("qf_slice_unpack", [p, n, n, p, p], None),
+        ("qf_simulate", [u64, n, n, f64, p, p, f64, p, n, n, n, n, p, p, n, p], n),
+        ("qf_slice_key", [u64, u64, p], None),
+        ("qf_slice_sort", [p, p, n, p, p], n),
         ("qf_settle", [p, p, n, n], ctypes.c_int),
         ("qf_dead_time", [p, p, n, n], n),
         ("qf_split_channels", [i64, u8, n, i64, i64], None),
@@ -119,6 +146,8 @@ def library() -> ctypes.CDLL | None:
         ("qf_clmul", [p, p, n, n, p], n),
         ("qf_bit_stats", [p, n, n, n, n, n, n, n, p, p, p, p], n),
     ):
+        if name == "qf_simulate" and archive is None:
+            continue
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = restype

@@ -78,6 +78,7 @@ from .source import (
     TwoPhotonState,
     expected_rates,
     generate_events,
+    simulation_workers,
     state_from_hwp,
 )
 from .timetags import (
@@ -480,9 +481,10 @@ def _stage(name: str, timing: dict[str, float], stages: dict[str, dict],
            unit_in: str, unit_out: str):
     """Time one stage into ``timing[name]``, and record its telemetry into
     ``stages[name]``: items in and out (the body sets ``counts["in"]`` and
-    ``counts["out"]`` on the yielded dict), items in per second, and the
-    process's peak resident memory so far. A failure inside the stage raises
-    :class:`StageError` naming it."""
+    ``counts["out"]`` on the yielded dict), items in per second, the
+    process's peak resident memory so far, and any other key the body sets
+    on the dict. A failure inside the stage raises :class:`StageError`
+    naming it."""
     counts = {"in": 0, "out": 0}
     t0 = time.perf_counter()
     try:
@@ -497,6 +499,7 @@ def _stage(name: str, timing: dict[str, float], stages: dict[str, dict],
         "unit_out": unit_out,
         "rate_per_s": counts["in"] / seconds if seconds > 0 else 0.0,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        **{key: value for key, value in counts.items() if key not in ("in", "out")},
     }
 
 
@@ -517,6 +520,7 @@ def run_pipeline(
     with _stage("simulate", timing, stages, "acquisition_s", "tags") as counts:
         stream, _, tag_digest, rates = simulate_to_file(cfg, out_dir)
         counts["in"], counts["out"] = duration_s, len(stream)
+        counts["workers"] = simulation_workers(cfg.source)
     with _stage("coincide", timing, stages, "tags", "raw_bits") as counts:
         raw_bits, cert_coincs, pair_counts, _ = _coincide(cfg, stream, out_dir)
         counts["in"], counts["out"] = len(stream), len(raw_bits)

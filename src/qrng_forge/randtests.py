@@ -361,23 +361,45 @@ def _longest_run_p(st: BitStats) -> float:
     return _igamc((len(cats) - 1) / 2.0, chi2 / 2.0)
 
 
-def _cumulative_sums_p(st: BitStats, reverse: bool = False) -> float:
-    n = st.n
-    if n < 2:
-        raise SequenceLengthError("cumulative sums needs at least 2 bits")
-    z = st.cusum_z[1 if reverse else 0]
+#: _ndtr(x) is exactly 1.0 for x >= _NDTR_ONE, where erfc(-x / sqrt 2) is
+#: within 2.3e-19 of 2, far inside half an ulp of 2, and exactly 0.0 for
+#: x <= _NDTR_ZERO, where erfc(-x / sqrt 2) is below the least subnormal.
+_NDTR_ONE = 9.0
+_NDTR_ZERO = -40.0
+
+
+def _ndtr_steps(n: int, z: int, offset: int, k_first: int, k_last: int) -> float:
+    """fsum over k from ``k_first`` to ``k_last`` of
+    _ndtr((4k + offset + 1) z / sqrt n) - _ndtr((4k + offset - 1) z / sqrt n).
+
+    Only the k whose two arguments are not both at or above _NDTR_ONE, nor
+    both at or below _NDTR_ZERO, are summed, and a margin of one k keeps
+    rounding out of the bounds: the terms left out are exactly 0, and fsum
+    is exact, so the sum is the full one to the last bit.
+    """
+    sqrt_n = math.sqrt(n)
+    c = z / sqrt_n
+    k_first = max(k_first, math.floor((_NDTR_ZERO / c - offset - 1) / 4))
+    k_last = min(k_last, math.ceil((_NDTR_ONE / c - offset + 1) / 4))
+    return math.fsum(
+        _ndtr((4 * k + offset + 1) * z / sqrt_n) - _ndtr((4 * k + offset - 1) * z / sqrt_n)
+        for k in range(k_first, k_last + 1)
+    )
+
+
+def _cusum_p(n: int, z: int) -> float:
+    """The cumulative-sums P-value of maximum excursion ``z`` over ``n`` bits."""
     if z == 0:
         return 1.0
-    sqrt_n = math.sqrt(n)
-    term1 = math.fsum(
-        _ndtr((4 * k + 1) * z / sqrt_n) - _ndtr((4 * k - 1) * z / sqrt_n)
-        for k in range((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
-    )
-    term2 = math.fsum(
-        _ndtr((4 * k + 3) * z / sqrt_n) - _ndtr((4 * k + 1) * z / sqrt_n)
-        for k in range((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
-    )
+    term1 = _ndtr_steps(n, z, 0, (-n // z + 1) // 4, (n // z - 1) // 4)
+    term2 = _ndtr_steps(n, z, 2, (-n // z - 3) // 4, (n // z - 1) // 4)
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
+
+
+def _cumulative_sums_p(st: BitStats, reverse: bool = False) -> float:
+    if st.n < 2:
+        raise SequenceLengthError("cumulative sums needs at least 2 bits")
+    return _cusum_p(st.n, st.cusum_z[1 if reverse else 0])
 
 
 def _psi_sq(st: BitStats, m: int) -> float:

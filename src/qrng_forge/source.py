@@ -25,10 +25,15 @@ Tags are ordered by time. Equal timestamps keep slice order; within a
 slice the dark tags come first, by channel code, followed by the detected
 signal tags in the order U1, D2, U2, D1, C1, C2.
 
-Each slice is built by the C kernels of ``_kernels.c`` (:class:`_SliceC`)
-or, as their reference and when no compiler is present, by per-slice
-numpy code (:func:`_slice_py`). Both make the same draws in the same order
-and give byte-identical streams. The slices go into one buffer, which an
+The slices are cut into chunks of ``CHUNK_SLICES``, and each chunk is one
+call of the C kernel ``qf_simulate``, with no Python per slice. The kernel
+keys each slice's Philox as numpy's ``SeedSequence`` does and draws through
+numpy's own distribution code (``libnpyrandom.a``), so it makes the draws of
+the per-slice numpy reference :func:`_slice_py` bit for bit; that reference
+runs when no compiler is present. ctypes releases the GIL for each call, so
+the chunks run on one thread per CPU this process may use, and they are
+appended in slice order: the stream does not depend on the number of
+threads or on the chunk size. The slices go into one buffer, which an
 insertion pass settles into time order in place (slices overlap only where
 jitter carries a tag across a slice edge), and dead time then compacts it
 in place.
@@ -37,6 +42,8 @@ in place.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -47,6 +54,11 @@ from .timetags import Channel, TagStream
 
 #: Fixed time-slice width for seeded event generation (1 ms of stream time).
 SLICE_PS = 10**9
+
+#: Slices per ``qf_simulate`` call, the unit of work of a simulation thread.
+#: Small chunks keep the scratch held at once small: a process that simulates
+#: again and again keeps its threads' freed scratch resident.
+CHUNK_SLICES = 8
 
 #: Hard cap on expected generated pairs per run.
 PAIR_BUDGET = 2**40
@@ -409,7 +421,7 @@ class _SliceModel:
     config: SourceConfig
     cum_probs: np.ndarray  # (settings, 4) float64
     eta: np.ndarray
-    dark: np.ndarray
+    dark_per_ps: np.ndarray  # dark counts per picosecond, per channel
     dark_channels: tuple[int, ...]  # channels with a dark rate above 0
 
     @classmethod
@@ -421,15 +433,25 @@ class _SliceModel:
                           for t1, t2 in sched.settings)
         ])
         dark = config.dark_array()
-        return cls(config, cum_probs, config.efficiency_array(), dark,
+        return cls(config, cum_probs, config.efficiency_array(), dark * 1e-12,
                    tuple(np.flatnonzero(dark > 0).tolist()))
+
+    def kernel_args(self) -> tuple:
+        """The arguments of ``qf_simulate`` before its slice range; the
+        addresses are of this model's arrays."""
+        config = self.config
+        return (config.rng_seed & 0xFFFFFFFFFFFFFFFF, SLICE_PS, config.duration,
+                config.pair_rate * 1e-12, _native.address(self.dark_per_ps, np.float64, len(Channel)),
+                _native.address(self.eta, np.float64, len(Channel)), float(config.jitter_sigma),
+                _native.address(self.cum_probs, np.float64, self.cum_probs.size),
+                len(self.cum_probs), config.analyzer_schedule.dwell)
 
     def dark_tags(self, rng, t0: int, t1: int) -> tuple[list, list]:
         """Dark counts, uniform in [t0, t1), drawn channel by channel."""
         dark_ts: list[np.ndarray] = []
         dark_ch: list[np.ndarray] = []
         for ch in self.dark_channels:
-            n_dark = rng.poisson(self.dark[ch] * 1e-12 * (t1 - t0))
+            n_dark = rng.poisson(self.dark_per_ps[ch] * (t1 - t0))
             if n_dark:
                 dark_ts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
                 dark_ch.append(np.full(n_dark, ch, dtype=np.uint8))
@@ -438,7 +460,7 @@ class _SliceModel:
 
 def _slice_py(model: _SliceModel, rng, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
     """The tags of slice [t0, t1) in time order, by numpy calls only: the
-    reference for :class:`_SliceC`, and what runs without a compiler.
+    reference for ``qf_simulate``, and what runs without a compiler.
 
     Its draws from ``rng``, in this order and with these sizes, define the
     stream: pair count, emission times, sections, one analyzer uniform per
@@ -515,131 +537,120 @@ class _TagBuffer:
             ts[: self.n] = self.ts[: self.n]
             ch[: self.n] = self.ch[: self.n]
         self.ts, self.ch = ts, ch
-        self.ts_p = _native.address(ts, np.int64, capacity, True)
-        self.ch_p = _native.address(ch, np.uint8, capacity, True)
-
-    def reserve(self, k: int) -> None:
-        """Make room for ``k`` more tags after the first ``n``."""
-        if self.n + k > self.ts.size:
-            self._alloc(max(self.n + k, self.ts.size + self.ts.size // 4))
 
     def append(self, ts: np.ndarray, ch: np.ndarray) -> None:
-        self.reserve(ts.size)
-        self.ts[self.n:self.n + ts.size] = ts
-        self.ch[self.n:self.n + ts.size] = ch
-        self.n += ts.size
+        end = self.n + ts.size
+        if end > self.ts.size:
+            self._alloc(max(end, self.ts.size + self.ts.size // 4))
+        self.ts[self.n:end] = ts
+        self.ch[self.n:end] = ch
+        self.n = end
 
 
-class _SliceC:
-    """:func:`_slice_py` with the C kernels: the same draws, in the same
-    order and sizes, and the numpy glue between them replaced by
-    ``qf_slice_signal``, ``qf_thin``, ``qf_jitter``, ``qf_slice_keys`` and
-    ``qf_slice_unpack``, which writes the sorted slice straight into the
-    output buffer. Draws that numpy can write into a buffer go to one
-    reused float scratch, and the kernels work in reused tag scratch, whose
-    addresses are checked once per allocation.
-    """
+def _n_slices(config: SourceConfig) -> int:
+    return (config.duration + SLICE_PS - 1) // SLICE_PS
 
-    def __init__(self, lib, model: _SliceModel):
-        config = model.config
-        self.lib = lib
-        self.model = model
-        self.rate = config.pair_rate * 1e-12
-        self.thin = bool(np.any(model.eta < 1.0))
-        self.sigma = float(config.jitter_sigma)
-        self.duration = config.duration
-        self.dwell = config.analyzer_schedule.dwell
-        self.cum_p = _native.address(model.cum_probs, np.float64, model.cum_probs.size)
-        self.eta_p = _native.address(model.eta, np.float64, len(Channel))
-        self._alloc(1 << 13)
 
-    def _alloc(self, cap: int) -> None:
-        """Scratch for slices of up to ``cap`` tags."""
-        self.ts = np.empty(cap, np.int64)
-        self.ch = np.empty(cap, np.uint8)
-        self.f = np.empty(cap, np.float64)
-        self.keys = np.empty(cap, np.uint64)
-        self.lo = np.empty(1, np.int64)
-        self.ts_p, self.ch_p, self.f_p, self.keys_p, self.lo_p = (
-            _native.address(a, a.dtype, a.size, True)
-            for a in (self.ts, self.ch, self.f, self.keys, self.lo))
+def _expected_tags(config: SourceConfig, duration: int) -> int:
+    """A tag count that ``duration`` ps of ``config``'s acquisition stays
+    under but for a fluctuation of 8 standard deviations."""
+    mean = sum(expected_rates(config).singles.values()) * duration * 1e-12
+    return int(mean + 8 * math.sqrt(mean)) + 4096
 
-    def __call__(self, rng, t0: int, t1: int, tags: _TagBuffer) -> None:
-        lib = self.lib
-        n_pairs = int(rng.poisson(self.rate * (t1 - t0)))
-        times = rng.integers(t0, t1, n_pairs, dtype=np.int64)
-        section = rng.integers(0, 3, n_pairs, dtype=np.int64)
-        if 2 * n_pairs + 1 > self.ts.size:
-            self._alloc(4 * n_pairs + 1)
-        n_c = int(np.count_nonzero(section == 2))
-        rng.random(out=self.f[:n_c])
-        n = lib.qf_slice_signal(
-            _native.address(times, np.int64, n_pairs), _native.address(section, np.int64, n_pairs),
-            n_pairs, self.f_p, n_c, self.cum_p, len(self.model.cum_probs), self.dwell,
-            self.ts_p, self.ch_p)
-        if n < 0:
-            raise ValueError("pair sections must be 0, 1 or 2")
-        if self.thin:
-            rng.random(out=self.f[:n])
-            n = lib.qf_thin(self.ts_p, self.ch_p, n, self.f_p, self.eta_p)
-        if self.sigma > 0 and n:
-            # normal(0, sigma) is sigma times these standard normals, bit for bit
-            rng.standard_normal(out=self.f[:n])
-            lib.qf_jitter(self.ts_p, n, self.f_p, self.sigma, self.duration)
-        dark_ts, dark_ch = self.model.dark_tags(rng, t0, t1)
-        if dark_ts:
-            # the slice's tags are its dark tags, then its signal tags
-            ts = np.concatenate([*dark_ts, self.ts[:n]])
-            self.append_sorted(ts, np.concatenate([*dark_ch, self.ch[:n]]), ts.size - n, tags)
-        else:
-            self.append_sorted(self.ts[:n], self.ch[:n], 0, tags)
 
-    def append_sorted(self, ts: np.ndarray, ch: np.ndarray, n_dark: int, tags: _TagBuffer) -> None:
-        """Append a slice's tags, ``n_dark`` dark tags then its signal tags
-        in group order, to ``tags`` in the order of :func:`_slice_order`:
-        ``qf_slice_keys`` packs each tag with its rank in the slice, numpy
-        sorts the keys by value, and ``qf_slice_unpack`` writes them out."""
-        n = ts.size
-        if n > self.keys.size:
-            self._alloc(n)
-        if self.lib.qf_slice_keys(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n),
-                                  n, n_dark, self.keys_p, self.lo_p):
-            # a span too wide for the keys: sort the slice as the reference does
-            order = _slice_order(ts)
-            tags.append(ts[order], ch[order])
-            return
-        self.keys[:n].sort()
-        tags.reserve(n)
-        self.lib.qf_slice_unpack(self.keys_p, n, int(self.lo[0]), tags.ts_p + 8 * tags.n,
-                                 tags.ch_p + tags.n)
-        tags.n += n
+def _simulate_kernel():
+    """``qf_simulate``, or None when the numpy reference has to run."""
+    return getattr(_native.library(), "qf_simulate", None)
+
+
+def simulation_workers(config: SourceConfig) -> int:
+    """The number of threads that run ``qf_simulate`` for ``config``'s
+    acquisition: one per CPU this process may run on, at most one per chunk
+    of ``CHUNK_SLICES`` slices; 0 when the numpy reference runs instead."""
+    if _simulate_kernel() is None:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, -(-_n_slices(config) // CHUNK_SLICES))
+
+
+def _kernel_chunk(kernel, args: tuple, s0: int, s1: int, ts: np.ndarray, ch: np.ndarray) -> list:
+    """The tags of slices [s0, s1) by ``qf_simulate``, as (ts, ch) pieces in
+    slice order, the first in the scratch ``ts`` and ``ch``. A call that runs
+    out of room returns the slices it finished, and the next one starts at
+    the first it did not, in fresh scratch that holds that slice at least."""
+    pieces = []
+    counts = np.zeros(2, np.int64)
+    while True:
+        capacity = ts.size
+        s0 = kernel(*args, s0, s1, _native.address(ts, np.int64, capacity, True),
+                    _native.address(ch, np.uint8, capacity, True), capacity,
+                    _native.address(counts, np.int64, 2, True))
+        if s0 < 0:
+            raise MemoryError("qf_simulate could not allocate its slice scratch")
+        pieces.append((ts[: counts[0]], ch[: counts[0]]))
+        if s0 == s1:
+            return pieces
+        capacity = max(capacity, int(counts[1]))
+        ts = np.empty(capacity, np.int64)
+        ch = np.empty(capacity, np.uint8)
+
+
+def _simulate_c(kernel, model: _SliceModel, tags: _TagBuffer, workers: int,
+                chunk: int = CHUNK_SLICES, capacity: int | None = None) -> None:
+    """Append every slice of the acquisition to ``tags`` by ``qf_simulate``,
+    ``chunk`` slices a call, on ``workers`` threads. Each call gets its own
+    scratch, of ``capacity`` tags (by default what a chunk is expected to
+    hold), and the calling thread appends the chunks in slice order, with at
+    most ``workers + 1`` of them submitted and not yet appended."""
+    # imported here: concurrent.futures loads logging, about 10 ms and 0.6 MiB
+    # that a process which never simulates need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    args = model.kernel_args()
+    if capacity is None:
+        capacity = _expected_tags(model.config, chunk * SLICE_PS)
+    n_slices = _n_slices(model.config)
+    chunks = [(s, min(s + chunk, n_slices)) for s in range(0, n_slices, chunk)]
+
+    def append(pieces):
+        for ts, ch in pieces:
+            tags.append(ts, ch)
+
+    with ThreadPoolExecutor(workers) as pool:
+        running = deque()
+        for s0, s1 in chunks:
+            # scratch taken here, not in the worker, whose freed heap stays resident
+            running.append(pool.submit(_kernel_chunk, kernel, args, s0, s1,
+                                       np.empty(capacity, np.int64), np.empty(capacity, np.uint8)))
+            if len(running) > workers:
+                append(running.popleft().result())
+        while running:
+            append(running.popleft().result())
 
 
 def generate_events(config: SourceConfig) -> TagStream:
     """Sample one full acquisition into a sorted six-channel TagStream,
     in the tag order stated in the module docstring.
 
-    Each slice is built by :class:`_SliceC` (or, without a compiler, by
-    its reference :func:`_slice_py`) and appended to one buffer, which
-    :func:`_settle` sorts in place and dead time then compacts in place.
+    The slices are built by ``qf_simulate`` on :func:`simulation_workers`
+    threads (or, without it, by its reference :func:`_slice_py`) and
+    appended in slice order to one buffer, which :func:`_settle` sorts in
+    place and dead time then compacts in place.
     """
     if config.expected_pairs() >= PAIR_BUDGET:
         raise EventBudgetError("event budget exceeded")
 
     lib = _native.library()
     model = _SliceModel.of(config)
-    if lib is not None:
-        build = _SliceC(lib, model)
+    tags = _TagBuffer(_expected_tags(config, config.duration))
+    kernel = _simulate_kernel()
+    if kernel is not None:
+        _simulate_c(kernel, model, tags, simulation_workers(config))
     else:
-        def build(rng, t0, t1, tags):
-            tags.append(*_slice_py(model, rng, t0, t1))
-    expected = sum(expected_rates(config).singles.values()) * config.duration * 1e-12
-    tags = _TagBuffer(int(expected + 8 * math.sqrt(expected)) + 4096)
-
-    n_slices = (config.duration + SLICE_PS - 1) // SLICE_PS
-    for s, rng in enumerate(_slice_rngs(config.rng_seed, range(n_slices))):
-        t0 = s * SLICE_PS
-        build(rng, t0, min(t0 + SLICE_PS, config.duration), tags)
+        n_slices = _n_slices(config)
+        for s, rng in enumerate(_slice_rngs(config.rng_seed, range(n_slices))):
+            t0 = s * SLICE_PS
+            tags.append(*_slice_py(model, rng, t0, min(t0 + SLICE_PS, config.duration)))
 
     ts = tags.ts[: tags.n]
     ch = tags.ch[: tags.n]

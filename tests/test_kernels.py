@@ -1,5 +1,6 @@
 """The C kernels against their numpy references, and the kernel cache."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -17,9 +18,10 @@ from qrng_forge import (
     ExtractorParams,
     TagStream,
     _native,
+    encode_stream,
     find_coincidences,
 )
-from qrng_forge import coincidence, randtests, timetags
+from qrng_forge import coincidence, randtests, source, timetags
 from qrng_forge.extract import _hash_blocks
 
 from conftest import naive_toeplitz
@@ -300,11 +302,52 @@ def test_bit_stats_rejects_bad_arguments(rng):
 @needs_gcc
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # a full compile at the library's -O3, since some warnings need the optimizer;
-    # keeps the target-attribute and intrinsic code and every new kernel warning-clean
-    result = subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-O3",
-                             "-c", "-o", str(tmp_path / "kernels.o"), str(_native.SOURCE)],
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    # keeps the target-attribute and intrinsic code and every new kernel warning-clean,
+    # linked against numpy's archive as the library is, and built without it
+    warn = ("-Wall", "-Wextra", "-pedantic", "-Werror")
+    for archive in (_native.NPYRANDOM, None):
+        result = subprocess.run(["gcc", *warn, "-o", str(tmp_path / "kernels.so"), str(_native.SOURCE),
+                                 *_native._build_args(archive)],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+
+@needs_gcc
+def test_missing_archive_warns_once_and_simulates_with_numpy(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+    _native.library.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _native.library() is not None
+            assert source._simulate_kernel() is None
+            cfg = source.SourceConfig(1.0, 10**6, source.TwoPhotonState.bell(),
+                                      source.AnalyzerSchedule.chsh(dwell=10**7), 3 * 10**9, rng_seed=7,
+                                      jitter_sigma=0.0)
+            assert source.simulation_workers(cfg) == 0
+            stream = source.generate_events(cfg)
+        assert [w.category for w in caught] == [_native.NativeKernelWarning]
+        assert "libnpyrandom.a" in str(caught[0].message)
+        # the numpy path writes the pinned stream (test_source.GOLDEN["ties"])
+        assert hashlib.sha256(encode_stream(stream)).hexdigest() == (
+            "0904fdbd15d1359cc98ace23141d67a3ffda706194b10d2f00b46f756ed800d8")
+    finally:
+        _native.library.cache_clear()
+
+
+def test_library_key_hashes_archive_and_numpy_include(tmp_path, monkeypatch):
+    a, b = tmp_path / "a.a", tmp_path / "b.a"
+    a.write_bytes(b"!<arch>\none")
+    b.write_bytes(b"!<arch>\ntwo")
+    key = _native._library_key("gcc", a)
+    assert _native._library_key("gcc", a) == key
+    assert len({key, _native._library_key("gcc", None)}) == 2
+    a.write_bytes(b"!<arch>\ntwo")  # same path, other bytes: an upgraded numpy
+    assert _native._library_key("gcc", a) != key
+    key = _native._library_key("gcc", a)
+    monkeypatch.setattr(np, "get_include", lambda: str(tmp_path / "include"))
+    assert _native._library_key("gcc", a) != key
 
 
 def test_missing_compiler_warns_once_and_falls_back(monkeypatch):

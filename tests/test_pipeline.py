@@ -1,11 +1,12 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrng_forge import _native
+from qrng_forge import _native, source
 from qrng_forge.cli import main
 from qrng_forge.pipeline import (
     ConfigError,
@@ -182,7 +183,7 @@ class TestRunAndManifest:
         assert list(stages) == list(manifest["timing_s"])
         keys = {"items_in", "unit_in", "items_out", "unit_out", "rate_per_s", "peak_rss_mib"}
         for name, row in stages.items():
-            assert set(row) == keys, name
+            assert set(row) == keys | ({"workers"} if name == "simulate" else set()), name
             assert row["rate_per_s"] == pytest.approx(row["items_in"] / manifest["timing_s"][name])
         peaks = [row["peak_rss_mib"] for row in stages.values()]
         assert peaks == sorted(peaks) and peaks[0] > 0  # peak memory so far never falls
@@ -192,6 +193,11 @@ class TestRunAndManifest:
         assert stages["coincide"]["items_out"] == stages["extract"]["items_in"] == len(
             read_bits(out / "raw.bits"))
         assert stages["extract"]["items_out"] == len(read_bits(out / "extracted.bits"))
+        # the threads that ran qf_simulate: one per CPU, at most one per chunk of slices
+        workers = stages["simulate"]["workers"]
+        assert workers == source.simulation_workers(build_config(fast_overrides()).source)
+        n_chunks = -(-400 // source.CHUNK_SLICES)  # 0.4 s is 400 slices
+        assert workers == (min(len(os.sched_getaffinity(0)), n_chunks) if _native.library() else 0)
 
     def test_manifest_digests_are_file_sha256(self, run_result):
         # tags.qtt is hashed as it is written, the other files read back

@@ -15,6 +15,7 @@ from qrng_forge import (
 from qrng_forge.randtests import (
     TEST_IDS,
     SequenceLengthError,
+    _cusum_p,
     _igamc,
     _ndtr,
     approximate_entropy_test,
@@ -209,6 +210,40 @@ class TestClosedForms:
         for z in zs:
             assert close_to(math.erfc(z), float(erfc(z))), z
             assert close_to(_ndtr(z), float(ndtr(z))), z
+
+
+def cusum_p_full(n, z):
+    """The cumulative-sums P-value summed over every k of SP 800-22 (2.13.4)."""
+    if z == 0:
+        return 1.0
+    sqrt_n = math.sqrt(n)
+    term1 = math.fsum(_ndtr((4 * k + 1) * z / sqrt_n) - _ndtr((4 * k - 1) * z / sqrt_n)
+                      for k in range((-n // z + 1) // 4, (n // z - 1) // 4 + 1))
+    term2 = math.fsum(_ndtr((4 * k + 3) * z / sqrt_n) - _ndtr((4 * k + 1) * z / sqrt_n)
+                      for k in range((-n // z - 3) // 4, (n // z - 1) // 4 + 1))
+    return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
+
+
+class TestCusumTerms:
+    """``_cusum_p`` sums only the terms whose two _ndtr values are not both
+    exactly 1.0 or both exactly 0.0; the result is the full sum's to the bit."""
+
+    def test_ndtr_flat_beyond_the_bounds(self):
+        from qrng_forge.randtests import _NDTR_ONE, _NDTR_ZERO
+
+        for x in np.linspace(0, 1000, 10_001):
+            assert _ndtr(_NDTR_ONE + x) == 1.0 and _ndtr(_NDTR_ZERO - x) == 0.0, x
+
+    @pytest.mark.parametrize("n, zs", [
+        (100, range(1, 101)),
+        (10**5, range(1, 10**5 + 1, 3)),
+        # the full sums of small z are long (n / 2z terms); every z is checked
+        # up to 40, and z from there on at a stride that hits odd and even z
+        (10**6, [*range(1, 41), *range(41, 10**6, 1999), 10**6 - 1, 10**6]),
+    ])
+    def test_equals_full_sum(self, n, zs):
+        for z in zs:
+            assert _cusum_p(n, z) == cusum_p_full(n, z), (n, z)
 
 
 class TestUniformityAndProportion:

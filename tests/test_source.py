@@ -305,6 +305,21 @@ class TestSliceRng:
                 assert rng.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
                 assert rng.bit_generator.state["has_uint32"] == 1
 
+    @needs_gcc
+    def test_c_slice_key_equals_seed_sequence(self, rng):
+        # qf_slice_key ports SeedSequence's mixing: the 11 x 20 grid above, then
+        # 10^4 random pairs whose values take one or two 32-bit words
+        lib = _native.library()
+        pairs = [(seed & (2**64 - 1), s) for seed in self.SEEDS for s in self.SLICES]
+        for _ in range(10**4):  # shifted right by 0 to 63 bits: every magnitude
+            pairs.append((int(rng.integers(0, 2**64, dtype=np.uint64)) >> int(rng.integers(0, 64)),
+                          int(rng.integers(0, 2**63)) >> int(rng.integers(0, 63))))
+        key = np.empty(2, np.uint64)
+        for seed, s in pairs:
+            lib.qf_slice_key(seed, s, _native.address(key, np.uint64, 2, True))
+            want = np.random.SeedSequence([seed, s]).generate_state(2, np.uint64)
+            assert np.array_equal(key, want), (seed, s)
+
 
 class TestNoiseMonotonicity:
     def test_noise_p_raises_diagonal_visibility(self):
@@ -350,6 +365,7 @@ def slice_kernel_configs(rng):
     yield small_config(  # dark counts only
         pair_rate_coeff=0.0, dark_rate=10**6, duration=2 * SLICE_PS, rng_seed=4,
     )
+    yield small_config(**GOLDEN["wide_jitter"][0])  # tags clipped to 0 and the duration
     for seed in range(5, 11):
         yield small_config(
             pair_rate_coeff=float(rng.choice([10**3, 10**5, 3 * 10**6])),
@@ -367,25 +383,65 @@ def slice_kernel_configs(rng):
         )
 
 
+def kernel_slices(cfg, workers, chunk, capacity=None):
+    """The concatenated slices of ``cfg`` from ``qf_simulate``, before settling."""
+    model = source._SliceModel.of(cfg)
+    tags = source._TagBuffer(16)  # grows as chunks arrive
+    source._simulate_c(source._simulate_kernel(), model, tags, workers, chunk, capacity)
+    return tags.ts[:tags.n], tags.ch[:tags.n]
+
+
 @needs_gcc
 class TestSliceKernels:
-    """The C slice path (``_SliceC``, ``_settle``, dead time) against the
+    """The C slice path (``qf_simulate``, ``_settle``, dead time) against the
     numpy reference it replaces."""
 
     def test_slices_equal_numpy_reference(self, rng):
-        lib = _native.library()
+        kernel = source._simulate_kernel()
+        assert kernel is not None
         for cfg in slice_kernel_configs(rng):
             model = source._SliceModel.of(cfg)
-            fast = source._SliceC(lib, model)
-            tags = source._TagBuffer(16)  # grows as slices arrive
-            n_slices = (cfg.duration + SLICE_PS - 1) // SLICE_PS
-            for s, rng in enumerate(source._slice_rngs(cfg.rng_seed, range(n_slices))):
+            for s in range((cfg.duration + SLICE_PS - 1) // SLICE_PS):
                 t0, t1 = s * SLICE_PS, min((s + 1) * SLICE_PS, cfg.duration)
-                start = tags.n
-                fast(rng, t0, t1, tags)
+                pieces = source._kernel_chunk(kernel, model.kernel_args(), s, s + 1,
+                                              np.empty(64, np.int64), np.empty(64, np.uint8))
+                got_ts = np.concatenate([ts for ts, _ in pieces])
+                got_ch = np.concatenate([ch for _, ch in pieces])
                 want_ts, want_ch = source._slice_py(model, fresh_slice_rng(cfg.rng_seed, s), t0, t1)
-                assert np.array_equal(tags.ts[start:tags.n], want_ts), (cfg, s)
-                assert np.array_equal(tags.ch[start:tags.n], want_ch), (cfg, s)
+                assert np.array_equal(got_ts, want_ts), (cfg, s)
+                assert np.array_equal(got_ch, want_ch), (cfg, s)
+
+    def test_stream_independent_of_workers_and_chunks(self):
+        # the appended slices, before settling, for 1 and 2 threads, 5 threads
+        # on fewer CPUs, and chunks of 1, 7 and all slices
+        configs = [small_config(**GOLDEN["dark_eff_dead"][0]),
+                   small_config(**GOLDEN["wide_jitter"][0]),
+                   small_config(duration=23 * SLICE_PS + 5, rng_seed=12, jitter_sigma=100.0)]
+        for cfg in configs:
+            n_slices = (cfg.duration + SLICE_PS - 1) // SLICE_PS
+            want_ts, want_ch = kernel_slices(cfg, 1, n_slices)
+            assert want_ts.size > 0
+            for workers in (1, 2, 5):
+                for chunk in (1, 7, n_slices):
+                    got_ts, got_ch = kernel_slices(cfg, workers, chunk)
+                    assert np.array_equal(got_ts, want_ts), (cfg, workers, chunk)
+                    assert np.array_equal(got_ch, want_ch), (cfg, workers, chunk)
+
+    def test_scratch_too_small_for_a_slice(self):
+        # one tag of scratch: every call stops at a slice that does not fit,
+        # the next starts there in scratch grown to hold it
+        cfg = small_config(**GOLDEN["dark_eff_dead"][0])
+        want_ts, want_ch = kernel_slices(cfg, 1, 1)
+        n_slices = (cfg.duration + SLICE_PS - 1) // SLICE_PS
+        for workers, chunk, capacity in ((1, n_slices, 1), (2, 2, 1), (1, n_slices, want_ts.size // 2)):
+            got_ts, got_ch = kernel_slices(cfg, workers, chunk, capacity)
+            assert np.array_equal(got_ts, want_ts), (workers, chunk, capacity)
+            assert np.array_equal(got_ch, want_ch), (workers, chunk, capacity)
+        model = source._SliceModel.of(cfg)
+        pieces = source._kernel_chunk(source._simulate_kernel(), model.kernel_args(), 0, n_slices,
+                                      np.empty(1, np.int64), np.empty(1, np.uint8))
+        # the first call finishes no slice, and the later ones resume
+        assert pieces[0][0].size == 0 and len(pieces) > 2
 
     def test_streams_equal_numpy_backend(self, rng, monkeypatch):
         configs = list(slice_kernel_configs(rng))
@@ -394,33 +450,36 @@ class TestSliceKernels:
         for cfg, got in zip(configs, fast):
             assert got == encode_stream(generate_events(cfg)), cfg
 
-    def test_append_sorted_equals_slice_order(self, rng):
-        fast = source._SliceC(_native.library(), source._SliceModel.of(small_config()))
-        big = 2**60
+    def test_slice_sort_equals_slice_order(self, rng):
+        lib = _native.library()
+        big = 2**62
+        clustered = np.concatenate([rng.integers(0, 1000, 3000), [10**12]])
         cases = [
-            (np.empty(0, np.int64), np.empty(0, np.uint8), 0),
-            # equal times across dark and signal tags and across groups
-            (np.array([5, 5, 5, 5, 5, 5, 5, 5]), np.array([4, 0, 0, 3, 1, 2, 4, 5]), 2),
-            (rng.integers(0, 30, 3000), rng.integers(0, 6, 3000), 500),
-            (rng.integers(10**9, 2 * 10**9, 6000), rng.integers(0, 6, 6000), 17),
-            # a span that uses most of the packed key's 59 time bits
-            (np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]), np.array([1, 2, 3, 4, 5, 0]), 1),
-            # a span too wide for the packed keys: the numpy fallback
-            (np.array([big, 0, big, 1]), np.array([1, 2, 3, 4]), 1),
+            np.empty(0, np.int64),
+            np.array([5]),
+            # equal times, within and across the buckets of the first pass
+            np.array([5, 5, 5, 5, 5, 5, 5, 5]),
+            rng.integers(0, 30, 3000),
+            rng.integers(10**9, 2 * 10**9, 6000),
+            np.sort(rng.integers(0, 10**9, 5000))[::-1].copy(),
+            # spans of up to 63 bits
+            np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]),
+            np.array([big, 0, big, 1]),
+            np.array([2**63 - 1, 0, 7, 2**63 - 1, 7]),
+            # one bucket holds all but one tag: the insertion pass gives up and
+            # the radix sort finishes
+            clustered, clustered[::-1].copy(),
         ]
-        for ts, ch, n_dark in cases:
+        for ts in cases:
             ts = ts.astype(np.int64)
-            ch = ch.astype(np.uint8)
-            # dark tags come by channel code, signal tags in group order
-            # U1, D2, U2, D1, C1, C2
-            ch[:n_dark].sort()
-            ch[n_dark:] = ch[n_dark:][np.argsort(np.array([0, 2, 3, 1, 4, 5])[ch[n_dark:]],
-                                                 kind="stable")]
-            tags = source._TagBuffer(4)
-            fast.append_sorted(ts, ch, n_dark, tags)
+            ch = rng.integers(0, 6, ts.size).astype(np.uint8)
+            out_ts, out_ch = np.empty_like(ts), np.empty_like(ch)
+            assert lib.qf_slice_sort(_native.address(ts, np.int64, ts.size),
+                                     _native.address(ch, np.uint8, ts.size), ts.size,
+                                     _native.address(out_ts, np.int64, ts.size, True),
+                                     _native.address(out_ch, np.uint8, ts.size, True)) == 0
             order = source._slice_order(ts)
-            assert np.array_equal(tags.ts[:tags.n], ts[order])
-            assert np.array_equal(tags.ch[:tags.n], ch[order])
+            assert np.array_equal(out_ts, ts[order]) and np.array_equal(out_ch, ch[order]), ts
 
     def test_settle_equals_stable_argsort(self, rng):
         lib = _native.library()
