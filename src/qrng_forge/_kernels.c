@@ -45,97 +45,53 @@ static inline int64_t pick(int c, int64_t i, int64_t j)
  * distribution code, so that it makes source._slice_py's draws bit for bit.
  */
 
-int qf_settle(int64_t *ts, uint8_t *ch, int64_t n, int64_t max_moves);
-
 #define RADIX_BITS 11
 #define RADIX (1 << RADIX_BITS)
 
-/* Stable LSD radix sort of (ts, ch)[0:n] by time, in place, for times in
- * [lo, lo + span]: RADIX_BITS bits of t - lo a pass, and a pass whose digit
- * every key shares is skipped. Returns 0, or -1 when its scratch cannot be
- * allocated. */
-static int radix_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t lo, uint64_t span)
-{
-    uint64_t *key[2] = {malloc(2 * n * sizeof **key), NULL};
-    uint8_t *kch[2] = {malloc(2 * n), NULL};
-    if (!key[0] || !kch[0]) {
-        free(key[0]);
-        free(kch[0]);
-        return -1;
-    }
-    key[1] = key[0] + n;
-    kch[1] = kch[0] + n;
-    int64_t count[RADIX];
-    for (int64_t i = 0; i < n; i++)
-        key[0][i] = (uint64_t)ts[i] - (uint64_t)lo;
-    memcpy(kch[0], ch, n);
-    int src = 0;
-    for (int shift = 0; shift < 64 && span >> shift; shift += RADIX_BITS) {
-        const uint64_t *k = key[src];
-        memset(count, 0, sizeof count);
-        for (int64_t i = 0; i < n; i++)
-            count[k[i] >> shift & (RADIX - 1)]++;
-        if (count[k[0] >> shift & (RADIX - 1)] == n)
-            continue;
-        for (int64_t d = 0, sum = 0; d < RADIX; d++) {
-            const int64_t c = count[d];
-            count[d] = sum;
-            sum += c;
-        }
-        uint64_t *to = key[!src];
-        const uint8_t *c = kch[src];
-        uint8_t *to_ch = kch[!src];
-        for (int64_t i = 0; i < n; i++) {
-            const int64_t j = count[k[i] >> shift & (RADIX - 1)]++;
-            to[j] = k[i];
-            to_ch[j] = c[i];
-        }
-        src = !src;
-    }
-    for (int64_t i = 0; i < n; i++)
-        ts[i] = (int64_t)((uint64_t)lo + key[src][i]);
-    memcpy(ch, kch[src], n);
-    free(key[0]);
-    free(kch[0]);
-    return 0;
-}
-
-/* Writes (ts, ch)[0:n] to (out_ts, out_ch) in time order, equal times in
- * their given order. One stable counting pass puts the tags in between n / 2
- * and n buckets of equal time width (count is scratch of n + 1 items), and
- * qf_settle's insertion pass orders each bucket: linear work for the
- * near-uniform times of a slice. When the buckets are too uneven for that,
- * the insertion pass stops after n moves and radix_sort finishes the sort.
- * No pass reorders equal times. Returns 0, or -1 when radix_sort's scratch
- * cannot be allocated. */
-static int sort_slice(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *count,
-                      int64_t *out_ts, uint8_t *out_ch)
+/* Stable LSD radix sort of (ts, ch)[0:n] by time into (out_ts, out_ch),
+ * RADIX_BITS bits of t - lo a pass, lo the least time. The passes move the
+ * tags back and forth between the two pairs of arrays, so (ts, ch) is
+ * overwritten, and a pass whose digit every tag shares is skipped. */
+static void sort_slice(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
 {
     if (n <= 0)
-        return 0;
+        return;
     int64_t lo = ts[0], hi = ts[0];
     for (int64_t i = 1; i < n; i++) {
         lo = ts[i] < lo ? ts[i] : lo;
         hi = ts[i] > hi ? ts[i] : hi;
     }
     const uint64_t span = (uint64_t)hi - (uint64_t)lo;
-    int bucket_bits = 0, shift = 0;
-    while ((int64_t)2 << bucket_bits <= n)
-        bucket_bits++;
-    while (span >> shift >> bucket_bits)
-        shift++;
-    const int64_t buckets = ((int64_t)1 << bucket_bits) + 1;
-    memset(count, 0, buckets * sizeof *count);
-    for (int64_t i = 0; i < n; i++)
-        count[(((uint64_t)ts[i] - (uint64_t)lo) >> shift) + 1]++;
-    for (int64_t b = 1; b < buckets; b++)
-        count[b] += count[b - 1];
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t j = count[((uint64_t)ts[i] - (uint64_t)lo) >> shift]++;
-        out_ts[j] = ts[i];
-        out_ch[j] = ch[i];
+    int64_t *t[2] = {ts, out_ts};
+    uint8_t *c[2] = {ch, out_ch};
+    int64_t count[RADIX];
+    int src = 0;
+    for (int shift = 0; shift < 64 && span >> shift; shift += RADIX_BITS) {
+        const int64_t *from = t[src];
+        memset(count, 0, sizeof count);
+        for (int64_t i = 0; i < n; i++)
+            count[((uint64_t)from[i] - (uint64_t)lo) >> shift & (RADIX - 1)]++;
+        if (count[((uint64_t)from[0] - (uint64_t)lo) >> shift & (RADIX - 1)] == n)
+            continue;
+        for (int64_t d = 0, sum = 0; d < RADIX; d++) {
+            const int64_t k = count[d];
+            count[d] = sum;
+            sum += k;
+        }
+        const uint8_t *from_ch = c[src];
+        int64_t *to = t[!src];
+        uint8_t *to_ch = c[!src];
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t j = count[((uint64_t)from[i] - (uint64_t)lo) >> shift & (RADIX - 1)]++;
+            to[j] = from[i];
+            to_ch[j] = from_ch[i];
+        }
+        src = !src;
     }
-    return qf_settle(out_ts, out_ch, n, n) ? 0 : radix_sort(out_ts, out_ch, n, lo, span);
+    if (src == 0) {
+        memcpy(out_ts, ts, n * sizeof *ts);
+        memcpy(out_ch, ch, n);
+    }
 }
 
 /* The sort of one slice's tags on its own, for tests: (out_ts, out_ch) get
@@ -144,9 +100,16 @@ static int sort_slice(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *
 int64_t qf_slice_sort(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *out_ts,
                       uint8_t *out_ch)
 {
-    int64_t *count = malloc((n + 1) * sizeof *count);
-    const int64_t status = count ? sort_slice(ts, ch, n, count, out_ts, out_ch) : -1;
-    free(count);
+    int64_t *scratch_ts = malloc((n + 1) * sizeof *scratch_ts);
+    uint8_t *scratch_ch = malloc(n + 1);
+    const int64_t status = scratch_ts && scratch_ch ? 0 : -1;
+    if (status == 0) {
+        memcpy(scratch_ts, ts, n * sizeof *ts);
+        memcpy(scratch_ch, ch, n);
+        sort_slice(scratch_ts, scratch_ch, n, out_ts, out_ch);
+    }
+    free(scratch_ts);
+    free(scratch_ch);
     return status;
 }
 
@@ -360,12 +323,12 @@ static void *regrow(void *p, size_t bytes, int *failed)
 }
 
 /* The scratch of one qf_simulate call, grown as its slices need: pair draws
- * for cap_pairs pairs, the slice's tags and bucket counts for cap_tags tags,
+ * for cap_pairs pairs, the slice's tags for cap_tags tags (the sort's scratch),
  * and dark tags for cap_dark. */
 typedef struct {
     uint64_t *times, *section, *dark_ts;
     double *f;
-    int64_t *ts, *count;
+    int64_t *ts;
     uint8_t *ch, *dark_ch;
     int64_t cap_pairs, cap_tags, cap_dark;
     int failed;
@@ -389,7 +352,6 @@ static void reserve_tags(slice_scratch *w, int64_t n)
     const int64_t cap = n + n / 2;
     w->ts = regrow(w->ts, cap * sizeof *w->ts, &w->failed);
     w->ch = regrow(w->ch, cap, &w->failed);
-    w->count = regrow(w->count, (cap + 1) * sizeof *w->count, &w->failed);
     w->cap_tags = w->failed ? w->cap_tags : cap;
 }
 
@@ -496,10 +458,7 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
             counts[1] = n;
             break;
         }
-        if (sort_slice(w.ts, w.ch, n, w.count, ts + written, ch + written)) {
-            w.failed = 1;
-            break;
-        }
+        sort_slice(w.ts, w.ch, n, ts + written, ch + written);
         written += n;
     }
     free(w.times);
@@ -507,7 +466,6 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
     free(w.f);
     free(w.ts);
     free(w.ch);
-    free(w.count);
     free(w.dark_ts);
     free(w.dark_ch);
     counts[0] = written;

@@ -235,7 +235,9 @@ class TestGoldenStreams:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_digest_with_reference_slice_sort(self, name, monkeypatch):
-        # the stable argsort that slices fall back to when their key does not fit
+        # the numpy path, its slices sorted by the stable argsort that
+        # _slice_order falls back to when its packed key does not fit
+        monkeypatch.setattr(_native, "library", lambda: None)
         monkeypatch.setattr(source, "_slice_order", lambda ts: np.argsort(ts, kind="stable"))
         kwargs, digest = GOLDEN[name]
         assert stream_digest(small_config(**kwargs)) == digest
@@ -457,17 +459,20 @@ class TestSliceKernels:
         cases = [
             np.empty(0, np.int64),
             np.array([5]),
-            # equal times, within and across the buckets of the first pass
+            # equal times: no pass runs, and the input is copied out
             np.array([5, 5, 5, 5, 5, 5, 5, 5]),
+            # one, two and three passes of 11 bits
             rng.integers(0, 30, 3000),
+            rng.integers(0, 10**6, 4000),
             rng.integers(10**9, 2 * 10**9, 6000),
             np.sort(rng.integers(0, 10**9, 5000))[::-1].copy(),
+            # a middle pass whose digit every tag shares is skipped
+            np.array([2**22 + 3, 5, 2**22, 0, 5]),
             # spans of up to 63 bits
             np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]),
             np.array([big, 0, big, 1]),
             np.array([2**63 - 1, 0, 7, 2**63 - 1, 7]),
-            # one bucket holds all but one tag: the insertion pass gives up and
-            # the radix sort finishes
+            # all but one tag within 1000 ps: most passes put them in one digit
             clustered, clustered[::-1].copy(),
         ]
         for ts in cases:
