@@ -5,7 +5,7 @@
  *   qf_simulate        source._slice_py, slice by slice: a range of source
  *                      slices, each drawn by numpy's own distribution code
  *                      (libnpyrandom.a) from a Philox keyed as
- *                      source._slice_rngs keys it, routed, thinned, jittered
+ *                      source._slice_rng keys it, routed, thinned, jittered
  *                      and sorted in C; built only when numpy's archive is
  *                      there to link (QF_NPYRANDOM)
  *   qf_slice_key       numpy's SeedSequence([seed, s]).generate_state(2, uint64)
@@ -52,7 +52,7 @@ static inline int64_t pick(int c, int64_t i, int64_t j)
  * RADIX_BITS bits of t - lo a pass, lo the least time. The passes move the
  * tags back and forth between the two pairs of arrays, so (ts, ch) is
  * overwritten, and a pass whose digit every tag shares is skipped. */
-static void sort_slice(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
+void qf_slice_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
 {
     if (n <= 0)
         return;
@@ -92,25 +92,6 @@ static void sort_slice(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uin
         memcpy(out_ts, ts, n * sizeof *ts);
         memcpy(out_ch, ch, n);
     }
-}
-
-/* The sort of one slice's tags on its own, for tests: (out_ts, out_ch) get
- * (ts, ch)[0:n] in stable time order. Returns 0, or -1 when the scratch
- * cannot be allocated. */
-int64_t qf_slice_sort(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *out_ts,
-                      uint8_t *out_ch)
-{
-    int64_t *scratch_ts = malloc((n + 1) * sizeof *scratch_ts);
-    uint8_t *scratch_ch = malloc(n + 1);
-    const int64_t status = scratch_ts && scratch_ch ? 0 : -1;
-    if (status == 0) {
-        memcpy(scratch_ts, ts, n * sizeof *ts);
-        memcpy(scratch_ch, ch, n);
-        sort_slice(scratch_ts, scratch_ch, n, out_ts, out_ch);
-    }
-    free(scratch_ts);
-    free(scratch_ch);
-    return status;
 }
 
 /* SeedSequence's hashes (numpy/random/bit_generator.pyx): hashmix folds a
@@ -370,7 +351,7 @@ static void reserve_dark(slice_scratch *w, int64_t n)
  *
  * Slice s covers [s * slice_ps, min((s + 1) * slice_ps, duration)) and draws
  * from a fresh Philox keyed by qf_slice_key(seed, s), as source._slice_py
- * draws from the generator that source._slice_rngs yields, in its order and
+ * draws from the generator source._slice_rng(seed, s), in its order and
  * sizes: the pair count (Poisson, mean rate times the slice's width), the
  * emission times and the sections (bounded integers), one analyzer uniform
  * per section-2 pair, one efficiency uniform per signal tag when some
@@ -458,7 +439,7 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
             counts[1] = n;
             break;
         }
-        sort_slice(w.ts, w.ch, n, ts + written, ch + written);
+        qf_slice_sort(w.ts, w.ch, n, ts + written, ch + written);
         written += n;
     }
     free(w.times);
@@ -476,11 +457,11 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
 /* Stable insertion sort of (ts, ch) by ts, in place. Each tag moves past
  * the earlier tags with a strictly larger time, so equal times keep their
  * order, and the work is linear when few tags are out of place. Once more
- * than max_moves moves have been made it stops, after finishing the tag in
- * hand, and returns 0: the arrays then hold a permutation that kept the
- * order of equal times, which a stable sort completes to the same result.
- * Returns 1 when the arrays are sorted. */
-int qf_settle(int64_t *ts, uint8_t *ch, int64_t n, int64_t max_moves)
+ * than n moves have been made it stops, after finishing the tag in hand,
+ * and returns 0: the arrays then hold a permutation that kept the order of
+ * equal times, which a stable sort completes to the same result. Returns 1
+ * when the arrays are sorted. */
+int qf_settle(int64_t *ts, uint8_t *ch, int64_t n)
 {
     int64_t moves = 0;
     for (int64_t i = 1; i < n; i++) {
@@ -497,7 +478,7 @@ int qf_settle(int64_t *ts, uint8_t *ch, int64_t n, int64_t max_moves)
         ts[j] = t;
         ch[j] = c;
         moves += i - j;
-        if (moves > max_moves)
+        if (moves > n)
             return 0;
     }
     return 1;

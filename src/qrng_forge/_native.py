@@ -4,7 +4,7 @@ The kernels and the numpy references they must match bit for bit:
 
 * ``qf_simulate``: a contiguous range of source slices in one call, with
   the GIL released (``source._slice_py``, slice by slice). Each slice draws
-  from its own Philox, keyed by ``qf_slice_key`` as ``source._slice_rngs``
+  from its own Philox, keyed by ``qf_slice_key`` as ``source._slice_rng``
   keys it (numpy's ``SeedSequence``), through numpy's own distribution
   functions, linked from ``numpy/random/lib/libnpyrandom.a``; routing,
   thinning, jitter and the stable sort of the slice (``qf_slice_sort``,
@@ -26,11 +26,9 @@ The kernels and the numpy references they must match bit for bit:
   cumulative-sum maxima and cyclic pattern counts
   (``randtests._bit_stats_py``, the numpy statistics test by test)
 
-The kernels called once per chunk or per stream take raw addresses
-(``c_void_p``) rather than ``ndpointer`` arguments, whose conversion costs
-several microseconds per array. Their Python wrappers get each address
-from :func:`address`, which checks dtype, contiguity and size first, so no
-check is lost.
+Every kernel takes its arrays as raw addresses (``c_void_p``, typed in
+:data:`KERNELS`), which its Python wrapper gets from :func:`address`; that
+checks dtype, contiguity and size first.
 
 The system ``gcc`` compiles the source into a per-user cache directory,
 ``$XDG_CACHE_HOME/qrng_forge`` (``~/.cache/qrng_forge`` by default). The
@@ -67,6 +65,26 @@ LIBS = ("-lm",)
 #: numpy's static library of its random distributions, which ``qf_simulate``
 #: links so that it draws exactly as ``numpy.random.Generator`` does.
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+_N = ctypes.c_int64
+_P = ctypes.c_void_p
+_U64 = ctypes.c_uint64
+_F64 = ctypes.c_double
+
+#: Every kernel of ``_kernels.c``: its argument types and its return type.
+KERNELS = {
+    "qf_simulate": ([_U64, _N, _N, _F64, _P, _P, _F64, _P, _N, _N, _N, _N, _P, _P, _N, _P], _N),
+    "qf_slice_key": ([_U64, _U64, _P], None),
+    "qf_slice_sort": ([_P, _P, _N, _P, _P], None),
+    "qf_settle": ([_P, _P, _N], ctypes.c_int),
+    "qf_dead_time": ([_P, _P, _N, _N], _N),
+    "qf_split_channels": ([_P, _P, _N, _P, _P], None),
+    "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),
+    "qf_toeplitz": ([_P, _P, _N, _N, _N, _P], _N),
+    "qf_clmul": ([_P, _P, _N, _N, _P], _N),
+    "qf_bit_stats": ([_P, _N, _N, _N, _N, _N, _N, _N, _P, _P, _P, _P], _N),
+}
 
 
 class NativeKernelWarning(RuntimeWarning):
@@ -128,24 +146,7 @@ def library() -> ctypes.CDLL | None:
     if archive is None:
         warnings.warn(f"{NPYRANDOM} not found: the source simulation runs its numpy reference",
                       NativeKernelWarning, stacklevel=2)
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    n = ctypes.c_int64
-    p = ctypes.c_void_p
-    u64 = ctypes.c_uint64
-    f64 = ctypes.c_double
-    for name, argtypes, restype in (
-        ("qf_simulate", [u64, n, n, f64, p, p, f64, p, n, n, n, n, p, p, n, p], n),
-        ("qf_slice_key", [u64, u64, p], None),
-        ("qf_slice_sort", [p, p, n, p, p], n),
-        ("qf_settle", [p, p, n, n], ctypes.c_int),
-        ("qf_dead_time", [p, p, n, n], n),
-        ("qf_split_channels", [i64, u8, n, i64, i64], None),
-        ("qf_match", [i64, n, i64, n, n, i64, i64], n),
-        ("qf_toeplitz", [p, p, n, n, n, p], n),
-        ("qf_clmul", [p, p, n, n, p], n),
-        ("qf_bit_stats", [p, n, n, n, n, n, n, n, p, p, p, p], n),
-    ):
+    for name, (argtypes, restype) in KERNELS.items():
         if name == "qf_simulate" and archive is None:
             continue
         fn = getattr(lib, name)

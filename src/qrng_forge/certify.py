@@ -175,26 +175,14 @@ class ChshResult:
 
 
 def chsh_structure(schedule: AnalyzerSchedule) -> bool:
-    """Whether the schedule is the canonical 16-combination CHSH cycle."""
+    """Whether the schedule is the canonical 16-combination CHSH cycle that
+    :meth:`AnalyzerSchedule.chsh` builds from its own a, a', b and b', every
+    angle within 1e-9 degrees."""
     s = schedule.settings
     if len(s) != 16:
         return False
-    for p in range(4):
-        t1, t2 = s[4 * p]
-        expect = ((t1, t2), (t1, t2 + 90.0), (t1 + 90.0, t2), (t1 + 90.0, t2 + 90.0))
-        for v in range(4):
-            if abs(s[4 * p + v][0] - expect[v][0]) > 1e-9:
-                return False
-            if abs(s[4 * p + v][1] - expect[v][1]) > 1e-9:
-                return False
-    a, b = s[0][0], s[0][1]
-    a_prime, b_prime = s[8][0], s[4][1]
-    return (
-        abs(s[4][0] - a) < 1e-9
-        and abs(s[12][0] - a_prime) < 1e-9
-        and abs(s[8][1] - b) < 1e-9
-        and abs(s[12][1] - b_prime) < 1e-9
-    )
+    canonical = AnalyzerSchedule.chsh(s[0][0], s[8][0], s[0][1], s[4][1], schedule.dwell).settings
+    return all(abs(x - y) <= 1e-9 for got, want in zip(s, canonical) for x, y in zip(got, want))
 
 
 def _bin_counts(times: np.ndarray, schedule: AnalyzerSchedule) -> np.ndarray:

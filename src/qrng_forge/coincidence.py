@@ -135,7 +135,10 @@ def _match(ta, tb, tau):
         return _match_py(ta, tb, tau)
     ia = np.empty(min(ta.size, tb.size), np.int64)
     ib = np.empty_like(ia)
-    k = lib.qf_match(ta, ta.size, tb, tb.size, tau, ia, ib)
+    k = lib.qf_match(_native.address(ta, np.int64, ta.size), ta.size,
+                     _native.address(tb, np.int64, tb.size), tb.size, tau,
+                     _native.address(ia, np.int64, ia.size, True),
+                     _native.address(ib, np.int64, ib.size, True))
     if k < 0:
         raise MemoryError("qf_match could not allocate its work space")
     return ia[:k], ib[:k]

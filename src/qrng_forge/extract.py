@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import secrets
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -68,7 +68,7 @@ class EntropyReport:
 def min_entropy(bits) -> EntropyReport:
     """Empirical min-entropy of a bit sequence (needs >= 10^4 bits), with the
     ones counted from its packed bytes."""
-    seq = bits if isinstance(bits, BitSequence) else BitSequence.from_bits(bits)
+    seq = BitSequence.from_bits(bits)
     n = len(seq)
     if n < 10**4:
         raise ValueError(f"min_entropy needs >= 1e4 bits, got {n}")
@@ -262,8 +262,7 @@ def toeplitz_extract(block, params: ExtractorParams) -> BitSequence:
     Bit-identical to the direct matrix definition regardless of the
     evaluation path chosen internally.
     """
-    if not isinstance(block, BitSequence):
-        block = BitSequence.from_bits(block)
+    block = BitSequence.from_bits(block)
     if len(block) != params.n:
         raise ValueError(f"block holds {len(block)} bits, params expect n={params.n}")
     return _hash_blocks(params, block.packed, 1)
@@ -285,18 +284,7 @@ class ExtractionReport:
     seed_sha256: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "h_min": self.h_min,
-            "n": self.n,
-            "m": self.m,
-            "ratio": self.ratio,
-            "bits_out": self.bits_out,
-            "seconds": self.seconds,
-            "mbps": self.mbps,
-            "bits_in": self.bits_in,
-            "blocks": self.blocks,
-            "seed_sha256": self.seed_sha256,
-        }
+        return asdict(self)
 
 
 def extract_stream(

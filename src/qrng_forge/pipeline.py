@@ -74,6 +74,7 @@ from .extract import extract_stream
 from .randtests import run_battery
 from .source import (
     AnalyzerSchedule,
+    EventBudgetError,
     SourceConfig,
     TwoPhotonState,
     expected_rates,
@@ -194,13 +195,13 @@ class RunConfig:
 def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
     """Resolve defaults plus overrides into a validated RunConfig."""
     values = dict(_DEFAULTS)
-    per_channel_eff: dict[Channel, float] = {}
-    per_channel_dark: dict[Channel, float] = {}
+    # per-channel values, source.<field>.<CH> = v, by field and channel
+    per_channel: dict[str, dict[Channel, float]] = {
+        "source.det_efficiency": {}, "source.dark_rate": {}}
     for key, val in (overrides or {}).items():
-        if key.startswith("source.det_efficiency."):
-            per_channel_eff[_channel(key.rsplit(".", 1)[1])] = float(val)
-        elif key.startswith("source.dark_rate."):
-            per_channel_dark[_channel(key.rsplit(".", 1)[1])] = float(val)
+        field_key, _, name = key.rpartition(".")
+        if field_key in per_channel:
+            per_channel[field_key][_channel(name)] = float(val)
         elif key in values or key in ("source.hwp_theta", "source.duration_ps"):
             values[key] = val
         else:
@@ -246,17 +247,6 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
         # zero-length acquisitions clamp to the 1 ps floor (empty stream)
         duration = max(duration, 1)
 
-        eff = per_channel_eff if per_channel_eff else float(values["source.det_efficiency"])
-        if per_channel_eff:
-            full = {ch: float(values["source.det_efficiency"]) for ch in Channel}
-            full.update(per_channel_eff)
-            eff = full
-        dark = float(values["source.dark_rate"])
-        if per_channel_dark:
-            full_dark = {ch: dark for ch in Channel}
-            full_dark.update(per_channel_dark)
-            dark = full_dark
-
         source = SourceConfig(
             pump_power=float(values["source.pump_power"]),
             pair_rate_coeff=float(values["source.pair_rate_coeff"]),
@@ -264,8 +254,8 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
             analyzer_schedule=schedule,
             duration=duration,
             rng_seed=int(values["source.rng_seed"]),
-            det_efficiency=eff,
-            dark_rate=dark,
+            det_efficiency=_channel_values(values, per_channel, "source.det_efficiency"),
+            dark_rate=_channel_values(values, per_channel, "source.dark_rate"),
             jitter_sigma=float(values["source.jitter_sigma"]),
             dead_time=int(values["source.dead_time"]),
         )
@@ -283,14 +273,13 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
         cert_block = int(values["certifier.block"])
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, EventBudgetError) as exc:
         raise ConfigError(str(exc)) from exc
 
     snapshot = {k: values[k] for k in sorted(values)}
-    for ch, v in per_channel_eff.items():
-        snapshot[f"source.det_efficiency.{ch.name}"] = v
-    for ch, v in per_channel_dark.items():
-        snapshot[f"source.dark_rate.{ch.name}"] = v
+    for field_key, by_channel in per_channel.items():
+        for ch, v in by_channel.items():
+            snapshot[f"{field_key}.{ch.name}"] = v
     return RunConfig(
         source=source,
         coincidence=coincidence,
@@ -300,6 +289,15 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
         output_dir=Path(str(values["output_dir"])),
         snapshot=snapshot,
     )
+
+
+def _channel_values(values: dict, per_channel: dict, key: str):
+    """The scalar ``values[key]``, or, when some channel has a value of its
+    own, a mapping of every channel to that value or else to the scalar."""
+    scalar = float(values[key])
+    if not per_channel[key]:
+        return scalar
+    return {ch: per_channel[key].get(ch, scalar) for ch in Channel}
 
 
 def _channel(name: str) -> Channel:

@@ -210,10 +210,8 @@ def _longest_run_row(n: int):
 
 def _packed(bits) -> tuple[np.ndarray, int]:
     """A BitSequence or 0/1 array-like as MSB-first bytes and its bit count."""
-    if isinstance(bits, BitSequence):
-        return bits.packed, bits.length
-    x = as_bit_array(bits).ravel()
-    return np.packbits(x), x.size
+    seq = BitSequence.from_bits(bits)
+    return seq.packed, seq.length
 
 
 def _bit_stats(packed: np.ndarray, start: int, n: int, block_size: int = BLOCK_SIZE,
@@ -597,9 +595,7 @@ def export_bits(bits, fmt: str = "raw_packed") -> bytes:
     ``ascii01`` is one '0'/'1' character per bit, no separators.
     """
     if fmt == "raw_packed":
-        if isinstance(bits, BitSequence):
-            return bits.to_bytes()
-        return np.packbits(as_bit_array(bits)).tobytes()
+        return BitSequence.from_bits(bits).to_bytes()
     if fmt == "ascii01":
         arr = as_bit_array(bits)
         return (arr + ord("0")).astype(np.uint8).tobytes()

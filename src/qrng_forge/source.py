@@ -19,7 +19,8 @@ exactly ``noise_p``.
 
 Event generation is deterministic for a given ``rng_seed``: emission is
 sampled slice by slice with a counter-based Philox generator keyed on
-(seed, slice index), so results do not depend on how work is scheduled.
+(seed, slice index), :func:`_slice_rng`, so results do not depend on how
+work is scheduled.
 
 Tags are ordered by time. Equal timestamps keep slice order; within a
 slice the dark tags come first, by channel code, followed by the detected
@@ -27,7 +28,7 @@ signal tags in the order U1, D2, U2, D1, C1, C2.
 
 The slices are cut into chunks of ``CHUNK_SLICES``, and each chunk is one
 call of the C kernel ``qf_simulate``, with no Python per slice. The kernel
-keys each slice's Philox as numpy's ``SeedSequence`` does and draws through
+keys each slice's Philox as :func:`_slice_rng` does and draws through
 numpy's own distribution code (``libnpyrandom.a``), so it makes the draws of
 the per-slice numpy reference :func:`_slice_py` bit for bit; that reference
 runs when no compiler is present. ctypes releases the GIL for each call, so
@@ -50,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _native
-from .timetags import Channel, TagStream
+from .timetags import SECTION_PAIRS, Channel, TagStream
 
 #: Fixed time-slice width for seeded event generation (1 ms of stream time).
 SLICE_PS = 10**9
@@ -154,13 +155,15 @@ class AnalyzerSchedule:
     def __post_init__(self):
         if not self.settings:
             raise ValueError("schedule needs at least one setting")
-        if self.dwell <= 0:
+        if not self.dwell > 0:
             raise ValueError("dwell must be a positive picosecond count")
         object.__setattr__(
             self,
             "settings",
             tuple((float(a), float(b)) for a, b in self.settings),
         )
+        if not all(math.isfinite(angle) for setting in self.settings for angle in setting):
+            raise ValueError(f"settings must be finite angles in degrees, got {self.settings}")
 
     @property
     def cycle_ps(self) -> int:
@@ -239,20 +242,23 @@ class SourceConfig:
     dead_time: int = 0  # ps, 0 disables
 
     def __post_init__(self):
-        if self.pump_power <= 0:
-            raise ValueError("pump_power must be > 0 mW")
-        if self.pair_rate_coeff < 0:
-            raise ValueError("pair_rate_coeff must be >= 0")
-        if self.duration <= 0:
+        # written so that NaN fails every check, and infinity each float one
+        if not 0 < self.pump_power < math.inf:
+            raise ValueError(f"pump_power must be finite and > 0 mW, got {self.pump_power}")
+        if not 0 <= self.pair_rate_coeff < math.inf:
+            raise ValueError(f"pair_rate_coeff must be finite and >= 0, got {self.pair_rate_coeff}")
+        if not self.duration > 0:
             raise ValueError("duration must be a positive picosecond count")
-        if self.jitter_sigma < 0 or self.dead_time < 0:
-            raise ValueError("jitter_sigma and dead_time must be >= 0")
+        if not 0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
+        if not self.dead_time >= 0:
+            raise ValueError("dead_time must be >= 0")
         eff = _per_channel(self.det_efficiency)
-        if np.any(eff <= 0) or np.any(eff > 1):
+        if not np.all((eff > 0) & (eff <= 1)):
             raise ValueError("det_efficiency must lie in (0, 1] per channel")
         dark = _per_channel(self.dark_rate)
-        if np.any(dark < 0):
-            raise ValueError("dark_rate must be >= 0 per channel")
+        if not np.all((dark >= 0) & (dark < math.inf)):
+            raise ValueError("dark_rate must be finite and >= 0 per channel")
         if self.expected_pairs() >= PAIR_BUDGET:
             raise EventBudgetError(
                 f"expected {self.expected_pairs():.3g} pairs exceeds budget 2^40"
@@ -312,28 +318,16 @@ def expected_rates(config: SourceConfig) -> RateSummary:
     singles[Channel.C1] = r3 * eta[int(Channel.C1)] * p_c1 + dark[int(Channel.C1)]
     singles[Channel.C2] = r3 * eta[int(Channel.C2)] * p_c2 + dark[int(Channel.C2)]
 
-    coinc = {
-        (Channel.U1, Channel.D2): r3 * eta[0] * eta[3],
-        (Channel.U2, Channel.D1): r3 * eta[1] * eta[2],
-        (Channel.C1, Channel.C2): r3 * eta[4] * eta[5] * p_tt,
-    }
+    coinc = {(a, b): r3 * eta[int(a)] * eta[int(b)] for a, b in SECTION_PAIRS}
+    coinc[(Channel.C1, Channel.C2)] *= p_tt
     return RateSummary(singles, coinc)
 
 
-def _slice_rngs(seed: int, slices):
-    """Yield, for each index s in ``slices``, the generator that draws slice
-    s: one Generator, re-keyed in place before each yield, in the state a
-    fresh ``Generator(Philox(SeedSequence([seed mod 2^64, s])))`` starts in,
-    which is counter 0, an empty buffer and the key that SeedSequence
-    generates. Each yielded state holds until the next one is drawn."""
-    bit_gen = np.random.Philox(0)
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state  # counter 0 and an empty buffer; only the key changes
-    for s in slices:
-        root = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, s])
-        state["state"]["key"] = root.generate_state(2, np.uint64)
-        bit_gen.state = state
-        yield rng
+def _slice_rng(seed: int, s: int) -> np.random.Generator:
+    """The generator that slice ``s`` of an acquisition seeded ``seed``
+    draws from: ``Generator(Philox(SeedSequence([seed mod 2^64, s])))``."""
+    key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, s])
+    return np.random.Generator(np.random.Philox(key))
 
 
 def _dead_time_keep_py(ts: np.ndarray, ch: np.ndarray, dead_time: int) -> np.ndarray:
@@ -385,7 +379,7 @@ def _settle(lib, ts: np.ndarray, ch: np.ndarray) -> bool:
     """
     n = ts.size
     if lib is not None and lib.qf_settle(_native.address(ts, np.int64, n, True),
-                                         _native.address(ch, np.uint8, n, True), n, n):
+                                         _native.address(ch, np.uint8, n, True), n):
         return True
     _settle_py(ts, ch)
     return False
@@ -446,17 +440,6 @@ class _SliceModel:
                 _native.address(self.cum_probs, np.float64, self.cum_probs.size),
                 len(self.cum_probs), config.analyzer_schedule.dwell)
 
-    def dark_tags(self, rng, t0: int, t1: int) -> tuple[list, list]:
-        """Dark counts, uniform in [t0, t1), drawn channel by channel."""
-        dark_ts: list[np.ndarray] = []
-        dark_ch: list[np.ndarray] = []
-        for ch in self.dark_channels:
-            n_dark = rng.poisson(self.dark_per_ps[ch] * (t1 - t0))
-            if n_dark:
-                dark_ts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
-                dark_ch.append(np.full(n_dark, ch, dtype=np.uint8))
-        return dark_ts, dark_ch
-
 
 def _slice_py(model: _SliceModel, rng, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
     """The tags of slice [t0, t1) in time order, by numpy calls only: the
@@ -479,9 +462,9 @@ def _slice_py(model: _SliceModel, rng, t0: int, t1: int) -> tuple[np.ndarray, np
     slice_ch: list[np.ndarray] = []
 
     # direct section pairs: one tag per channel at the emission time
-    for sec, (ca, cb) in ((0, (Channel.U1, Channel.D2)), (1, (Channel.U2, Channel.D1))):
+    for sec in (0, 1):
         t_sec = times[section == sec]
-        for ch in (ca, cb):
+        for ch in SECTION_PAIRS[sec]:
             slice_ts.append(t_sec)
             slice_ch.append(np.full(t_sec.size, int(ch), dtype=np.uint8))
 
@@ -514,7 +497,14 @@ def _slice_py(model: _SliceModel, rng, t0: int, t1: int) -> tuple[np.ndarray, np
         ).astype(np.int64)
         np.clip(ts_sig, 0, config.duration, out=ts_sig)
 
-    dark_ts, dark_ch = model.dark_tags(rng, t0, t1)
+    # dark counts, uniform in [t0, t1), drawn channel by channel
+    dark_ts: list[np.ndarray] = []
+    dark_ch: list[np.ndarray] = []
+    for ch in model.dark_channels:
+        n_dark = rng.poisson(model.dark_per_ps[ch] * (t1 - t0))
+        if n_dark:
+            dark_ts.append(rng.integers(t0, t1, n_dark, dtype=np.int64))
+            dark_ch.append(np.full(n_dark, ch, dtype=np.uint8))
     ts_slice = np.concatenate([*dark_ts, ts_sig])
     ch_slice = np.concatenate([*dark_ch, ch_sig])
     order = _slice_order(ts_slice)
@@ -647,10 +637,10 @@ def generate_events(config: SourceConfig) -> TagStream:
     if kernel is not None:
         _simulate_c(kernel, model, tags, simulation_workers(config))
     else:
-        n_slices = _n_slices(config)
-        for s, rng in enumerate(_slice_rngs(config.rng_seed, range(n_slices))):
+        for s in range(_n_slices(config)):
             t0 = s * SLICE_PS
-            tags.append(*_slice_py(model, rng, t0, min(t0 + SLICE_PS, config.duration)))
+            tags.append(*_slice_py(model, _slice_rng(config.rng_seed, s), t0,
+                                   min(t0 + SLICE_PS, config.duration)))
 
     ts = tags.ts[: tags.n]
     ch = tags.ch[: tags.n]

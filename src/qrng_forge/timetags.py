@@ -76,21 +76,14 @@ class Channel(enum.IntEnum):
         return _PARTNER[self]
 
 
-_PARTNER = {
-    Channel.U1: Channel.D2,
-    Channel.D2: Channel.U1,
-    Channel.U2: Channel.D1,
-    Channel.D1: Channel.U2,
-    Channel.C1: Channel.C2,
-    Channel.C2: Channel.C1,
-}
-
 #: Section pairs that emit correlated photon pairs.
 SECTION_PAIRS = (
     (Channel.U1, Channel.D2),
     (Channel.U2, Channel.D1),
     (Channel.C1, Channel.C2),
 )
+
+_PARTNER = {a: b for pair in SECTION_PAIRS for a, b in (pair, pair[::-1])}
 
 
 @dataclass(frozen=True)
@@ -194,17 +187,20 @@ def _split_channels_np(ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:
     return [ts[ch == int(c)] for c in Channel]
 
 
-def _split_channels_c(lib, ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:
-    """The split of :func:`_split_channels_np` in one pass of ``qf_split_channels``."""
-    counts = np.empty(6, np.int64)
-    out = np.empty(ts.size, np.int64)
-    lib.qf_split_channels(ts, ch, ts.size, counts, out)
-    return np.split(out[: counts.sum()], np.cumsum(counts)[:-1])
-
-
 def _split_channels(ts: np.ndarray, ch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The split of :func:`_split_channels_np`, in one pass of
+    ``qf_split_channels`` when the kernels are built; each part read-only."""
     lib = _native.library()
-    parts = _split_channels_np(ts, ch) if lib is None else _split_channels_c(lib, ts, ch)
+    if lib is None:
+        parts = _split_channels_np(ts, ch)
+    else:
+        n = ts.size
+        counts = np.empty(6, np.int64)
+        out = np.empty(n, np.int64)
+        lib.qf_split_channels(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n,
+                              _native.address(counts, np.int64, 6, True),
+                              _native.address(out, np.int64, n, True))
+        parts = np.split(out[: counts.sum()], np.cumsum(counts)[:-1])
     for part in parts:
         part.setflags(write=False)
     return tuple(parts)
@@ -362,6 +358,9 @@ class BitSequence:
 
     @classmethod
     def from_bits(cls, bits) -> "BitSequence":
+        """A 0/1 array-like packed; a BitSequence, being immutable, as it is."""
+        if isinstance(bits, BitSequence):
+            return bits
         bits = as_bit_array(bits)
         return cls(np.packbits(bits), bits.size)
 

@@ -310,6 +310,18 @@ class TestChshMeasurement:
         scrambled = AnalyzerSchedule(sched.settings[::-1], sched.dwell)
         assert not chsh_structure(scrambled)
 
+    @pytest.mark.parametrize("offset, recognized", [(5e-10, True), (1e-8, False)])
+    def test_structure_tolerance(self, offset, recognized):
+        # one angle moved, in either analyzer of any setting: within 1e-9
+        # degrees of the canonical cycle it still counts, 1e-8 off it does not
+        settings = AnalyzerSchedule.chsh(10.0, 55.0, 77.5, 32.5).settings
+        for k in range(16):
+            for side in (0, 1):
+                moved = [list(setting) for setting in settings]
+                moved[k][side] += offset
+                schedule = AnalyzerSchedule(tuple(map(tuple, moved)), 10**9)
+                assert chsh_structure(schedule) is recognized, (k, side)
+
     def test_simulated_bell_value(self):
         cc, sched, *_ = cert_sim(BELL, duration=3 * 10**12)
         result = chsh_measurement(cc, sched)

@@ -15,6 +15,7 @@ from qrng_forge import (
 from qrng_forge import _native
 from qrng_forge.extract import (
     BlockTooSmallError,
+    ExtractionReport,
     SeedError,
     _FftHasher,
     _fast_len,
@@ -242,6 +243,14 @@ class TestExtractorParams:
 
 
 class TestExtractStream:
+    def test_report_dict(self):
+        report = ExtractionReport(h_min=0.5, n=100, m=40, ratio=0.4, bits_in=300, bits_out=120,
+                                  blocks=3, seconds=2.0, mbps=6e-5, seed_sha256="ab")
+        assert report.to_dict() == {
+            "h_min": 0.5, "n": 100, "m": 40, "ratio": 0.4, "bits_out": 120, "seconds": 2.0,
+            "mbps": 6e-5, "bits_in": 300, "blocks": 3, "seed_sha256": "ab",
+        }
+
     def test_raw_shorter_than_block_rejected(self, rng):
         raw = BitSequence.from_bits(rng.integers(0, 2, 1000, dtype=np.uint8))
         with pytest.raises(ValueError, match="n_block"):

@@ -117,7 +117,47 @@ def run_result(tmp_path_factory):
     return run_pipeline(cfg, out_dir=out), out
 
 
+#: Config keys whose non-finite values must be config errors, each with the
+#: text its message names and any override it needs to take effect. A float
+#: field of SourceConfig or AnalyzerSchedule is named by its check; an integer
+#: key fails in its int() conversion.
+NON_FINITE_KEYS = {
+    "source.pump_power": ("pump_power", {}),
+    "source.pair_rate_coeff": ("pair_rate_coeff", {}),
+    "source.det_efficiency": ("det_efficiency", {}),
+    "source.det_efficiency.C1": ("det_efficiency", {}),
+    "source.dark_rate": ("dark_rate", {}),
+    "source.dark_rate.D2": ("dark_rate", {}),
+    "source.jitter_sigma": ("jitter_sigma", {}),
+    "schedule.a": ("settings", {}),
+    "schedule.a_prime": ("settings", {}),
+    "schedule.b": ("settings", {}),
+    "schedule.b_prime": ("settings", {}),
+    "schedule.fixed": ("settings", {"schedule.kind": "fringe"}),
+    "source.duration_s": ("integer", {}),
+    "source.dead_time": ("integer", {}),
+    "schedule.dwell": ("integer", {}),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_KEYS))
+    def test_non_finite_value_exit_2(self, key, value, tmp_path, capsys):
+        named, extra = NON_FINITE_KEYS[key]
+        with pytest.raises(ConfigError, match=named):
+            build_config({key: float(value), **extra})
+        sets = [arg for k, v in {key: value, **extra}.items() for arg in ("--set", f"{k}={v}")]
+        assert main(["simulate", *sets, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "tags.qtt").exists()
+
+    def test_event_budget_exit_2(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="budget"):
+            build_config({"source.pump_power": 1e12})
+        assert main(["simulate", "--set", "source.pump_power=1e12", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("source.pump_power = -3\n")

@@ -221,6 +221,10 @@ class TestBitSequence:
         assert [seq[i] for i in range(9)] == [1, 0, 1, 1, 0, 0, 0, 0, 1]
         assert seq.to_bytes()[0] == 0b10110000
 
+    def test_from_bits_keeps_a_bit_sequence(self, rng):
+        seq = BitSequence.from_bits(rng.integers(0, 2, 77))
+        assert BitSequence.from_bits(seq) is seq
+
     def test_nonzero_pad_rejected(self):
         with pytest.raises(ValueError, match="pad"):
             BitSequence(np.array([0xFF], np.uint8), 4)
