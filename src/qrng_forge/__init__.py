@@ -29,8 +29,10 @@ from .certify import (
 from .coincidence import (
     CoincidenceConfig,
     CoincidenceList,
+    StreamCoincidences,
     accidental_rate,
     assign_bits,
+    coincide_stream,
     coincidence_summary,
     find_coincidences,
 )

@@ -15,6 +15,10 @@
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
  *   qf_match           coincidence._match_py
+ *   qf_coincide        coincidence._coincide_py (the channel split,
+ *                      find_coincidences per section pair and assign_bits):
+ *                      one pass over a tag stream that matches its three
+ *                      section pairs with qf_match's cluster scan and DP
  *   qf_toeplitz        extract._FftHasher, block by block (qf_clmul runs its
  *                      product with either word multiply, for tests)
  *   qf_bit_stats       randtests._bit_stats_py (every count of one battery
@@ -38,6 +42,14 @@ static inline int64_t pick(int c, int64_t i, int64_t j)
 {
     const int64_t mask = -(int64_t)c;
     return (i & mask) | (j & ~mask);
+}
+
+/* realloc that keeps p, and sets *failed, when it cannot grow it */
+static void *regrow(void *p, size_t bytes, int *failed)
+{
+    void *q = realloc(p, bytes);
+    *failed |= !q;
+    return q ? q : p;
 }
 
 /* ---------------------------------------------------------------------------
@@ -295,14 +307,6 @@ static double philox_next_double(void *state)
     return (double)(philox_next64(state) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* realloc that keeps p, and sets *failed, when it cannot grow it */
-static void *regrow(void *p, size_t bytes, int *failed)
-{
-    void *q = realloc(p, bytes);
-    *failed |= !q;
-    return q ? q : p;
-}
-
 /* The scratch of one qf_simulate call, grown as its slices need: pair draws
  * for cap_pairs pairs, the slice's tags for cap_tags tags (the sort's scratch),
  * and dark tags for cap_dark. */
@@ -528,6 +532,15 @@ void qf_split_channels(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t 
             out[pos[ch[i]]++] = ts[i];
 }
 
+/* ---------------------------------------------------------------------------
+ * Coincidences. In merged time order, consecutive tags of a channel pair
+ * more than tau apart can never be matched across that gap, so such gaps
+ * cut the pair's tags into independent clusters. A cluster of one a-tag and
+ * one b-tag is a match; every other cluster holding both sides is solved by
+ * solve_cluster. qf_match matches two channels; qf_coincide matches the
+ * three section pairs of a tag stream in one pass over it.
+ */
+
 /* The best matching of some prefixes of a cluster: its pairs and total |delta|. */
 typedef struct {
     int64_t n, cost;
@@ -539,26 +552,85 @@ static int better(cell x, cell y)
     return x.n > y.n || (x.n == y.n && x.cost < y.cost);
 }
 
-/* Exact matching of two sorted timestamp arrays within |tb - ta| <= tau.
+/* Exact matching of one cluster, a[0:n] against b[0:m] (each sorted), within
+ * |b - a| <= tau: the most pairs, and among those the least total |delta|.
  *
- * In merged time order, consecutive tags more than tau apart can never be
- * matched across that gap, so such gaps cut the stream into independent
- * clusters. A cluster of one a-tag and one b-tag is a match. Every other
- * cluster holding both sides is solved by a dynamic programme over
- * D[i][j], the best matching of its first i a-tags and first j b-tags:
- * some optimal matching never crosses, so D[i][j] is the best of D[i-1][j]
- * (a[i-1] unmatched), D[i][j-1] (b[j-1] unmatched) and D[i-1][j-1] plus
- * the pair (a[i-1], b[j-1]) if it lies in the window. Row i keeps only the
- * band lo[i] <= j <= hi[i] of b-prefixes ending within tau of a[i-1]:
- * below it D[i][j] = D[i-1][j], and above it D[i][j] = D[i][hi[i]], since
- * no later b-tag is within tau of any of the i a-tags.
+ * A dynamic programme over D[i][j], the best matching of the first i a-tags
+ * and first j b-tags: some optimal matching never crosses, so D[i][j] is the
+ * best of D[i-1][j] (a[i-1] unmatched), D[i][j-1] (b[j-1] unmatched) and
+ * D[i-1][j-1] plus the pair (a[i-1], b[j-1]) if it lies in the window. Row i
+ * keeps only the band lo[i] <= j <= hi[i] of b-prefixes ending within tau of
+ * a[i-1]: below it D[i][j] = D[i-1][j], and above it D[i][j] = D[i][hi[i]],
+ * since no later b-tag is within tau of any of the i a-tags.
  *
  * Tie rule: the walk back starts at the cluster's last tags and, at each
  * step, leaves the last a-tag unmatched if that keeps the optimum, else
  * leaves the last b-tag unmatched, else matches the two.
  *
- * Matches go to (ma, mb) in time order; at most min(na, nb) are written.
- * Returns their number, or -1 if the work space cannot be allocated.
+ * The matches go to (ma, mb), as indices into a and b, in time order; at
+ * most min(n, m) are written. Returns their number, or -1 if the work space
+ * cannot be allocated.
+ */
+static int64_t solve_cluster(const int64_t *a, int64_t n, const int64_t *b, int64_t m,
+                             int64_t tau, int64_t *ma, int64_t *mb)
+{
+    int64_t *lo = malloc(3 * (n + 1) * sizeof *lo);
+    if (!lo)
+        return -1;
+    int64_t *hi = lo + n + 1, *off = hi + n + 1, l = 0, h = 0, total = 1;
+    lo[0] = hi[0] = off[0] = 0;
+    for (int64_t r = 1; r <= n; r++) {
+        while (l < m && b[l] < a[r - 1] - tau)
+            l++;
+        while (h < m && b[h] <= a[r - 1] + tau)
+            h++;
+        lo[r] = l;
+        hi[r] = h;
+        off[r] = total - l; /* D[r][c] is cells[off[r] + c] */
+        total += h - l + 1;
+    }
+    cell *cells = malloc(total * sizeof *cells);
+    if (!cells) {
+        free(lo);
+        return -1;
+    }
+#define D(r, c) cells[off[r] + ((c) < hi[r] ? (c) : hi[r])]
+    cells[0] = (cell){0, 0};
+    for (int64_t r = 1; r <= n; r++) {
+        D(r, lo[r]) = D(r - 1, lo[r]);
+        for (int64_t c = lo[r] + 1; c <= hi[r]; c++) {
+            cell best = D(r - 1, c), pair = D(r - 1, c - 1);
+            pair.n++;
+            pair.cost += llabs(b[c - 1] - a[r - 1]);
+            if (better(D(r, c - 1), best))
+                best = D(r, c - 1);
+            D(r, c) = better(pair, best) ? pair : best;
+        }
+    }
+    /* D(r, c) is never worse than its candidates, so "not better" is "equal" */
+    const int64_t k = D(n, m).n;
+    int64_t r = n, c = m, w = k;
+    while (D(r, c).n > 0) {
+        if (!better(D(r, c), D(r - 1, c))) {
+            r--;
+        } else if (!better(D(r, c), D(r, c - 1))) {
+            c--;
+        } else {
+            ma[--w] = --r;
+            mb[w] = --c;
+        }
+    }
+#undef D
+    free(cells);
+    free(lo);
+    return k;
+}
+
+/* Exact matching of two sorted timestamp arrays within |tb - ta| <= tau.
+ *
+ * Matches go to (ma, mb), as indices into ta and tb, in time order; at most
+ * min(na, nb) are written. Returns their number, or -1 if the work space
+ * cannot be allocated.
  */
 int64_t qf_match(const int64_t *ta, int64_t na, const int64_t *tb, int64_t nb, int64_t tau,
                  int64_t *ma, int64_t *mb)
@@ -573,65 +645,227 @@ int64_t qf_match(const int64_t *ta, int64_t na, const int64_t *tb, int64_t nb, i
                 break;
             last = take_a ? ta[i++] : tb[j++];
         }
-        const int64_t n = i - i0, m = j - j0, *a = ta + i0, *b = tb + j0;
+        const int64_t n = i - i0, m = j - j0;
         if (n == 1 && m == 1) {
             ma[k] = i0;
             mb[k++] = j0;
         }
         if (!n || !m || n + m == 2)
             continue;
-
-        int64_t *lo = malloc(3 * (n + 1) * sizeof *lo);
-        if (!lo)
+        const int64_t got = solve_cluster(ta + i0, n, tb + j0, m, tau, ma + k, mb + k);
+        if (got < 0)
             return -1;
-        int64_t *hi = lo + n + 1, *off = hi + n + 1, l = 0, h = 0, total = 1;
-        lo[0] = hi[0] = off[0] = 0;
-        for (int64_t r = 1; r <= n; r++) {
-            while (l < m && b[l] < a[r - 1] - tau)
-                l++;
-            while (h < m && b[h] <= a[r - 1] + tau)
-                h++;
-            lo[r] = l;
-            hi[r] = h;
-            off[r] = total - l; /* D[r][c] is cells[off[r] + c] */
-            total += h - l + 1;
+        for (const int64_t end = k + got; k < end; k++) {
+            ma[k] += i0;
+            mb[k] += j0;
         }
-        cell *cells = malloc(total * sizeof *cells);
-        if (!cells) {
-            free(lo);
-            return -1;
-        }
-#define D(r, c) cells[off[r] + ((c) < hi[r] ? (c) : hi[r])]
-        cells[0] = (cell){0, 0};
-        for (int64_t r = 1; r <= n; r++) {
-            D(r, lo[r]) = D(r - 1, lo[r]);
-            for (int64_t c = lo[r] + 1; c <= hi[r]; c++) {
-                cell best = D(r - 1, c), pair = D(r - 1, c - 1);
-                pair.n++;
-                pair.cost += llabs(b[c - 1] - a[r - 1]);
-                if (better(D(r, c - 1), best))
-                    best = D(r, c - 1);
-                D(r, c) = better(pair, best) ? pair : best;
-            }
-        }
-        /* D(r, c) is never worse than its candidates, so "not better" is "equal" */
-        k += D(n, m).n;
-        int64_t r = n, c = m, w = k;
-        while (D(r, c).n > 0) {
-            if (!better(D(r, c), D(r - 1, c))) {
-                r--;
-            } else if (!better(D(r, c), D(r, c - 1))) {
-                c--;
-            } else {
-                ma[--w] = i0 + --r;
-                mb[w] = j0 + --c;
-            }
-        }
-#undef D
-        free(cells);
-        free(lo);
     }
     return k;
+}
+
+/* A growable array of times. A queue reads it from head on. */
+typedef struct {
+    int64_t *v, n, cap, head;
+} times;
+
+/* Room in x for one time more than it holds. */
+static void reserve(times *x, int *failed)
+{
+    if (x->n < x->cap)
+        return;
+    const int64_t cap = 2 * x->cap + 64;
+    x->v = regrow(x->v, cap * sizeof *x->v, failed);
+    x->cap = *failed ? x->cap : cap;
+}
+
+/* The open cluster of one section pair: its a-tags and b-tags, and the
+ * times of its first and its latest tag. */
+typedef struct {
+    times side[2];
+    int64_t first, last;
+} cluster;
+
+/* The state of one qf_coincide pass. Every times array holds room for one
+ * time more than it holds. stats is the caller's, laid out as qf_coincide
+ * states. */
+typedef struct {
+    cluster pair[3];
+    times queue[2]; /* match times of pairs 0 and 1 not yet written as bits */
+    int64_t *ma, *mb, cap_m; /* solve_cluster's output */
+    uint8_t *bits;
+    int64_t n_bits, *bell_t, *bell_d, *stats;
+    int failed;
+} coincide_pass;
+
+/* The pair (ta, tb) of pair p, if one is 1, else nothing: its time joins the
+ * pair's queue, or, for pair 2, the pair is written out. Either way one
+ * time is stored, one slot past the kept ones when one is 0. */
+static inline void add_match(coincide_pass *s, int p, int64_t ta, int64_t tb, int64_t one)
+{
+    const int64_t t = ta < tb ? ta : tb, k = s->stats[p];
+    if (p == 2) {
+        s->bell_t[k] = t;
+        s->bell_d[k] = tb - ta;
+    } else {
+        times *q = &s->queue[p];
+        q->v[q->n] = t;
+        q->n += one;
+        reserve(q, &s->failed);
+    }
+    s->stats[p] = k + one;
+}
+
+/* Match the open cluster of pair p, and empty it. */
+static inline void close_cluster(coincide_pass *s, int p, int64_t tau)
+{
+    cluster *c = &s->pair[p];
+    const int64_t n = c->side[0].n, m = c->side[1].n, *a = c->side[0].v, *b = c->side[1].v;
+    c->side[0].n = c->side[1].n = 0;
+    if (n <= 1 && m <= 1) {
+        /* a[0] and b[0] always hold a value, stale on an empty side */
+        add_match(s, p, a[0], b[0], n & m);
+        return;
+    }
+    s->stats[3 + p]++;
+    if (!n || !m)
+        return;
+    const int64_t need = n < m ? n : m;
+    if (need > s->cap_m) {
+        s->ma = regrow(s->ma, need * sizeof *s->ma, &s->failed);
+        s->mb = regrow(s->mb, need * sizeof *s->mb, &s->failed);
+        if (s->failed)
+            return;
+        s->cap_m = need;
+    }
+    const int64_t k = solve_cluster(a, n, b, m, tau, s->ma, s->mb);
+    s->failed |= k < 0;
+    for (int64_t q = 0; q < k && !s->failed; q++)
+        add_match(s, p, a[s->ma[q]], b[s->mb[q]], 1);
+}
+
+/* The least time a later match of pair p can have, while the pass is at a
+ * tag of time t: its open cluster's first time, or t. */
+static int64_t bound(const coincide_pass *s, int p, int64_t t)
+{
+    const cluster *c = &s->pair[p];
+    return c->side[0].n + c->side[1].n ? c->first : t;
+}
+
+/* Write the queued match times of pairs 0 and 1 as bits 0 and 1, MSB-first,
+ * in time order with the 0 first at equal times, as far as no later match
+ * can come before them: every later match of pair p has a time of at least
+ * bound_p, and at the end of the pass (drain) there is none. */
+static void emit_bits(coincide_pass *s, int64_t bound0, int64_t bound1, int drain)
+{
+    times *z = &s->queue[0], *o = &s->queue[1];
+    uint8_t *bits = s->bits;
+    int64_t h0 = z->head, h1 = o->head, k = s->n_bits;
+    /* while both queues hold times, the earlier is first: every later match
+     * of a pair comes after all of that pair's queued ones */
+    while (h0 < z->n && h1 < o->n) {
+        const int one = o->v[h1] < z->v[h0];
+        bits[k >> 3] |= (uint8_t)(one << (7 - (k & 7)));
+        k++;
+        h0 += !one;
+        h1 += one;
+    }
+    while (h0 < z->n && (drain || z->v[h0] <= bound1)) {
+        h0++;
+        k++;
+    }
+    while (h1 < o->n && (drain || o->v[h1] < bound0)) {
+        bits[k >> 3] |= (uint8_t)(0x80 >> (k & 7));
+        h1++;
+        k++;
+    }
+    z->head = h0;
+    o->head = h1;
+    s->n_bits = k;
+    for (int q = 0; q < 2; q++) {
+        times *x = &s->queue[q];
+        if (x->head == x->n) {
+            x->head = x->n = 0;
+        } else if (x->head >= 1024 && 2 * x->head >= x->n) { /* drop the written times */
+            memmove(x->v, x->v + x->head, (x->n - x->head) * sizeof *x->v);
+            x->n -= x->head;
+            x->head = 0;
+        }
+    }
+}
+
+/* One pass over a time-ordered tag stream (ts, ch)[0:n] that matches its
+ * three section pairs at once, each exactly as qf_match matches it.
+ *
+ * role[c] = 2p + s puts channel code c on side s (0 for a, 1 for b) of pair
+ * p, and each side of a pair holds one channel. The matches of pairs 0 and 1
+ * are the raw bits, 0 and 1, in time order (the earlier tag's time) with
+ * the 0 first at equal times, written MSB-first to bits, which must be
+ * zeroed and hold n / 16 + 1 bytes. Pair 2's matches go to bell_t (the
+ * earlier tag's time) and bell_d (b minus a), which must hold n / 2 + 1
+ * values each (the slot after the last match is written too), and the times
+ * of its a-tags and b-tags to bell_a and bell_b, n values each. stats
+ * receives 12 counts: the matches of each pair, the clusters of each pair
+ * holding more than one tag of either side, and the tags of each channel
+ * code 0 to 5 (higher codes are skipped). Returns 0, or -1 if the work space
+ * cannot be allocated.
+ */
+int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau,
+                    const uint8_t *role, uint8_t *bits, int64_t *bell_t, int64_t *bell_d,
+                    int64_t *bell_a, int64_t *bell_b, int64_t *stats)
+{
+    coincide_pass s = {.bits = bits, .bell_t = bell_t, .bell_d = bell_d, .stats = stats};
+    /* where each channel's next tag time goes: the Bell pair's to bell_a or
+     * bell_b, each other channel's to one slot it overwrites */
+    int64_t sink, *tag_out[6], tag_step[6];
+    for (int c = 0; c < 6; c++) {
+        tag_step[c] = role[c] >> 1 == 2;
+        tag_out[c] = tag_step[c] ? (role[c] & 1 ? bell_b : bell_a) : &sink;
+    }
+    for (int q = 0; q < 12; q++)
+        stats[q] = 0;
+    for (int p = 0; p < 3; p++) {
+        for (int q = 0; q < 2; q++) {
+            reserve(&s.pair[p].side[q], &s.failed);
+            if (!s.failed)
+                s.pair[p].side[q].v[0] = 0;
+        }
+        s.pair[p].last = n ? ts[0] - tau - 1 : 0; /* the first tag opens a cluster */
+    }
+    reserve(&s.queue[0], &s.failed);
+    reserve(&s.queue[1], &s.failed);
+    for (int64_t i = 0; i < n && !s.failed; i++) {
+        const int64_t t = ts[i];
+        const uint8_t c = ch[i];
+        if (c > 5)
+            continue;
+        const int p = role[c] >> 1;
+        cluster *cl = &s.pair[p];
+        *tag_out[c] = t;
+        tag_out[c] += tag_step[c];
+        stats[6 + c]++;
+        if ((uint64_t)t - (uint64_t)cl->last > (uint64_t)tau) { /* t >= last: no overflow */
+            close_cluster(&s, p, tau);
+            cl->first = t;
+            if (p < 2 && s.queue[p].n - s.queue[p].head >= 64)
+                emit_bits(&s, bound(&s, 0, t), bound(&s, 1, t), 0);
+        }
+        times *side = &cl->side[role[c] & 1];
+        side->v[side->n++] = t;
+        reserve(side, &s.failed);
+        cl->last = t;
+    }
+    for (int p = 0; p < 3 && !s.failed; p++)
+        close_cluster(&s, p, tau);
+    if (!s.failed)
+        emit_bits(&s, 0, 0, 1);
+    for (int p = 0; p < 3; p++)
+        for (int q = 0; q < 2; q++)
+            free(s.pair[p].side[q].v);
+    free(s.queue[0].v);
+    free(s.queue[1].v);
+    free(s.ma);
+    free(s.mb);
+    return s.failed ? -1 : 0;
 }
 
 /* Operands of at most this many words are multiplied by a schoolbook. */

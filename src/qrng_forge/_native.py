@@ -17,6 +17,11 @@ The kernels and the numpy references they must match bit for bit:
 * ``qf_match``: the exact coincidence matcher, a gap-tau cluster scan with
   a banded DP per pileup cluster (``coincidence._match_py``, whose DP is a
   full table)
+* ``qf_coincide``: one pass over a whole tag stream that matches its three
+  section pairs with ``qf_match``'s cluster scan and DP, and gives the
+  packed raw bits, the Bell pair's coincidences and tag times, the singles
+  and the pileup clusters (``coincidence._coincide_py``: the channel split,
+  ``find_coincidences`` per pair and ``assign_bits``)
 * ``qf_toeplitz``: Toeplitz hashing of a whole packed stream, one
   carry-less polynomial product per block (``extract._FftHasher``, block by
   block); ``qf_clmul`` exposes its product with either word multiply, the
@@ -81,6 +86,7 @@ KERNELS = {
     "qf_dead_time": ([_P, _P, _N, _N], _N),
     "qf_split_channels": ([_P, _P, _N, _P, _P], None),
     "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),
+    "qf_coincide": ([_P, _P, _N, _N, _P, _P, _P, _P, _P, _P, _P], _N),
     "qf_toeplitz": ([_P, _P, _N, _N, _N, _P], _N),
     "qf_clmul": ([_P, _P, _N, _N, _P], _N),
     "qf_bit_stats": ([_P, _N, _N, _N, _N, _N, _N, _N, _P, _P, _P, _P], _N),
@@ -169,3 +175,10 @@ def address(arr: np.ndarray, dtype, size: int, writable: bool = False) -> int:
     if writable and not arr.flags.writeable:
         raise ValueError("kernel output buffer is read-only")
     return arr.ctypes.data
+
+
+def workers(jobs: int) -> int:
+    """Threads to run ``jobs`` independent kernel calls on: one per CPU this
+    process may run on, at most one per job, at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, jobs))

@@ -13,8 +13,11 @@ A block can only be Bell-certified when the analyzer schedule is the
 canonical 16-combination CHSH cycle (see AnalyzerSchedule.chsh) and the
 block spans at least one full cycle; otherwise the settings bookkeeping
 is ill-defined, the metrics are reported as NaN, and the block is
-UNCERTIFIED. Raw bits inherit the verdict of the block covering their
-timestamp.
+UNCERTIFIED. The run's verdict is the weakest block's (:func:`run_verdict`),
+and it gates every raw bit at once: the pipeline refuses to extract from an
+UNCERTIFIED run unless forced, and then extracts every bit.
+:func:`verdicts_for_times` gives the verdict of the block covering each
+timestamp, but no stage gates bits block by block yet.
 """
 
 from __future__ import annotations

@@ -26,6 +26,12 @@ Bits follow the section table: each (D1, U2) coincidence is a 0 and each
 (D2, U1) coincidence a 1, in time order, the 0 first at equal times
 (:func:`assign_bits`). The (C1, C2) coincidences carry no bit; they feed
 the live Bell test.
+
+:func:`coincide_stream` does all of that for a whole tag stream: with the
+kernels built, in one pass of ``qf_coincide`` (the same cluster scan and
+DP, for the three pairs at once) on one thread per piece of the stream;
+:func:`_coincide_py`, the channel split, :func:`find_coincidences` per pair
+and :func:`assign_bits`, is its reference.
 """
 
 from __future__ import annotations
@@ -35,7 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .timetags import SECTION_PAIRS, Channel, TagStream
+from .timetags import SECTION_PAIRS, BitSequence, Channel, TagStream
+
+#: The section pairs as :func:`coincide_stream` matches them, a-side first:
+#: (D1, U2) coincidences are the 0 bits, (D2, U1) the 1 bits, and (C1, C2)
+#: the live Bell test's. Which side is a matters: the tie rule in a pileup
+#: leaves an a-tag unmatched first.
+STREAM_PAIRS = tuple((a, a.partner) for a in (Channel.D1, Channel.D2, Channel.C1))
+
+#: Tags per thread below which :func:`coincide_stream` starts no more threads.
+PIECE_TAGS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,18 @@ class CoincidenceConfig:
         return self.window_tau * 1e-12
 
 
+def _cluster_sizes(ta, tb, tau):
+    """The a-tags and the b-tags in each gap-tau cluster of ``ta`` and ``tb``
+    merged, as two arrays in time order."""
+    t = np.concatenate([ta, tb])
+    if not t.size:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    order = np.argsort(t, kind="stable")
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(t[order]) > tau) + 1])
+    nb_c = np.add.reduceat((order >= ta.size).astype(np.int64), starts)
+    return np.diff(np.append(starts, t.size)) - nb_c, nb_c
+
+
 def _cluster_scan_np(ta, tb, tau):
     """Gap-tau cluster scan in numpy.
 
@@ -67,12 +94,7 @@ def _cluster_scan_np(ta, tb, tau):
     """
     if not ta.size or not tb.size:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 4), np.int64)
-    t = np.concatenate([ta, tb])
-    order = np.argsort(t, kind="stable")
-    cuts = np.flatnonzero(np.diff(t[order]) > tau) + 1
-    starts = np.concatenate([[0], cuts])
-    nb_c = np.add.reduceat((order >= ta.size).astype(np.int64), starts)
-    na_c = np.diff(np.concatenate([starts, [t.size]])) - nb_c
+    na_c, nb_c = _cluster_sizes(ta, tb, tau)
     a0 = np.cumsum(na_c) - na_c
     b0 = np.cumsum(nb_c) - nb_c
     single = (na_c == 1) & (nb_c == 1)
@@ -214,16 +236,17 @@ def assign_bits(zero_times, one_times) -> np.ndarray:
 
 
 def coincidence_summary(
-    merged: TagStream, cfg: CoincidenceConfig, counts: dict[tuple[Channel, Channel], int]
+    singles: dict[Channel, int], duration: int, cfg: CoincidenceConfig,
+    counts: dict[tuple[Channel, Channel], int],
 ) -> dict:
-    """Pair counts, analytic accidentals, and CAR for the section pairs.
+    """Pair counts, analytic accidentals, and CAR for the section pairs of
+    an acquisition of ``duration`` ps with ``singles`` tags per channel.
 
     ``counts`` holds the coincidences of each section pair as matched,
     keyed by its channel pair in either order; the count of a maximum
     matching does not depend on which side is ``a``.
     """
-    duration_s = merged.duration * 1e-12
-    singles = merged.counts_by_channel()
+    duration_s = duration * 1e-12
     summary: dict = {
         "window_tau_ps": cfg.window_tau,
         "duration_s": duration_s,
@@ -242,3 +265,179 @@ def coincidence_summary(
             "car": (n / acc_counts) if acc_counts > 0 else float("inf"),
         }
     return summary
+
+
+@dataclass(frozen=True)
+class StreamCoincidences:
+    """The section pairs of one tag stream, matched.
+
+    ``bits`` are the raw bits, ``bell`` the (C1, C2) coincidences and
+    ``bell_times`` the C1 and the C2 tag times, which certification needs
+    for g2. ``singles`` counts the tags of each channel. ``matches`` and
+    ``multi_tag_clusters`` hold, for each pair of :data:`STREAM_PAIRS`, its
+    coincidences and its gap-tau clusters holding more than one tag of
+    either side: the pileups where the matcher has a choice to make.
+    ``workers`` is the number of threads ``qf_coincide`` ran on, 0 for the
+    numpy reference.
+    """
+
+    bits: BitSequence
+    bell: CoincidenceList
+    bell_times: tuple[np.ndarray, np.ndarray]
+    singles: dict[Channel, int]
+    matches: dict[tuple[Channel, Channel], int]
+    multi_tag_clusters: dict[tuple[Channel, Channel], int]
+    workers: int
+
+
+def coincide_stream(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidences:
+    """Match the three :data:`STREAM_PAIRS` of ``stream``, each as
+    :func:`find_coincidences` matches it, and make the raw bits of the
+    first two as :func:`assign_bits` does.
+
+    With the kernels built this is one pass of ``qf_coincide``. The stream
+    is cut at gaps wider than tau, which no cluster crosses, into pieces of
+    about equal size, as many as :func:`_native.workers` gives for one job
+    per :data:`PIECE_TAGS` tags, and each piece is matched on a thread of
+    its own; a stream without such a gap is one piece. Without the kernels
+    :func:`_coincide_py` runs.
+    """
+    lib = _native.library()
+    if lib is None:
+        return _coincide_py(stream, cfg)
+    workers = _native.workers(-(-len(stream) // PIECE_TAGS))
+    return _coincide_c(lib, stream, cfg.window_tau, workers)
+
+
+def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidences:
+    """The output of ``qf_coincide`` from the channel split,
+    :func:`find_coincidences` per pair and :func:`assign_bits`: its
+    reference, and the path without a compiler."""
+    times = [(stream.channel_times(a), stream.channel_times(b)) for a, b in STREAM_PAIRS]
+    found = [find_coincidences(ta, tb, cfg) for ta, tb in times]
+    multi = {}
+    for pair, (ta, tb) in zip(STREAM_PAIRS, times):
+        na, nb = _cluster_sizes(ta, tb, cfg.window_tau)
+        multi[pair] = int(np.count_nonzero((na > 1) | (nb > 1)))
+    return StreamCoincidences(
+        bits=BitSequence.from_bits(assign_bits(found[0].times, found[1].times)),
+        bell=found[2],
+        bell_times=times[2],
+        singles=stream.counts_by_channel(),
+        matches={pair: len(c) for pair, c in zip(STREAM_PAIRS, found)},
+        multi_tag_clusters=multi,
+        workers=0,
+    )
+
+
+def _quiet_cuts(ts: np.ndarray, tau: int, parts: int) -> list[int]:
+    """Indices 0 = c[0] < ... < c[k] = ts.size, k <= ``parts``, that cut
+    ``ts`` into pieces of about equal size, each inner cut at a gap wider
+    than ``tau`` (ts[c] - ts[c - 1] > tau), which no cluster crosses."""
+    n = ts.size
+    cuts = [0]
+    for k in range(1, parts):
+        i, step = max(k * n // parts, cuts[-1] + 1), 4096
+        while i < n:
+            gaps = np.flatnonzero(np.diff(ts[i - 1:i + step]) > tau)
+            if gaps.size:
+                cuts.append(i + int(gaps[0]))
+                break
+            i, step = i + step, 2 * step
+        else:
+            break
+    return cuts + [n]
+
+
+def _packed_front(buf: np.ndarray, offsets, counts) -> np.ndarray:
+    """``buf[o:o + k]`` for each offset o and count k in turn, moved
+    together to the front of ``buf`` (each o at or after the front's end)."""
+    end = 0
+    for o, k in zip(offsets, counts):
+        buf[end:end + k] = buf[o:o + k]
+        end += k
+    return buf[:end]
+
+
+def _joined_bits(parts) -> BitSequence:
+    """The packed bit strings ``(packed, bits)`` of ``parts``, one after
+    the other."""
+    if len(parts) == 1:
+        packed, k = parts[0]
+        return BitSequence(packed[: (k + 7) // 8], k)
+    total = sum(k for _, k in parts)
+    out = np.zeros((total + 7) // 8 + 1, np.uint8)
+    pos = 0
+    for packed, k in parts:
+        piece = packed[: (k + 7) // 8]
+        d, r = divmod(pos, 8)
+        if r:
+            out[d:d + piece.size] |= piece >> r
+            out[d + 1:d + 1 + piece.size] |= piece << (8 - r)
+        else:
+            out[d:d + piece.size] = piece
+        pos += k
+    return BitSequence(out[: (total + 7) // 8], total)
+
+
+def _coincide_c(lib, stream: TagStream, tau: int, workers: int) -> StreamCoincidences:
+    """:func:`coincide_stream` by ``qf_coincide``, on up to ``workers``
+    threads, one per piece of :func:`_quiet_cuts`."""
+    ts, ch = stream.timestamps, stream.channels
+    n = ts.size
+    cuts = _quiet_cuts(ts, tau, workers)
+    role = np.zeros(6, np.uint8)
+    for p, pair in enumerate(STREAM_PAIRS):
+        for side, c in enumerate(pair):
+            role[c] = 2 * p + side
+    # every output is allocated here, to the size that the kernel may fill,
+    # not in the threads, whose freed heap stays resident; pages that are
+    # never written take no memory. The k-th piece, from tag s0 on, writes
+    # its Bell pair's coincidences from s0 // 2 + k on, and its tag times
+    # from s0 on.
+    bell_t = np.empty(n // 2 + len(cuts), np.int64)
+    bell_d = np.empty_like(bell_t)
+    bell_a, bell_b = np.empty(n, np.int64), np.empty(n, np.int64)
+    starts, bits, stats, calls = cuts[:-1], [], [], []
+    bell_at = [s0 // 2 + k for k, s0 in enumerate(starts)]
+    for s0, s1, o in zip(starts, cuts[1:], bell_at):
+        m = s1 - s0
+        bits.append(np.zeros(m // 16 + 1, np.uint8))
+        stats.append(np.empty(12, np.int64))
+        calls.append((
+            _native.address(ts[s0:], np.int64, m), _native.address(ch[s0:], np.uint8, m), m, tau,
+            _native.address(role, np.uint8, 6), _native.address(bits[-1], np.uint8, m // 16 + 1, True),
+            *(_native.address(buf[o:], np.int64, m // 2 + 1, True) for buf in (bell_t, bell_d)),
+            *(_native.address(buf[s0:], np.int64, m, True) for buf in (bell_a, bell_b)),
+            _native.address(stats[-1], np.int64, 12, True),
+        ))
+
+    def run(args):
+        if lib.qf_coincide(*args) < 0:
+            raise MemoryError("qf_coincide could not allocate its work space")
+
+    if len(calls) == 1:
+        run(calls[0])
+    else:
+        # imported here, as in source: a process that never needs it skips the import
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(len(calls)) as pool:
+            list(pool.map(run, calls))
+
+    # per piece: the matches of each pair, its multi-tag clusters, the singles
+    stats = [st.tolist() for st in stats]
+    total = np.sum(stats, axis=0).tolist()
+
+    a, b = STREAM_PAIRS[2]
+    return StreamCoincidences(
+        bits=_joined_bits([(packed, st[0] + st[1]) for packed, st in zip(bits, stats)]),
+        bell=CoincidenceList(*(_packed_front(buf, bell_at, [st[2] for st in stats])
+                               for buf in (bell_t, bell_d))),
+        bell_times=tuple(_packed_front(buf, starts, [st[6 + c] for st in stats])
+                         for buf, c in ((bell_a, a), (bell_b, b))),
+        singles={c: total[6 + c] for c in Channel},
+        matches={pair: total[p] for p, pair in enumerate(STREAM_PAIRS)},
+        multi_tag_clusters={pair: total[3 + p] for p, pair in enumerate(STREAM_PAIRS)},
+        workers=len(calls),
+    )

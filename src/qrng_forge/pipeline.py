@@ -66,7 +66,7 @@ from .certify import (
 )
 from .coincidence import (
     CoincidenceConfig,
-    assign_bits,
+    coincide_stream,
     coincidence_summary,
     find_coincidences,
 )
@@ -173,12 +173,27 @@ class ExtractorSettings:
     epsilon: float = 2.0**-50
     seed_path: str = ""
 
+    def __post_init__(self):
+        # written as not (condition), so that NaN fails each check
+        if not self.n_block >= 1:
+            raise ConfigError("extractor.n_block must be >= 1")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ConfigError("extractor.epsilon_log2 must give an epsilon in (0, 1]")
+
 
 @dataclass(frozen=True)
 class BatterySettings:
     n_sequences: int = 20
     seq_len: int = 100_000
     significance: float = 0.01
+
+    def __post_init__(self):
+        if not self.n_sequences >= 1:
+            raise ConfigError("battery.n_sequences must be >= 1")
+        if not self.seq_len >= 1:
+            raise ConfigError("battery.seq_len must be >= 1")
+        if not 0.0 < self.significance < 1.0:
+            raise ConfigError("battery.significance must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -201,76 +216,79 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
     for key, val in (overrides or {}).items():
         field_key, _, name = key.rpartition(".")
         if field_key in per_channel:
-            per_channel[field_key][_channel(name)] = float(val)
+            per_channel[field_key][_channel(name)] = _number(float, key, val)
         elif key in values or key in ("source.hwp_theta", "source.duration_ps"):
             values[key] = val
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
+    def num(kind, key):
+        return _number(kind, key, values[key])
+
     try:
         if "source.hwp_theta" in values:
             state = state_from_hwp(
-                float(values["source.hwp_theta"]), float(values["source.noise_p"])
+                num(float, "source.hwp_theta"), num(float, "source.noise_p")
             )
         else:
-            alpha = float(values["source.alpha"])
+            alpha = num(float, "source.alpha")
             if not 0.0 <= alpha <= 1.0:
                 raise ConfigError("source.alpha must lie in [0, 1]")
             state = TwoPhotonState(
                 alpha, math.sqrt(max(1.0 - alpha * alpha, 0.0)),
-                float(values["source.noise_p"]),
+                num(float, "source.noise_p"),
             )
 
         kind = str(values["schedule.kind"])
-        dwell = int(values["schedule.dwell"])
+        dwell = num(int, "schedule.dwell")
         if kind == "chsh":
             schedule = AnalyzerSchedule.chsh(
-                float(values["schedule.a"]),
-                float(values["schedule.a_prime"]),
-                float(values["schedule.b"]),
-                float(values["schedule.b_prime"]),
+                num(float, "schedule.a"),
+                num(float, "schedule.a_prime"),
+                num(float, "schedule.b"),
+                num(float, "schedule.b_prime"),
                 dwell,
             )
         elif kind == "fringe":
             schedule = AnalyzerSchedule.fringe(
-                float(values["schedule.fixed"]),
-                int(values["schedule.steps"]),
+                num(float, "schedule.fixed"),
+                num(int, "schedule.steps"),
                 dwell=dwell,
             )
         else:
             raise ConfigError(f"unknown schedule.kind {kind!r}")
 
         if "source.duration_ps" in values:
-            duration = int(values["source.duration_ps"])
+            duration = num(int, "source.duration_ps")
         else:
-            duration = int(round(float(values["source.duration_s"]) * 1e12))
+            duration = num(lambda v: round(float(v) * 1e12), "source.duration_s")
         # zero-length acquisitions clamp to the 1 ps floor (empty stream)
         duration = max(duration, 1)
 
         source = SourceConfig(
-            pump_power=float(values["source.pump_power"]),
-            pair_rate_coeff=float(values["source.pair_rate_coeff"]),
+            pump_power=num(float, "source.pump_power"),
+            pair_rate_coeff=num(float, "source.pair_rate_coeff"),
             state=state,
             analyzer_schedule=schedule,
             duration=duration,
-            rng_seed=int(values["source.rng_seed"]),
+            rng_seed=num(int, "source.rng_seed"),
             det_efficiency=_channel_values(values, per_channel, "source.det_efficiency"),
             dark_rate=_channel_values(values, per_channel, "source.dark_rate"),
-            jitter_sigma=float(values["source.jitter_sigma"]),
-            dead_time=int(values["source.dead_time"]),
+            jitter_sigma=num(float, "source.jitter_sigma"),
+            dead_time=num(int, "source.dead_time"),
         )
-        coincidence = CoincidenceConfig(window_tau=int(values["coincidence.window_tau"]))
+        coincidence = CoincidenceConfig(window_tau=num(int, "coincidence.window_tau"))
         extractor = ExtractorSettings(
-            n_block=int(values["extractor.n_block"]),
-            epsilon=2.0 ** float(values["extractor.epsilon_log2"]),
+            n_block=num(int, "extractor.n_block"),
+            epsilon=num(lambda v: 2.0 ** float(v), "extractor.epsilon_log2"),
             seed_path=str(values["extractor.seed_path"]),
         )
         battery = BatterySettings(
-            n_sequences=int(values["battery.n_sequences"]),
-            seq_len=int(values["battery.seq_len"]),
-            significance=float(values["battery.significance"]),
+            n_sequences=num(int, "battery.n_sequences"),
+            seq_len=num(int, "battery.seq_len"),
+            significance=num(float, "battery.significance"),
         )
-        cert_block = int(values["certifier.block"])
+        cert_block = num(int, "certifier.block")
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError, EventBudgetError) as exc:
@@ -291,10 +309,19 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
     )
 
 
+def _number(kind, key: str, value):
+    """``kind(value)``, the value of config key ``key``; a ConfigError that
+    names the key when the conversion fails."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _channel_values(values: dict, per_channel: dict, key: str):
     """The scalar ``values[key]``, or, when some channel has a value of its
     own, a mapping of every channel to that value or else to the scalar."""
-    scalar = float(values[key])
+    scalar = _number(float, key, values[key])
     if not per_channel[key]:
         return scalar
     return {ch: per_channel[key].get(ch, scalar) for ch in Channel}
@@ -416,30 +443,31 @@ def _match_pair(stream: TagStream, channel_a: Channel, channel_b: Channel,
     )
 
 
+def _pair_names(by_pair: dict) -> dict:
+    """``by_pair`` keyed by ``"A-B"`` for each channel pair ``(A, B)``."""
+    return {f"{a.name}-{b.name}": n for (a, b), n in by_pair.items()}
+
+
 def _coincide(cfg: RunConfig, stream: TagStream, out_dir: Path):
-    """Coincide stage: match the three section pairs once, write ``raw.bits``
-    and ``coincidence_summary.json``; returns (raw bits, C1-C2 coincidences,
-    pair counts, summary)."""
-    # (D1, U2) gives bit 0, (D2, U1) bit 1, and (C1, C2) feeds the live Bell test
-    pairs = [(a, a.partner) for a in (Channel.D1, Channel.D2, Channel.C1)]
-    matches = [_match_pair(stream, a, b, cfg.coincidence) for a, b in pairs]
-    bits = BitSequence.from_bits(assign_bits(matches[0].times, matches[1].times))
-    write_bits(bits, out_dir / "raw.bits")
-    counts = {pair: len(c) for pair, c in zip(pairs, matches)}
-    summary = coincidence_summary(stream, cfg.coincidence, counts)
-    summary["raw_bits"] = len(bits)
+    """Coincide stage: :func:`coincide_stream` on ``stream``, written to
+    ``raw.bits`` and ``coincidence_summary.json``; returns what it matched
+    and the summary."""
+    found = coincide_stream(stream, cfg.coincidence)
+    write_bits(found.bits, out_dir / "raw.bits")
+    summary = coincidence_summary(found.singles, stream.duration, cfg.coincidence, found.matches)
+    summary["raw_bits"] = len(found.bits)
     # not _write_json: this file's keys stay in insertion order, its published layout
     (out_dir / "coincidence_summary.json").write_text(json.dumps(summary, indent=2))
-    pair_counts = {f"{a.name}-{b.name}": n for (a, b), n in counts.items()}
-    return bits, matches[2], pair_counts, summary
+    return found, summary
 
 
-def _certify(cfg: RunConfig, stream: TagStream, cert_coincs, out_dir: Path):
+def _certify(cfg: RunConfig, duration: int, cert_coincs, c1_times, c2_times, out_dir: Path):
     """Certify stage: :func:`certification_report` on the C1-C2 coincidences
-    of ``stream``, written to ``cert_report.json``."""
+    and the C1 and C2 tag times of an acquisition of ``duration`` ps,
+    written to ``cert_report.json``."""
     blocks, report = certification_report(
-        cert_coincs, cfg.source.analyzer_schedule, cfg.cert_block, stream.duration,
-        cfg.coincidence, stream.channel_times(Channel.C1), stream.channel_times(Channel.C2),
+        cert_coincs, cfg.source.analyzer_schedule, cfg.cert_block, duration,
+        cfg.coincidence, c1_times, c2_times,
     )
     _write_json(out_dir / "cert_report.json", report)
     return blocks, report
@@ -520,15 +548,19 @@ def run_pipeline(
         counts["in"], counts["out"] = duration_s, len(stream)
         counts["workers"] = simulation_workers(cfg.source)
     with _stage("coincide", timing, stages, "tags", "raw_bits") as counts:
-        raw_bits, cert_coincs, pair_counts, _ = _coincide(cfg, stream, out_dir)
+        found, _ = _coincide(cfg, stream, out_dir)
+        raw_bits = found.bits
         counts["in"], counts["out"] = len(stream), len(raw_bits)
+        counts["workers"] = found.workers
+        counts["multi_tag_clusters"] = _pair_names(found.multi_tag_clusters)
     with _stage("certify", timing, stages, "coincidences", "blocks") as counts:
-        blocks, cert_report = _certify(cfg, stream, cert_coincs, out_dir)
-        counts["in"], counts["out"] = len(cert_coincs), len(blocks)
+        blocks, cert_report = _certify(cfg, stream.duration, found.bell, *found.bell_times, out_dir)
+        counts["in"], counts["out"] = len(found.bell), len(blocks)
     verdict = Verdict(cert_report["verdict"])
+    pair_counts = _pair_names(found.matches)
     # the tags and coincidences are done with; free them before extraction
     # allocates its output
-    del stream, cert_coincs
+    del stream, found
 
     if verdict is Verdict.UNCERTIFIED and not force:
         raise CertificationRefused(

@@ -43,7 +43,6 @@ in place.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -555,12 +554,11 @@ def _simulate_kernel():
 
 def simulation_workers(config: SourceConfig) -> int:
     """The number of threads that run ``qf_simulate`` for ``config``'s
-    acquisition: one per CPU this process may run on, at most one per chunk
-    of ``CHUNK_SLICES`` slices; 0 when the numpy reference runs instead."""
+    acquisition: :func:`_native.workers` for one job per chunk of
+    ``CHUNK_SLICES`` slices; 0 when the numpy reference runs instead."""
     if _simulate_kernel() is None:
         return 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, -(-_n_slices(config) // CHUNK_SLICES))
+    return _native.workers(-(-_n_slices(config) // CHUNK_SLICES))
 
 
 def _kernel_chunk(kernel, args: tuple, s0: int, s1: int, ts: np.ndarray, ch: np.ndarray) -> list:

@@ -176,9 +176,9 @@ class TagStream:
         return self._by_channel[int(channel)]
 
     def counts_by_channel(self) -> dict[Channel, int]:
-        """Tags per channel: the sizes of the cached :meth:`channel_times`
-        split, so no count makes a pass over the tags of its own."""
-        return {ch: int(self.channel_times(ch).size) for ch in Channel}
+        """Tags per channel, counted on the channel codes, so that a count
+        does not make the :meth:`channel_times` split."""
+        return {ch: int(np.count_nonzero(self.channels == ch)) for ch in Channel}
 
 
 def _split_channels_np(ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:

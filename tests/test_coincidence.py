@@ -108,8 +108,12 @@ class TestMatcherProperties:
         whole = match_times(
             np.concatenate([burst1_a, burst2_a]), np.concatenate([burst1_b, burst2_b])
         )
-        parts = len(match_times(burst1_a, burst1_b)) + len(match_times(burst2_a, burst2_b))
-        assert len(whole) == parts
+        parts = [match_times(burst1_a, burst1_b), match_times(burst2_a, burst2_b)]
+        assert len(whole) == sum(len(part) for part in parts)
+        # the halves, joined, are the whole matching, pair for pair
+        for name in ("times", "deltas"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert np.array_equal(getattr(whole, name), joined), name
 
     def test_no_tag_used_twice(self, rng):
         ta = np.unique(rng.integers(0, 10**6, 3000))
@@ -255,7 +259,8 @@ class TestGoldenMatching:
             "source.dead_time": 0, "schedule.dwell": 10**7,
             "coincidence.window_tau": 2000, "source.rng_seed": 7,
         })
-        bits, cert, _, _ = _coincide(cfg, generate_events(cfg.source), tmp_path)
+        found, _ = _coincide(cfg, generate_events(cfg.source), tmp_path)
+        bits, cert = found.bits, found.bell
         assert (len(bits), len(cert)) == (21586, 2787)
         assert hashlib.sha256((tmp_path / "raw.bits").read_bytes()).hexdigest() == (
             "e6e648f4371b82f21dbe640aad570c34532722fd7b29dbcf69775b777cfa58cf")

@@ -81,6 +81,69 @@ def test_find_coincidences_same_on_both_paths(rng):
             assert np.array_equal(getattr(f, name), getattr(r, name))
 
 
+def coincide_streams(rng):
+    """Tag streams for qf_coincide: empty, one-sided, pileup-dense, full of
+    equal times, and one cluster with no quiet gap."""
+    def stream(ts, ch):
+        ts = np.asarray(ts, np.int64)
+        return TagStream(ts, np.asarray(ch, np.uint8), int(ts.max()) + 1 if ts.size else 1)
+
+    yield stream([], [])
+    yield stream([5, 10, 10, 20, 30], [2, 2, 0, 4, 4])  # no pair has both sides
+    yield stream(np.arange(100) * 300, np.full(100, int(Channel.U2)))  # one side only
+    for spacing in (30, 300, 3000):  # mean spacing in ps at tau = 1000 ps
+        n = int(rng.integers(2000, 8000))
+        yield stream(np.sort(rng.integers(0, n * spacing, n)), rng.integers(0, 6, n))
+    ts = np.sort(rng.integers(0, 3000, 5000)) * 700  # many tags at equal times
+    yield stream(ts, rng.integers(0, 6, ts.size))
+    # test_one_dense_cluster's 60,000 tags, on a bit pair and on the Bell pair:
+    # one cluster, which outgrows the kernel's first cluster buffer
+    ta = np.arange(30_000, dtype=np.int64) * 700
+    for a, b in (coincidence.STREAM_PAIRS[0], coincidence.STREAM_PAIRS[2]):
+        t = np.concatenate([ta, ta + 300])
+        order = np.argsort(t, kind="stable")
+        yield stream(t[order], np.repeat([int(a), int(b)], ta.size)[order])
+
+
+@needs_gcc
+def test_coincide_c_equals_reference(rng):
+    lib = _native.library()
+    assert lib is not None
+    cfg = CoincidenceConfig(TAU)
+    for stream in coincide_streams(rng):
+        want = coincidence._coincide_py(stream, cfg)
+        for workers in (1, 2, 3):
+            got = coincidence._coincide_c(lib, stream, TAU, workers)
+            assert got.workers == len(coincidence._quiet_cuts(stream.timestamps, TAU, workers)) - 1
+            assert got.bits == want.bits
+            for g, w in zip((got.bell.times, got.bell.deltas, *got.bell_times),
+                            (want.bell.times, want.bell.deltas, *want.bell_times)):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert (got.singles, got.matches, got.multi_tag_clusters) == (
+                want.singles, want.matches, want.multi_tag_clusters)
+    assert got.workers == 1 and want.matches[coincidence.STREAM_PAIRS[2]] == 30_000
+
+
+def test_quiet_cuts(rng):
+    ts = np.sort(rng.integers(0, 10**7, 50_000))
+    for parts in (1, 2, 3, 7):
+        cuts = coincidence._quiet_cuts(ts, TAU, parts)
+        assert cuts[0] == 0 and cuts[-1] == ts.size and len(cuts) == parts + 1
+        assert np.all(np.diff(cuts) > 0)
+        assert all(ts[c] - ts[c - 1] > TAU for c in cuts[1:-1])
+    # a stream with no gap wider than tau is one piece
+    assert coincidence._quiet_cuts(np.arange(10_000) * TAU, TAU, 3) == [0, 10_000]
+    assert coincidence._quiet_cuts(np.empty(0, np.int64), TAU, 3) == [0, 0]
+
+
+def test_joined_bits(rng):
+    bits = rng.integers(0, 2, 1000).astype(np.uint8)
+    for sizes in ([1000], [0, 1000], [3, 997], [8, 992], [13, 0, 600, 387], [999, 1]):
+        ends = np.cumsum(sizes)
+        parts = [(np.packbits(bits[e - k:e]), k) for e, k in zip(ends, sizes)]
+        assert coincidence._joined_bits(parts) == BitSequence.from_bits(bits), sizes
+
+
 def split_cases(rng):
     """(timestamps, channels) of time-ordered streams for the channel split."""
     yield np.empty(0, np.int64), np.empty(0, np.uint8)

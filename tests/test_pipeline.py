@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrng_forge import _native, source
+from qrng_forge import _native, coincidence, source
 from qrng_forge.cli import main
 from qrng_forge.pipeline import (
     ConfigError,
@@ -152,6 +152,40 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "tags.qtt").exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("extractor.n_block", "-5", "extractor.n_block"),
+        ("extractor.n_block", "0", "extractor.n_block"),
+        ("extractor.epsilon_log2", "nan", "extractor.epsilon_log2"),
+        ("extractor.epsilon_log2", "1", "extractor.epsilon_log2"),
+        ("extractor.epsilon_log2", "-2000", "extractor.epsilon_log2"),
+        ("battery.n_sequences", "0", "battery.n_sequences"),
+        ("battery.seq_len", "-1", "battery.seq_len"),
+        ("battery.significance", "nan", "battery.significance"),
+        ("battery.significance", "1", "battery.significance"),
+        ("battery.significance", "0", "battery.significance"),
+    ])
+    def test_bad_extractor_or_battery_value_exit_2(self, key, value, named, tmp_path, capsys):
+        # checked at the config step, before anything is simulated or written
+        with pytest.raises(ConfigError, match=named):
+            build_config({key: float(value)})
+        assert main(["run", "--set", f"{key}={value}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "tags.qtt").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("source.dark_rate.C1", "abc"),
+        ("source.det_efficiency.U2", "abc"),
+        ("source.dark_rate", "abc"),
+        ("schedule.dwell", "nan"),
+        ("source.rng_seed", "abc"),
+        ("source.duration_s", "abc"),
+        ("extractor.epsilon_log2", "1e6"),
+    ])
+    def test_conversion_error_names_key(self, key, value, tmp_path, capsys):
+        assert main(["simulate", "--set", f"{key}={value}", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: "), err
+
     def test_event_budget_exit_2(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="budget"):
             build_config({"source.pump_power": 1e12})
@@ -222,8 +256,9 @@ class TestRunAndManifest:
         stages = manifest["stages"]
         assert list(stages) == list(manifest["timing_s"])
         keys = {"items_in", "unit_in", "items_out", "unit_out", "rate_per_s", "peak_rss_mib"}
+        extra = {"simulate": {"workers"}, "coincide": {"workers", "multi_tag_clusters"}}
         for name, row in stages.items():
-            assert set(row) == keys | ({"workers"} if name == "simulate" else set()), name
+            assert set(row) == keys | extra.get(name, set()), name
             assert row["rate_per_s"] == pytest.approx(row["items_in"] / manifest["timing_s"][name])
         peaks = [row["peak_rss_mib"] for row in stages.values()]
         assert peaks == sorted(peaks) and peaks[0] > 0  # peak memory so far never falls
@@ -238,6 +273,32 @@ class TestRunAndManifest:
         assert workers == source.simulation_workers(build_config(fast_overrides()).source)
         n_chunks = -(-400 // source.CHUNK_SLICES)  # 0.4 s is 400 slices
         assert workers == (min(len(os.sched_getaffinity(0)), n_chunks) if _native.library() else 0)
+        # qf_coincide's threads, by the same rule, one per PIECE_TAGS tags
+        n_pieces = -(-stages["coincide"]["items_in"] // coincidence.PIECE_TAGS)
+        assert stages["coincide"]["workers"] == (
+            min(len(os.sched_getaffinity(0)), n_pieces) if _native.library() else 0)
+        multi = stages["coincide"]["multi_tag_clusters"]
+        assert set(multi) == {"D1-U2", "D2-U1", "C1-C2"}
+        assert all(isinstance(n, int) and n >= 0 for n in multi.values())
+
+    def test_outputs_same_on_any_coincide_workers(self, run_result, tmp_path, monkeypatch):
+        # the stream cut at quiet gaps and matched piece by piece on 1, 2
+        # or 3 threads gives the whole-stream outputs byte for byte
+        if _native.library() is None:
+            pytest.skip("qf_coincide needs the C kernels")
+        _, out = run_result
+        want = json.loads((out / "manifest.json").read_text())
+        monkeypatch.setattr(coincidence, "PIECE_TAGS", 1)
+        for k in (1, 2, 3):
+            monkeypatch.setattr(_native, "workers", lambda jobs, k=k: min(k, jobs))
+            result = run_pipeline(build_config(fast_overrides()), out_dir=tmp_path / str(k),
+                                  extractor_seed=(out / "toeplitz_seed.bin").read_bytes())
+            assert result.manifest["stages"]["coincide"]["workers"] == k
+            assert result.manifest["digests"] == want["digests"]
+            assert result.manifest["stages"]["coincide"]["multi_tag_clusters"] == (
+                want["stages"]["coincide"]["multi_tag_clusters"])
+            for name in ("raw.bits", "raw.bits.json", "coincidence_summary.json", "cert_report.json"):
+                assert (tmp_path / str(k) / name).read_bytes() == (out / name).read_bytes(), (k, name)
 
     def test_manifest_digests_are_file_sha256(self, run_result):
         # tags.qtt is hashed as it is written, the other files read back
