@@ -14,6 +14,9 @@
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
+ *   qf_encode_records  timetags._records(...).tobytes() and
+ *                      TagStream.counts_by_channel (the QTT1 records of a
+ *                      chunk of tags, and its tags per channel)
  *   qf_match           coincidence._match_py
  *   qf_coincide        coincidence._coincide_py (the channel split,
  *                      find_coincidences per section pair and assign_bits):
@@ -532,6 +535,29 @@ void qf_split_channels(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t 
             out[pos[ch[i]]++] = ts[i];
 }
 
+/* The QTT1 records of a tag stream, (ts, ch)[0:n] as out[0:9n]: n 9-byte
+ * records, each the timestamp as a little-endian u64 and then the channel
+ * code as a u8. counts[c] gains the number of tags with channel code c, for
+ * c from 0 to 5 (higher codes are written but not counted). The counts go
+ * to four tables, by record index, so that tags of one channel in a row do
+ * not wait on each other's increment. */
+void qf_encode_records(const int64_t *ts, const uint8_t *ch, int64_t n, uint8_t *out,
+                       int64_t *counts)
+{
+    int64_t seen[4][256] = {{0}};
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t t = (uint64_t)ts[i];
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        t = __builtin_bswap64(t);
+#endif
+        memcpy(out + 9 * i, &t, 8);
+        out[9 * i + 8] = ch[i];
+        seen[i & 3][ch[i]]++;
+    }
+    for (int c = 0; c < 6; c++)
+        counts[c] += seen[0][c] + seen[1][c] + seen[2][c] + seen[3][c];
+}
+
 /* ---------------------------------------------------------------------------
  * Coincidences. In merged time order, consecutive tags of a channel pair
  * more than tau apart can never be matched across that gap, so such gaps
@@ -801,9 +827,10 @@ static void emit_bits(coincide_pass *s, int64_t bound0, int64_t bound1, int drai
  * are the raw bits, 0 and 1, in time order (the earlier tag's time) with
  * the 0 first at equal times, written MSB-first to bits, which must be
  * zeroed and hold n / 16 + 1 bytes. Pair 2's matches go to bell_t (the
- * earlier tag's time) and bell_d (b minus a), which must hold n / 2 + 1
- * values each (the slot after the last match is written too), and the times
- * of its a-tags and b-tags to bell_a and bell_b, n values each. stats
+ * earlier tag's time) and bell_d (b minus a), which must each hold one value
+ * more than the fewer of its a-tags and b-tags (the slot after the last
+ * match is written too), and the times of its a-tags and b-tags to bell_a
+ * and bell_b, which must hold as many values as there are such tags. stats
  * receives 12 counts: the matches of each pair, the clusters of each pair
  * holding more than one tag of either side, and the tags of each channel
  * code 0 to 5 (higher codes are skipped). Returns 0, or -1 if the work space

@@ -384,31 +384,40 @@ def _coincide_c(lib, stream: TagStream, tau: int, workers: int) -> StreamCoincid
     """:func:`coincide_stream` by ``qf_coincide``, on up to ``workers``
     threads, one per piece of :func:`_quiet_cuts`."""
     ts, ch = stream.timestamps, stream.channels
-    n = ts.size
     cuts = _quiet_cuts(ts, tau, workers)
     role = np.zeros(6, np.uint8)
     for p, pair in enumerate(STREAM_PAIRS):
         for side, c in enumerate(pair):
             role[c] = 2 * p + side
-    # every output is allocated here, to the size that the kernel may fill,
-    # not in the threads, whose freed heap stays resident; pages that are
-    # never written take no memory. The k-th piece, from tag s0 on, writes
-    # its Bell pair's coincidences from s0 // 2 + k on, and its tag times
-    # from s0 on.
+    a, b = STREAM_PAIRS[2]
+    starts = cuts[:-1]
+    # the Bell pair's a-tags and b-tags in each piece: each piece writes their
+    # times right after those of the pieces before, and its coincidences, no
+    # more than the fewer of them, right after the room of the pieces before,
+    # so that no tag time needs to move
+    c_tags = [[int(np.count_nonzero(ch[s0:s1] == c)) for c in (a, b)]
+              for s0, s1 in zip(starts, cuts[1:])]
+    c_at = np.cumsum([[0, 0]] + c_tags, axis=0).tolist()
+    room = [min(k) + 1 for k in c_tags]  # the kernel writes the slot after the last too
+    bell_at = np.cumsum([0] + room).tolist()
+    # every output is allocated here, at the size the kernel may fill, not in
+    # the threads, whose freed heap stays resident; pages that are never
+    # written take no memory, so the bound costs no more than the count
+    n = ts.size
     bell_t = np.empty(n // 2 + len(cuts), np.int64)
     bell_d = np.empty_like(bell_t)
     bell_a, bell_b = np.empty(n, np.int64), np.empty(n, np.int64)
-    starts, bits, stats, calls = cuts[:-1], [], [], []
-    bell_at = [s0 // 2 + k for k, s0 in enumerate(starts)]
-    for s0, s1, o in zip(starts, cuts[1:], bell_at):
+    bits, stats, calls = [], [], []
+    for k, (s0, s1) in enumerate(zip(starts, cuts[1:])):
         m = s1 - s0
         bits.append(np.zeros(m // 16 + 1, np.uint8))
         stats.append(np.empty(12, np.int64))
         calls.append((
             _native.address(ts[s0:], np.int64, m), _native.address(ch[s0:], np.uint8, m), m, tau,
             _native.address(role, np.uint8, 6), _native.address(bits[-1], np.uint8, m // 16 + 1, True),
-            *(_native.address(buf[o:], np.int64, m // 2 + 1, True) for buf in (bell_t, bell_d)),
-            *(_native.address(buf[s0:], np.int64, m, True) for buf in (bell_a, bell_b)),
+            *(_native.address(buf[bell_at[k]:], np.int64, room[k], True) for buf in (bell_t, bell_d)),
+            *(_native.address(buf[c_at[k][side]:], np.int64, c_tags[k][side], True)
+              for side, buf in enumerate((bell_a, bell_b))),
             _native.address(stats[-1], np.int64, 12, True),
         ))
 
@@ -429,13 +438,11 @@ def _coincide_c(lib, stream: TagStream, tau: int, workers: int) -> StreamCoincid
     stats = [st.tolist() for st in stats]
     total = np.sum(stats, axis=0).tolist()
 
-    a, b = STREAM_PAIRS[2]
     return StreamCoincidences(
         bits=_joined_bits([(packed, st[0] + st[1]) for packed, st in zip(bits, stats)]),
         bell=CoincidenceList(*(_packed_front(buf, bell_at, [st[2] for st in stats])
                                for buf in (bell_t, bell_d))),
-        bell_times=tuple(_packed_front(buf, starts, [st[6 + c] for st in stats])
-                         for buf, c in ((bell_a, a), (bell_b, b))),
+        bell_times=(bell_a[:c_at[-1][0]], bell_b[:c_at[-1][1]]),
         singles={c: total[6 + c] for c in Channel},
         matches={pair: total[p] for p, pair in enumerate(STREAM_PAIRS)},
         multi_tag_clusters={pair: total[3 + p] for p, pair in enumerate(STREAM_PAIRS)},

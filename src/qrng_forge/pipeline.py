@@ -36,6 +36,11 @@ Every run writes a manifest with the full resolved config, RNG seed,
 output digests, stage timings and stage telemetry (items in and out,
 rate, peak memory); re-running from a manifest reproduces
 the bit outputs byte for byte.
+
+``run`` writes ``tags.qtt`` on a thread of its own, from the moment the
+events are generated, while coincide, certify, extract and test run; the
+file is complete, and its digest known, before the manifest is built, and
+the run waits for that thread on every exit, an error's included.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ from .timetags import (
     BitSequence,
     Channel,
     TagStream,
+    _record_buffer,
+    _write_records,
     write_bits,
-    write_stream,
 )
 
 
@@ -357,6 +363,20 @@ class PipelineResult:
     out_dir: Path
 
 
+def _channel_rates(cfg: RunConfig, observed: dict[Channel, int]) -> dict:
+    """Observed against analytic rates of each channel, from the ``observed``
+    tags of each channel of the acquisition."""
+    duration_s = cfg.source.duration * 1e-12
+    expected = expected_rates(cfg.source)
+    return {
+        ch.name: {
+            "observed_hz": observed[ch] / duration_s if duration_s else 0.0,
+            "expected_hz": expected.singles[ch],
+        }
+        for ch in Channel
+    }
+
+
 def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, str, dict]:
     """Generate events, write the QTT1 file, and report observed vs
     analytic per-channel rates; returns the stream, the file's path and
@@ -364,18 +384,8 @@ def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, st
     stream = generate_events(cfg.source)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag_path = out_dir / "tags.qtt"
-    tag_digest = write_stream(stream, tag_path)
-    duration_s = cfg.source.duration * 1e-12
-    expected = expected_rates(cfg.source)
-    observed = stream.counts_by_channel()
-    rates = {
-        ch.name: {
-            "observed_hz": observed[ch] / duration_s if duration_s else 0.0,
-            "expected_hz": expected.singles[ch],
-        }
-        for ch in Channel
-    }
-    return stream, tag_path, tag_digest, rates
+    tag_digest, observed = _write_records(stream, tag_path)
+    return stream, tag_path, tag_digest, _channel_rates(cfg, observed)
 
 
 def certification_report(
@@ -502,6 +512,26 @@ def _test(cfg: RunConfig, bits: BitSequence, out_dir: Path):
     return report
 
 
+def _timed(fn, *args):
+    """``fn(*args)``, and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
+
+
+def _tags_written(job, row: dict) -> tuple[str, dict[Channel, int]]:
+    """The digest and the tags per channel that the writer thread's ``job``
+    returns, once it is done; the seconds it took and the seconds this
+    waited for it go into the simulate stage's ``row``. A failed write
+    raises :class:`StageError` naming the simulate stage."""
+    t0 = time.perf_counter()
+    try:
+        (digest, observed), row["write_s"] = job.result()
+    except Exception as exc:
+        raise StageError("simulate", exc) from exc
+    row["write_wait_s"] = time.perf_counter() - t0
+    return digest, observed
+
+
 @contextmanager
 def _stage(name: str, timing: dict[str, float], stages: dict[str, dict],
            unit_in: str, unit_out: str):
@@ -543,47 +573,57 @@ def run_pipeline(
     digested = ["raw.bits", "cert_report.json", "extracted.bits", "toeplitz_seed.bin"]
     duration_s = cfg.source.duration * 1e-12
 
-    with _stage("simulate", timing, stages, "acquisition_s", "tags") as counts:
-        stream, _, tag_digest, rates = simulate_to_file(cfg, out_dir)
-        counts["in"], counts["out"] = duration_s, len(stream)
-        counts["workers"] = simulation_workers(cfg.source)
-    with _stage("coincide", timing, stages, "tags", "raw_bits") as counts:
-        found, _ = _coincide(cfg, stream, out_dir)
-        raw_bits = found.bits
-        counts["in"], counts["out"] = len(stream), len(raw_bits)
-        counts["workers"] = found.workers
-        counts["multi_tag_clusters"] = _pair_names(found.multi_tag_clusters)
-    with _stage("certify", timing, stages, "coincidences", "blocks") as counts:
-        blocks, cert_report = _certify(cfg, stream.duration, found.bell, *found.bell_times, out_dir)
-        counts["in"], counts["out"] = len(found.bell), len(blocks)
-    verdict = Verdict(cert_report["verdict"])
-    pair_counts = _pair_names(found.matches)
-    # the tags and coincidences are done with; free them before extraction
-    # allocates its output
-    del stream, found
+    # tags.qtt is written on a thread of its own while the later stages run;
+    # leaving this block, on every exit, waits for that thread
+    from concurrent.futures import ThreadPoolExecutor  # imported here, as in source
 
-    if verdict is Verdict.UNCERTIFIED and not force:
-        raise CertificationRefused(
-            "run verdict is UNCERTIFIED; pass --force to extract anyway"
-        )
+    with ThreadPoolExecutor(1, thread_name_prefix="qrng_forge-tags") as writer:
+        with _stage("simulate", timing, stages, "acquisition_s", "tags") as counts:
+            stream = generate_events(cfg.source)
+            written = writer.submit(_timed, _write_records, stream, out_dir / "tags.qtt",
+                                    _record_buffer(len(stream)))
+            counts["in"], counts["out"] = duration_s, len(stream)
+            counts["workers"] = simulation_workers(cfg.source)
+        with _stage("coincide", timing, stages, "tags", "raw_bits") as counts:
+            found, _ = _coincide(cfg, stream, out_dir)
+            raw_bits = found.bits
+            counts["in"], counts["out"] = len(stream), len(raw_bits)
+            counts["workers"] = found.workers
+            counts["multi_tag_clusters"] = _pair_names(found.multi_tag_clusters)
+        with _stage("certify", timing, stages, "coincidences", "blocks") as counts:
+            blocks, cert_report = _certify(cfg, stream.duration, found.bell, *found.bell_times,
+                                           out_dir)
+            counts["in"], counts["out"] = len(found.bell), len(blocks)
+        verdict = Verdict(cert_report["verdict"])
+        pair_counts = _pair_names(found.matches)
+        # the tags and coincidences are done with; free them before extraction
+        # allocates its output (the writer frees the tags when it is done)
+        del stream, found
 
-    with _stage("extract", timing, stages, "raw_bits", "bits") as counts:
-        extracted, extraction = _extract(
-            cfg, raw_bits, out_dir, extractor_seed, acquisition_seconds=duration_s
-        )
-        counts["in"], counts["out"] = len(raw_bits), len(extracted)
-    need = cfg.battery.n_sequences * cfg.battery.seq_len
-    battery = {"note": f"skipped: needs {need} bits, extracted {len(extracted)}"}
-    with _stage("test", timing, stages, "bits", "sequences") as counts:
-        if len(extracted) >= need:
-            battery = _test(cfg, extracted, out_dir).to_dict()
-            digested.append("battery_report.json")
-            counts["in"], counts["out"] = need, cfg.battery.n_sequences
+        if verdict is Verdict.UNCERTIFIED and not force:
+            raise CertificationRefused(
+                "run verdict is UNCERTIFIED; pass --force to extract anyway"
+            )
+
+        with _stage("extract", timing, stages, "raw_bits", "bits") as counts:
+            extracted, extraction = _extract(
+                cfg, raw_bits, out_dir, extractor_seed, acquisition_seconds=duration_s
+            )
+            counts["in"], counts["out"] = len(raw_bits), len(extracted)
+        need = cfg.battery.n_sequences * cfg.battery.seq_len
+        battery = {"note": f"skipped: needs {need} bits, extracted {len(extracted)}"}
+        with _stage("test", timing, stages, "bits", "sequences") as counts:
+            if len(extracted) >= need:
+                battery = _test(cfg, extracted, out_dir).to_dict()
+                digested.append("battery_report.json")
+                counts["in"], counts["out"] = need, cfg.battery.n_sequences
+        tag_digest, observed = _tags_written(written, stages["simulate"])
 
     raw_rate = len(raw_bits) / duration_s if duration_s else 0.0
     h_min = extraction.h_min
     mbps = extraction.mbps or 0.0
     s_run = cert_report.get("S_run")
+    rates = _channel_rates(cfg, observed)
     manifest = {
         "tool": "qrng-forge",
         "version": __version__,

@@ -36,8 +36,9 @@ _MAGIC = b"QTT1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
-#: Records that write_stream encodes, hashes and writes at a time (576 KiB).
-WRITE_RECORDS = 1 << 16
+#: Records that the tag writer (:func:`write_stream`, and ``run``'s writer
+#: thread) encodes, hashes and writes at a time: 2.25 MiB of records.
+WRITE_RECORDS = 1 << 18
 
 
 class TagFileError(Exception):
@@ -254,24 +255,61 @@ def decode_stream(data: bytes) -> TagStream:
         raise CorruptionError(str(exc)) from exc
 
 
-def write_stream(stream: TagStream, path) -> str:
-    """Write the bytes of :func:`encode_stream`, encoding the records
-    :data:`WRITE_RECORDS` at a time into one reused buffer; returns the
-    sha256 hex digest of those bytes, hashed from the buffers as they are
-    written rather than by reading the file back."""
+def _encode_records(ts: np.ndarray, ch: np.ndarray, out: np.ndarray, counts: np.ndarray) -> None:
+    """The records of the tags ``(ts, ch)`` into ``out``, ``9 * ts.size``
+    bytes, and each channel's tags added to ``counts[0:6]``: in one pass of
+    ``qf_encode_records`` when the kernels are built, else as
+    :func:`_records` and :meth:`TagStream.counts_by_channel` make them."""
+    n = ts.size
+    lib = _native.library()
+    if lib is None:
+        records = out.view(_RECORD_DTYPE)
+        records["t"] = ts
+        records["ch"] = ch
+        counts += np.bincount(ch, minlength=6)[:6]
+    else:
+        lib.qf_encode_records(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n,
+                              _native.address(out, np.uint8, 9 * n, True),
+                              _native.address(counts, np.int64, 6, True))
+
+
+def _record_buffer(n: int) -> np.ndarray:
+    """The buffer :func:`_write_records` encodes the records of an
+    ``n``-tag stream into, one chunk at a time."""
+    return np.empty(min(n, WRITE_RECORDS) * _RECORD_DTYPE.itemsize, np.uint8)
+
+
+def _write_records(stream: TagStream, path, buf: np.ndarray | None = None):
+    """Write the bytes of :func:`encode_stream`, encoding, hashing and
+    writing :data:`WRITE_RECORDS` records at a time through ``buf`` (from
+    :func:`_record_buffer`; None allocates it here). Returns the sha256 hex
+    digest of those bytes, hashed from the buffer rather than by reading
+    the file back, and the tags of each channel.
+
+    It calls no public function of the package, so that it may run on a
+    thread of its own while the caller's thread goes on; the caller then
+    allocates ``buf``, since a thread's freed heap may stay resident."""
+    if buf is None:
+        buf = _record_buffer(len(stream))
+    ts, ch, n = stream.timestamps, stream.channels, len(stream)
+    counts = np.zeros(6, np.int64)
     header = _header(stream)
     digest = hashlib.sha256(header)
-    buf = np.empty(min(len(stream), WRITE_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as f:
         f.write(header)
-        for start in range(0, len(stream), WRITE_RECORDS):
-            piece = buf[: min(WRITE_RECORDS, len(stream) - start)]
-            piece["t"] = stream.timestamps[start:start + piece.size]
-            piece["ch"] = stream.channels[start:start + piece.size]
-            data = memoryview(piece).cast("B")
+        for start in range(0, n, WRITE_RECORDS):
+            stop = min(start + WRITE_RECORDS, n)
+            data = buf[: (stop - start) * _RECORD_DTYPE.itemsize]
+            _encode_records(ts[start:stop], ch[start:stop], data, counts)
             digest.update(data)
             f.write(data)
-    return digest.hexdigest()
+    return digest.hexdigest(), {c: int(counts[c]) for c in Channel}
+
+
+def write_stream(stream: TagStream, path) -> str:
+    """Write the bytes of :func:`encode_stream` to ``path``; returns their
+    sha256 hex digest."""
+    return _write_records(stream, path)[0]
 
 
 def read_stream(path) -> TagStream:

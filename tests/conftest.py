@@ -1,7 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from qrng_forge import Channel, TagStream
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not on PATH")
 
 
 def make_stream(times, channels, duration=None):

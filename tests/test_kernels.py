@@ -3,7 +3,6 @@
 import hashlib
 import os
 import re
-import shutil
 import subprocess
 import sys
 import warnings
@@ -25,9 +24,7 @@ from qrng_forge import (
 from qrng_forge import coincidence, randtests, source, timetags
 from qrng_forge.extract import _hash_blocks
 
-from conftest import naive_toeplitz
-
-needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not on PATH")
+from conftest import naive_toeplitz, needs_gcc
 
 TAU = 1000
 
@@ -172,6 +169,29 @@ def test_split_channels_c_equals_numpy(rng):
         assert len(got) == len(want) == 6
         for w, g in zip(want, got):
             assert g.dtype == w.dtype and np.array_equal(w, g), (ts, ch)
+
+
+@needs_gcc
+def test_encode_records_c_equals_numpy(rng, monkeypatch):
+    # qf_encode_records against the structured-array encode and a count by
+    # channel, each adding to counts that already hold some
+    assert _native.library() is not None
+    extremes = (np.array([0, 0, 2**63 - 1]), np.array([5, 0, 3]))
+    for ts, ch in (*split_cases(rng), extremes):
+        ts = np.asarray(ts, np.int64)
+        ch = np.asarray(ch, np.uint8)
+        got = []
+        for backend in ("c", "numpy"):
+            with monkeypatch.context() as m:
+                if backend == "numpy":
+                    m.setattr(_native, "library", lambda: None)
+                out, counts = np.empty(9 * ts.size, np.uint8), np.arange(6, dtype=np.int64)
+                timetags._encode_records(ts, ch, out, counts)
+                got.append((out.tobytes(), counts.tolist()))
+        stream = TagStream(ts, ch, 2**63 - 1)
+        want = (encode_stream(stream)[24:],
+                [k + n for k, n in zip(range(6), stream.counts_by_channel().values())])
+        assert got[0] == got[1] == want, (ts, ch)
 
 
 def channel_times_by_mask(stream):

@@ -1,15 +1,20 @@
 import hashlib
 import json
 import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrng_forge import _native, coincidence, source
+from qrng_forge import _native, coincidence, pipeline, source, timetags
+from qrng_forge.certify import Verdict
 from qrng_forge.cli import main
 from qrng_forge.pipeline import (
+    CertificationRefused,
     ConfigError,
+    StageError,
     build_config,
     load_config,
     parse_config_text,
@@ -18,7 +23,7 @@ from qrng_forge.pipeline import (
     sweep,
     sweep_csv,
 )
-from qrng_forge.timetags import BitSequence, Channel, read_bits, write_bits
+from qrng_forge.timetags import BitSequence, Channel, encode_stream, read_bits, write_bits
 
 
 def fast_overrides(**extra):
@@ -256,7 +261,8 @@ class TestRunAndManifest:
         stages = manifest["stages"]
         assert list(stages) == list(manifest["timing_s"])
         keys = {"items_in", "unit_in", "items_out", "unit_out", "rate_per_s", "peak_rss_mib"}
-        extra = {"simulate": {"workers"}, "coincide": {"workers", "multi_tag_clusters"}}
+        extra = {"simulate": {"workers", "write_s", "write_wait_s"},
+                 "coincide": {"workers", "multi_tag_clusters"}}
         for name, row in stages.items():
             assert set(row) == keys | extra.get(name, set()), name
             assert row["rate_per_s"] == pytest.approx(row["items_in"] / manifest["timing_s"][name])
@@ -277,6 +283,8 @@ class TestRunAndManifest:
         n_pieces = -(-stages["coincide"]["items_in"] // coincidence.PIECE_TAGS)
         assert stages["coincide"]["workers"] == (
             min(len(os.sched_getaffinity(0)), n_pieces) if _native.library() else 0)
+        # the writer thread's own seconds, and how long the run waited for it
+        assert stages["simulate"]["write_s"] > 0 and stages["simulate"]["write_wait_s"] >= 0
         multi = stages["coincide"]["multi_tag_clusters"]
         assert set(multi) == {"D1-U2", "D2-U1", "C1-C2"}
         assert all(isinstance(n, int) and n >= 0 for n in multi.values())
@@ -343,6 +351,65 @@ class TestRunAndManifest:
         _, path_a, _, _ = simulate_to_file(cfg, tmp_path / "a")
         _, path_b, _, _ = simulate_to_file(cfg, tmp_path / "b")
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+class TestTagWriter:
+    """``run`` writes tags.qtt on a thread of its own while the later stages
+    run, and every exit of :func:`run_pipeline` waits for that thread."""
+
+    small = fast_overrides(**{
+        "source.duration_s": 0.05,
+        "extractor.n_block": 8192,
+        "battery.n_sequences": 1,
+        "battery.seq_len": 1000,
+    })
+
+    @pytest.fixture
+    def slow_writer(self, monkeypatch):
+        # the writer outlasts the later stages, so a run that stops early
+        # stops while the file is still being written
+        encode = timetags._encode_records
+
+        def slow(*args):
+            time.sleep(0.3)
+            encode(*args)
+
+        monkeypatch.setattr(timetags, "_encode_records", slow)
+
+    def test_refused_run_leaves_complete_tags(self, tmp_path, slow_writer, monkeypatch):
+        cfg = build_config(self.small)
+        monkeypatch.setattr(pipeline, "run_verdict", lambda blocks: Verdict.UNCERTIFIED)
+        with pytest.raises(CertificationRefused):
+            run_pipeline(cfg, out_dir=tmp_path)
+        want = hashlib.sha256(encode_stream(source.generate_events(cfg.source))).hexdigest()
+        assert hashlib.sha256((tmp_path / "tags.qtt").read_bytes()).hexdigest() == want
+
+    def test_failed_stage_joins_writer(self, tmp_path, slow_writer, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no extractor")
+
+        monkeypatch.setattr(pipeline, "extract_stream", fail)
+        before = set(threading.enumerate())
+        with pytest.raises(StageError) as info:
+            run_pipeline(build_config(self.small), out_dir=tmp_path, force=True)
+        assert info.value.stage == "extract"
+        assert set(threading.enumerate()) <= before  # no thread of the run outlives it
+        assert not any(t.name.startswith("qrng_forge-tags") for t in threading.enumerate())
+
+    def test_unwritable_tags_fail_simulate_stage(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "tags.qtt").mkdir()
+        sets = [arg for k, v in self.small.items() for arg in ("--set", f"{k}={v}")]
+        assert main(["run", "--out", str(tmp_path), *sets]) == 3  # an i/o error
+        assert capsys.readouterr().err.startswith("error: stage 'simulate' failed:")
+        # with a later stage failing too, that stage's error is the one raised
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("no extractor")
+
+        monkeypatch.setattr(pipeline, "extract_stream", fail)
+        with pytest.raises(StageError) as info:
+            run_pipeline(build_config(self.small), out_dir=tmp_path, force=True)
+        assert info.value.stage == "extract"
 
 
 class TestStageSubcommands:

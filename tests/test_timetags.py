@@ -17,7 +17,9 @@ from qrng_forge import (
     read_bits,
     write_bits,
 )
+from qrng_forge import _native, timetags
 from qrng_forge.timetags import (
+    MAX_TIMESTAMP,
     WRITE_RECORDS,
     CorruptionError,
     FormatError,
@@ -27,7 +29,7 @@ from qrng_forge.timetags import (
     write_stream,
 )
 
-from conftest import make_stream
+from conftest import make_stream, needs_gcc
 
 
 class TestChannel:
@@ -134,6 +136,26 @@ class TestCodec:
             ts = np.sort(rng.integers(0, 10**9, n))
             digest = write_stream(TagStream(ts, rng.integers(0, 6, n), 10**9), path)
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("backend", [pytest.param("c", marks=needs_gcc), "numpy"])
+def test_write_records_equal_encoding_and_counts(tmp_path, rng, backend, monkeypatch):
+    # one chunk at a time, either side of each chunk edge: the bytes of
+    # encode_stream, their sha256, and the tags per channel of counts_by_channel
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    path = tmp_path / "tags.qtt"
+    for n in (0, 1, WRITE_RECORDS - 1, WRITE_RECORDS, WRITE_RECORDS + 1, 2 * WRITE_RECORDS + 3):
+        ts = np.sort(rng.integers(0, MAX_TIMESTAMP, n, endpoint=True))
+        ts[:1], ts[1:][-1:] = 0, MAX_TIMESTAMP  # the least and the greatest timestamp
+        ch = rng.integers(0, 6, n)
+        ch[:6] = np.arange(6)[:n]  # every channel code, from 6 tags on
+        stream = TagStream(ts, ch, MAX_TIMESTAMP)
+        digest, counts = timetags._write_records(stream, path)
+        data = path.read_bytes()
+        assert data == encode_stream(stream), n
+        assert digest == hashlib.sha256(data).hexdigest(), n
+        assert counts == stream.counts_by_channel(), n
 
 
 class TestMerge:
