@@ -14,9 +14,8 @@
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
- *   qf_encode_records  timetags._records(...).tobytes() and
- *                      TagStream.counts_by_channel (the QTT1 records of a
- *                      chunk of tags, and its tags per channel)
+ *   qf_encode_records  timetags._records (the QTT1 records of a chunk of
+ *                      tags; it writes records only)
  *   qf_match           coincidence._match_py
  *   qf_coincide        coincidence._coincide_py (the channel split,
  *                      find_coincidences per section pair and assign_bits):
@@ -537,14 +536,9 @@ void qf_split_channels(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t 
 
 /* The QTT1 records of a tag stream, (ts, ch)[0:n] as out[0:9n]: n 9-byte
  * records, each the timestamp as a little-endian u64 and then the channel
- * code as a u8. counts[c] gains the number of tags with channel code c, for
- * c from 0 to 5 (higher codes are written but not counted). The counts go
- * to four tables, by record index, so that tags of one channel in a row do
- * not wait on each other's increment. */
-void qf_encode_records(const int64_t *ts, const uint8_t *ch, int64_t n, uint8_t *out,
-                       int64_t *counts)
+ * code as a u8. */
+void qf_encode_records(const int64_t *ts, const uint8_t *ch, int64_t n, uint8_t *out)
 {
-    int64_t seen[4][256] = {{0}};
     for (int64_t i = 0; i < n; i++) {
         uint64_t t = (uint64_t)ts[i];
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
@@ -552,10 +546,7 @@ void qf_encode_records(const int64_t *ts, const uint8_t *ch, int64_t n, uint8_t 
 #endif
         memcpy(out + 9 * i, &t, 8);
         out[9 * i + 8] = ch[i];
-        seen[i & 3][ch[i]]++;
     }
-    for (int c = 0; c < 6; c++)
-        counts[c] += seen[0][c] + seen[1][c] + seen[2][c] + seen[3][c];
 }
 
 /* ---------------------------------------------------------------------------

@@ -384,8 +384,8 @@ def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, st
     stream = generate_events(cfg.source)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag_path = out_dir / "tags.qtt"
-    tag_digest, observed = _write_records(stream, tag_path)
-    return stream, tag_path, tag_digest, _channel_rates(cfg, observed)
+    tag_digest = _write_records(stream, tag_path)
+    return stream, tag_path, tag_digest, _channel_rates(cfg, stream.counts_by_channel())
 
 
 def certification_report(
@@ -518,18 +518,18 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - t0
 
 
-def _tags_written(job, row: dict) -> tuple[str, dict[Channel, int]]:
-    """The digest and the tags per channel that the writer thread's ``job``
-    returns, once it is done; the seconds it took and the seconds this
-    waited for it go into the simulate stage's ``row``. A failed write
-    raises :class:`StageError` naming the simulate stage."""
+def _tags_written(job, row: dict) -> str:
+    """The digest of ``tags.qtt`` that the writer thread's ``job`` returns,
+    once it is done; the seconds it took and the seconds this waited for it
+    go into the simulate stage's ``row``. A failed write raises
+    :class:`StageError` naming the simulate stage."""
     t0 = time.perf_counter()
     try:
-        (digest, observed), row["write_s"] = job.result()
+        digest, row["write_s"] = job.result()
     except Exception as exc:
         raise StageError("simulate", exc) from exc
     row["write_wait_s"] = time.perf_counter() - t0
-    return digest, observed
+    return digest
 
 
 @contextmanager
@@ -554,7 +554,10 @@ def _stage(name: str, timing: dict[str, float], stages: dict[str, dict],
         "items_out": counts["out"],
         "unit_out": unit_out,
         "rate_per_s": counts["in"] / seconds if seconds > 0 else 0.0,
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        # ru_maxrss can read lower in a later stage, so the peak so far is
+        # also the earlier stages' greatest
+        "peak_rss_mib": max([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                             *(row["peak_rss_mib"] for row in stages.values())]),
         **{key: value for key, value in counts.items() if key not in ("in", "out")},
     }
 
@@ -596,6 +599,7 @@ def run_pipeline(
             counts["in"], counts["out"] = len(found.bell), len(blocks)
         verdict = Verdict(cert_report["verdict"])
         pair_counts = _pair_names(found.matches)
+        rates = _channel_rates(cfg, found.singles)
         # the tags and coincidences are done with; free them before extraction
         # allocates its output (the writer frees the tags when it is done)
         del stream, found
@@ -617,13 +621,12 @@ def run_pipeline(
                 battery = _test(cfg, extracted, out_dir).to_dict()
                 digested.append("battery_report.json")
                 counts["in"], counts["out"] = need, cfg.battery.n_sequences
-        tag_digest, observed = _tags_written(written, stages["simulate"])
+        tag_digest = _tags_written(written, stages["simulate"])
 
     raw_rate = len(raw_bits) / duration_s if duration_s else 0.0
     h_min = extraction.h_min
     mbps = extraction.mbps or 0.0
     s_run = cert_report.get("S_run")
-    rates = _channel_rates(cfg, observed)
     manifest = {
         "tool": "qrng-forge",
         "version": __version__,
@@ -652,7 +655,8 @@ def run_pipeline(
         },
         "battery": battery,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    # not _write_json: the stages and their seconds stay in the order they ran
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     s_text = f"{s_run:.4f}" if isinstance(s_run, float) else "n/a"
     summary = (

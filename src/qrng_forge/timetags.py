@@ -36,8 +36,8 @@ _MAGIC = b"QTT1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
-#: Records that the tag writer (:func:`write_stream`, and ``run``'s writer
-#: thread) encodes, hashes and writes at a time: 2.25 MiB of records.
+#: Records that :func:`_write_records`, the writer under :func:`write_stream`
+#: and ``run``'s writer thread, encodes, hashes and writes at a time: 2.25 MiB.
 WRITE_RECORDS = 1 << 18
 
 
@@ -120,11 +120,15 @@ class TagStream:
             if duration <= 0:
                 raise ValueError("duration must be a positive picosecond count")
             if ts.size:
-                if ts.min() < 0 or ts.max() > MAX_TIMESTAMP:
+                # a sorted stream's range is its ends; only an unsorted one
+                # needs a search, so that each fault keeps its precedence
+                unsorted = bool((ts[1:] < ts[:-1]).any())
+                lo, hi = (ts.min(), ts.max()) if unsorted else (ts[0], ts[-1])
+                if lo < 0:
                     raise ValueError("timestamps outside [0, 2^63)")
-                if ts.max() > duration:
+                if hi > duration:
                     raise ValueError("timestamps exceed stream duration")
-                if np.any(np.diff(ts) < 0):
+                if unsorted:
                     raise ValueError("timestamps must be non-decreasing")
             if ch.size and ch.max() > max(Channel):
                 raise ValueError("invalid channel code")
@@ -211,16 +215,18 @@ def _header(stream: TagStream) -> bytes:
     return _HEADER.pack(_MAGIC, _VERSION, 6, stream.duration, len(stream))
 
 
-def _records(stream: TagStream) -> np.ndarray:
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["t"] = stream.timestamps
-    records["ch"] = stream.channels
+def _records(ts: np.ndarray, ch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The QTT1 records of the tags ``(ts, ch)``, written into ``out``
+    (``9 * ts.size`` bytes) or, without it, into a new array."""
+    records = np.empty(ts.size, _RECORD_DTYPE) if out is None else out.view(_RECORD_DTYPE)
+    records["t"] = ts
+    records["ch"] = ch
     return records
 
 
 def encode_stream(stream: TagStream) -> bytes:
     """Serialize a stream to the canonical QTT1 byte layout."""
-    return _header(stream) + _records(stream).tobytes()
+    return _header(stream) + _records(stream.timestamps, stream.channels).tobytes()
 
 
 def decode_stream(data: bytes) -> TagStream:
@@ -240,37 +246,33 @@ def decode_stream(data: bytes) -> TagStream:
         raise FormatError(f"unsupported version {version}")
     if n_channels != 6:
         raise FormatError(f"expected 6 channels, header says {n_channels}")
-    body = data[_HEADER.size:]
-    if len(body) < count * _RECORD_DTYPE.itemsize:
+    payload = len(data) - _HEADER.size
+    if payload < count * _RECORD_DTYPE.itemsize:
         raise TruncationError(
             f"header declares {count} records, payload holds "
-            f"{len(body) // _RECORD_DTYPE.itemsize}"
+            f"{payload // _RECORD_DTYPE.itemsize}"
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE, count=count)
-    # a u64 timestamp of 2^63 or more wraps negative here, which the
-    # stream's own range check rejects
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
+    # both columns are copied out of ``data``, so the stream holds none of it;
+    # a u64 timestamp of 2^63 or more wraps negative here, which the stream's
+    # own range check rejects
     try:
-        return TagStream(records["t"].astype(np.int64), records["ch"], duration)
+        return TagStream(records["t"].astype(np.int64), records["ch"].copy(), duration)
     except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
 
 
-def _encode_records(ts: np.ndarray, ch: np.ndarray, out: np.ndarray, counts: np.ndarray) -> None:
-    """The records of the tags ``(ts, ch)`` into ``out``, ``9 * ts.size``
-    bytes, and each channel's tags added to ``counts[0:6]``: in one pass of
-    ``qf_encode_records`` when the kernels are built, else as
-    :func:`_records` and :meth:`TagStream.counts_by_channel` make them."""
-    n = ts.size
+def _encode_records(ts: np.ndarray, ch: np.ndarray, out: np.ndarray) -> None:
+    """The records of :func:`_records` for the tags ``(ts, ch)``, into
+    ``out`` (``9 * ts.size`` bytes): by ``qf_encode_records`` when the
+    kernels are built."""
     lib = _native.library()
     if lib is None:
-        records = out.view(_RECORD_DTYPE)
-        records["t"] = ts
-        records["ch"] = ch
-        counts += np.bincount(ch, minlength=6)[:6]
+        _records(ts, ch, out)
     else:
+        n = ts.size
         lib.qf_encode_records(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n,
-                              _native.address(out, np.uint8, 9 * n, True),
-                              _native.address(counts, np.int64, 6, True))
+                              _native.address(out, np.uint8, 9 * n, True))
 
 
 def _record_buffer(n: int) -> np.ndarray:
@@ -279,12 +281,12 @@ def _record_buffer(n: int) -> np.ndarray:
     return np.empty(min(n, WRITE_RECORDS) * _RECORD_DTYPE.itemsize, np.uint8)
 
 
-def _write_records(stream: TagStream, path, buf: np.ndarray | None = None):
+def _write_records(stream: TagStream, path, buf: np.ndarray | None = None) -> str:
     """Write the bytes of :func:`encode_stream`, encoding, hashing and
     writing :data:`WRITE_RECORDS` records at a time through ``buf`` (from
     :func:`_record_buffer`; None allocates it here). Returns the sha256 hex
     digest of those bytes, hashed from the buffer rather than by reading
-    the file back, and the tags of each channel.
+    the file back.
 
     It calls no public function of the package, so that it may run on a
     thread of its own while the caller's thread goes on; the caller then
@@ -292,7 +294,6 @@ def _write_records(stream: TagStream, path, buf: np.ndarray | None = None):
     if buf is None:
         buf = _record_buffer(len(stream))
     ts, ch, n = stream.timestamps, stream.channels, len(stream)
-    counts = np.zeros(6, np.int64)
     header = _header(stream)
     digest = hashlib.sha256(header)
     with open(path, "wb") as f:
@@ -300,16 +301,16 @@ def _write_records(stream: TagStream, path, buf: np.ndarray | None = None):
         for start in range(0, n, WRITE_RECORDS):
             stop = min(start + WRITE_RECORDS, n)
             data = buf[: (stop - start) * _RECORD_DTYPE.itemsize]
-            _encode_records(ts[start:stop], ch[start:stop], data, counts)
+            _encode_records(ts[start:stop], ch[start:stop], data)
             digest.update(data)
             f.write(data)
-    return digest.hexdigest(), {c: int(counts[c]) for c in Channel}
+    return digest.hexdigest()
 
 
 def write_stream(stream: TagStream, path) -> str:
     """Write the bytes of :func:`encode_stream` to ``path``; returns their
     sha256 hex digest."""
-    return _write_records(stream, path)[0]
+    return _write_records(stream, path)
 
 
 def read_stream(path) -> TagStream:

@@ -473,6 +473,15 @@ class TestStageSubcommands:
         }
         assert summary["raw_bits"] == manifest["rates"]["raw_bits"]
 
+    def test_channel_rates_are_coincide_singles(self, chain_and_run):
+        # run's observed rates come from the tags per channel that coincide counts
+        _, ran = chain_and_run
+        singles = json.loads((ran / "coincidence_summary.json").read_text())["singles"]
+        rates = json.loads((ran / "manifest.json").read_text())["rates"]["channel_rates_hz"]
+        assert set(rates) == set(singles) == {ch.name for ch in Channel}
+        for name, n in singles.items():
+            assert rates[name]["observed_hz"] * 0.2 == pytest.approx(n, rel=1e-12), name
+
 
 class TestSweep:
     def test_requires_two_values(self, tmp_path):

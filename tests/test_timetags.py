@@ -100,20 +100,38 @@ class TestCodec:
             decode_stream(bytes(data))
 
     @pytest.mark.parametrize(
-        "record, timestamp",
-        [(0, 2**63), (0, 2**64 - 1), (1, 101)],  # 101 is past the 100 ps duration
-        ids=["2^63", "u64_max", "past_duration"],
+        "record, timestamp, message",
+        [(0, 2**63, "outside"), (0, 2**64 - 1, "outside"),
+         (1, 101, "exceed"),  # 101 is past the 100 ps duration
+         # with the order broken too, the range fault is the one named
+         (1, 2**63, "outside"), (0, 101, "exceed")],
+        ids=["2^63", "u64_max", "past_duration", "negative_unsorted", "past_duration_unsorted"],
     )
-    def test_timestamp_out_of_range(self, record, timestamp):
+    def test_timestamp_out_of_range(self, record, timestamp, message):
         data = bytearray(encode_stream(make_stream([10, 20], Channel.U1, duration=100)))
         struct.pack_into("<Q", data, 24 + 9 * record, timestamp)
-        with pytest.raises(CorruptionError):
+        with pytest.raises(CorruptionError, match=message):
             decode_stream(bytes(data))
 
     def test_truncated_record(self):
         data = encode_stream(make_stream([5, 6], Channel.D1, duration=10))
         with pytest.raises(TruncationError):
             decode_stream(data[:-4])
+
+    def test_payload_past_declared_records_ignored(self):
+        stream = make_stream([5, 6], Channel.D1, duration=10)
+        assert decode_stream(encode_stream(stream) + b"\xff" * 13) == stream
+
+    def test_decoded_arrays_share_no_memory_with_input(self, rng):
+        # the records are read in place, and both columns copied out of them
+        for n in (0, 1, 2, 1000):
+            ts = np.sort(rng.integers(0, 10**9, n))
+            encoded = encode_stream(TagStream(ts, rng.integers(0, 6, n), 10**9))
+            for data in (encoded, bytearray(encoded)):
+                stream = decode_stream(data)
+                for arr in (stream.timestamps, stream.channels):
+                    assert not np.shares_memory(arr, np.frombuffer(data, np.uint8)), n
+                    assert not arr.flags.writeable, n
 
     def test_file_roundtrip(self, tmp_path, rng):
         stream = make_stream(np.sort(rng.integers(0, 1000, 20)), Channel.C2)
@@ -139,9 +157,9 @@ class TestCodec:
 
 
 @pytest.mark.parametrize("backend", [pytest.param("c", marks=needs_gcc), "numpy"])
-def test_write_records_equal_encoding_and_counts(tmp_path, rng, backend, monkeypatch):
+def test_write_records_equal_encoding(tmp_path, rng, backend, monkeypatch):
     # one chunk at a time, either side of each chunk edge: the bytes of
-    # encode_stream, their sha256, and the tags per channel of counts_by_channel
+    # encode_stream and their sha256
     if backend == "numpy":
         monkeypatch.setattr(_native, "library", lambda: None)
     path = tmp_path / "tags.qtt"
@@ -151,11 +169,10 @@ def test_write_records_equal_encoding_and_counts(tmp_path, rng, backend, monkeyp
         ch = rng.integers(0, 6, n)
         ch[:6] = np.arange(6)[:n]  # every channel code, from 6 tags on
         stream = TagStream(ts, ch, MAX_TIMESTAMP)
-        digest, counts = timetags._write_records(stream, path)
+        digest = timetags._write_records(stream, path)
         data = path.read_bytes()
         assert data == encode_stream(stream), n
         assert digest == hashlib.sha256(data).hexdigest(), n
-        assert counts == stream.counts_by_channel(), n
 
 
 class TestMerge:
