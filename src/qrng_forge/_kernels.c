@@ -14,8 +14,6 @@
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
- *   qf_encode_records  timetags._records (the QTT1 records of a chunk of
- *                      tags; it writes records only)
  *   qf_match           coincidence._match_py
  *   qf_coincide        coincidence._coincide_py (the channel split,
  *                      find_coincidences per section pair and assign_bits):
@@ -532,21 +530,6 @@ void qf_split_channels(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t 
     for (int64_t i = 0; i < n; i++)
         if (ch[i] < 6)
             out[pos[ch[i]]++] = ts[i];
-}
-
-/* The QTT1 records of a tag stream, (ts, ch)[0:n] as out[0:9n]: n 9-byte
- * records, each the timestamp as a little-endian u64 and then the channel
- * code as a u8. */
-void qf_encode_records(const int64_t *ts, const uint8_t *ch, int64_t n, uint8_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t t = (uint64_t)ts[i];
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-        t = __builtin_bswap64(t);
-#endif
-        memcpy(out + 9 * i, &t, 8);
-        out[9 * i + 8] = ch[i];
-    }
 }
 
 /* ---------------------------------------------------------------------------

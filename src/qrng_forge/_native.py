@@ -14,8 +14,6 @@ The kernels and the numpy references they must match bit for bit:
 * ``qf_dead_time``: per-channel dead time (``source._dead_time_keep_py``)
 * ``qf_split_channels``: one-pass channel split of a tag stream
   (``timetags._split_channels_np``)
-* ``qf_encode_records``: the 9-byte QTT1 records of a chunk of tags, and
-  nothing else (``timetags._records``)
 * ``qf_match``: the exact coincidence matcher, a gap-tau cluster scan with
   a banded DP per pileup cluster (``coincidence._match_py``, whose DP is a
   full table)
@@ -87,7 +85,6 @@ KERNELS = {
     "qf_settle": ([_P, _P, _N], ctypes.c_int),
     "qf_dead_time": ([_P, _P, _N, _N], _N),
     "qf_split_channels": ([_P, _P, _N, _P, _P], None),
-    "qf_encode_records": ([_P, _P, _N, _P], None),
     "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),
     "qf_coincide": ([_P, _P, _N, _N, _P, _P, _P, _P, _P, _P, _P], _N),
     "qf_toeplitz": ([_P, _P, _N, _N, _N, _P], _N),

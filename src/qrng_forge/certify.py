@@ -33,6 +33,8 @@ from .coincidence import CoincidenceConfig, CoincidenceList
 from .source import AnalyzerSchedule
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+#: The fewest coincidences a certification block may hold.
+MIN_BLOCK_EVENTS = 4000
 
 
 class InsufficientDataError(ValueError):
@@ -237,8 +239,8 @@ def live_certify(
     supplied), and a verdict. Blocks tile [0, duration], so every bit
     timestamp falls in exactly one block.
     """
-    if block_size < 4000:
-        raise ValueError("certification blocks need at least 4000 events")
+    if block_size < MIN_BLOCK_EVENTS:
+        raise ValueError(f"certification blocks need at least {MIN_BLOCK_EVENTS} events")
     if duration <= 0:
         raise ValueError("duration must be positive")
     window = window or CoincidenceConfig()

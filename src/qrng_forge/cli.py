@@ -11,9 +11,20 @@ Subcommands wire the pipeline stages over files:
     sweep      one pipeline per parameter value -> CSV
     export     bit file -> raw_packed or ascii01 bytes
 
-Each stage subcommand calls the stage function that ``run`` calls, so it
-writes the same artifacts, byte for byte, as that stage of ``run`` on the
-same input. The one difference: ``extract`` has no acquisition time, so
+Each stage subcommand writes the same artifacts, byte for byte, as that
+stage of ``run`` on the same input. ``coincide``, ``extract`` and ``test``
+call the stage function that ``run`` calls; two subcommands take another
+way to the same bytes:
+
+* ``simulate`` writes ``tags.qtt`` through ``simulate_to_file``, on the
+  calling thread, where ``run`` writes it on a thread of its own while the
+  later stages run;
+* ``certify`` matches only the C1-C2 pair, by the channel split and
+  ``find_coincidences`` (``qf_match``), where ``run`` takes that pair from its
+  ``coincide_stream`` pass over all three; one pair costs a fraction of
+  the three.
+
+The one difference in output: ``extract`` has no acquisition time, so
 ``seconds`` and ``mbps`` in its ``ratio_report.json`` are null.
 
 Exit codes: 0 success, 2 configuration error or unusable input (such as

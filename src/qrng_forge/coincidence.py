@@ -28,8 +28,8 @@ Bits follow the section table: each (D1, U2) coincidence is a 0 and each
 the live Bell test.
 
 :func:`coincide_stream` does all of that for a whole tag stream: with the
-kernels built, in one pass of ``qf_coincide`` (the same cluster scan and
-DP, for the three pairs at once) on one thread per piece of the stream;
+kernels built, in one call of ``qf_coincide`` (the same cluster scan and
+DP, for the three pairs at once) on the calling thread;
 :func:`_coincide_py`, the channel split, :func:`find_coincidences` per pair
 and :func:`assign_bits`, is its reference.
 """
@@ -49,8 +49,11 @@ from .timetags import SECTION_PAIRS, BitSequence, Channel, TagStream
 #: leaves an a-tag unmatched first.
 STREAM_PAIRS = tuple((a, a.partner) for a in (Channel.D1, Channel.D2, Channel.C1))
 
-#: Tags per thread below which :func:`coincide_stream` starts no more threads.
-PIECE_TAGS = 1 << 16
+#: ``qf_coincide``'s role of each channel code c: 2p + s puts c on side s
+#: (0 for a, 1 for b) of pair p of :data:`STREAM_PAIRS`.
+_ROLE = np.zeros(6, np.uint8)
+_ROLE[[c for pair in STREAM_PAIRS for c in pair]] = range(6)
+_ROLE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -277,8 +280,8 @@ class StreamCoincidences:
     ``multi_tag_clusters`` hold, for each pair of :data:`STREAM_PAIRS`, its
     coincidences and its gap-tau clusters holding more than one tag of
     either side: the pileups where the matcher has a choice to make.
-    ``workers`` is the number of threads ``qf_coincide`` ran on, 0 for the
-    numpy reference.
+    ``workers`` is the number of threads ``qf_coincide`` ran on: 1, or 0
+    for the numpy reference.
     """
 
     bits: BitSequence
@@ -295,18 +298,14 @@ def coincide_stream(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincide
     :func:`find_coincidences` matches it, and make the raw bits of the
     first two as :func:`assign_bits` does.
 
-    With the kernels built this is one pass of ``qf_coincide``. The stream
-    is cut at gaps wider than tau, which no cluster crosses, into pieces of
-    about equal size, as many as :func:`_native.workers` gives for one job
-    per :data:`PIECE_TAGS` tags, and each piece is matched on a thread of
-    its own; a stream without such a gap is one piece. Without the kernels
+    With the kernels built this is one call of ``qf_coincide``, a single
+    pass over the whole stream on the calling thread. Without the kernels
     :func:`_coincide_py` runs.
     """
     lib = _native.library()
     if lib is None:
         return _coincide_py(stream, cfg)
-    workers = _native.workers(-(-len(stream) // PIECE_TAGS))
-    return _coincide_c(lib, stream, cfg.window_tau, workers)
+    return _coincide_c(lib, stream, cfg.window_tau)
 
 
 def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidences:
@@ -330,121 +329,32 @@ def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidence
     )
 
 
-def _quiet_cuts(ts: np.ndarray, tau: int, parts: int) -> list[int]:
-    """Indices 0 = c[0] < ... < c[k] = ts.size, k <= ``parts``, that cut
-    ``ts`` into pieces of about equal size, each inner cut at a gap wider
-    than ``tau`` (ts[c] - ts[c - 1] > tau), which no cluster crosses."""
-    n = ts.size
-    cuts = [0]
-    for k in range(1, parts):
-        i, step = max(k * n // parts, cuts[-1] + 1), 4096
-        while i < n:
-            gaps = np.flatnonzero(np.diff(ts[i - 1:i + step]) > tau)
-            if gaps.size:
-                cuts.append(i + int(gaps[0]))
-                break
-            i, step = i + step, 2 * step
-        else:
-            break
-    return cuts + [n]
-
-
-def _packed_front(buf: np.ndarray, offsets, counts) -> np.ndarray:
-    """``buf[o:o + k]`` for each offset o and count k in turn, moved
-    together to the front of ``buf`` (each o at or after the front's end)."""
-    end = 0
-    for o, k in zip(offsets, counts):
-        buf[end:end + k] = buf[o:o + k]
-        end += k
-    return buf[:end]
-
-
-def _joined_bits(parts) -> BitSequence:
-    """The packed bit strings ``(packed, bits)`` of ``parts``, one after
-    the other."""
-    if len(parts) == 1:
-        packed, k = parts[0]
-        return BitSequence(packed[: (k + 7) // 8], k)
-    total = sum(k for _, k in parts)
-    out = np.zeros((total + 7) // 8 + 1, np.uint8)
-    pos = 0
-    for packed, k in parts:
-        piece = packed[: (k + 7) // 8]
-        d, r = divmod(pos, 8)
-        if r:
-            out[d:d + piece.size] |= piece >> r
-            out[d + 1:d + 1 + piece.size] |= piece << (8 - r)
-        else:
-            out[d:d + piece.size] = piece
-        pos += k
-    return BitSequence(out[: (total + 7) // 8], total)
-
-
-def _coincide_c(lib, stream: TagStream, tau: int, workers: int) -> StreamCoincidences:
-    """:func:`coincide_stream` by ``qf_coincide``, on up to ``workers``
-    threads, one per piece of :func:`_quiet_cuts`."""
-    ts, ch = stream.timestamps, stream.channels
-    cuts = _quiet_cuts(ts, tau, workers)
-    role = np.zeros(6, np.uint8)
-    for p, pair in enumerate(STREAM_PAIRS):
-        for side, c in enumerate(pair):
-            role[c] = 2 * p + side
-    a, b = STREAM_PAIRS[2]
-    starts = cuts[:-1]
-    # the Bell pair's a-tags and b-tags in each piece: each piece writes their
-    # times right after those of the pieces before, and its coincidences, no
-    # more than the fewer of them, right after the room of the pieces before,
-    # so that no tag time needs to move
-    c_tags = [[int(np.count_nonzero(ch[s0:s1] == c)) for c in (a, b)]
-              for s0, s1 in zip(starts, cuts[1:])]
-    c_at = np.cumsum([[0, 0]] + c_tags, axis=0).tolist()
-    room = [min(k) + 1 for k in c_tags]  # the kernel writes the slot after the last too
-    bell_at = np.cumsum([0] + room).tolist()
-    # every output is allocated here, at the size the kernel may fill, not in
-    # the threads, whose freed heap stays resident; pages that are never
+def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
+    """:func:`coincide_stream` by one ``qf_coincide`` call."""
+    ts, ch, n = stream.timestamps, stream.channels, len(stream)
+    # every output at the size the kernel may fill: pages that are never
     # written take no memory, so the bound costs no more than the count
-    n = ts.size
-    bell_t = np.empty(n // 2 + len(cuts), np.int64)
-    bell_d = np.empty_like(bell_t)
+    bits = np.zeros(n // 16 + 1, np.uint8)
+    bell_t, bell_d = np.empty(n // 2 + 1, np.int64), np.empty(n // 2 + 1, np.int64)
     bell_a, bell_b = np.empty(n, np.int64), np.empty(n, np.int64)
-    bits, stats, calls = [], [], []
-    for k, (s0, s1) in enumerate(zip(starts, cuts[1:])):
-        m = s1 - s0
-        bits.append(np.zeros(m // 16 + 1, np.uint8))
-        stats.append(np.empty(12, np.int64))
-        calls.append((
-            _native.address(ts[s0:], np.int64, m), _native.address(ch[s0:], np.uint8, m), m, tau,
-            _native.address(role, np.uint8, 6), _native.address(bits[-1], np.uint8, m // 16 + 1, True),
-            *(_native.address(buf[bell_at[k]:], np.int64, room[k], True) for buf in (bell_t, bell_d)),
-            *(_native.address(buf[c_at[k][side]:], np.int64, c_tags[k][side], True)
-              for side, buf in enumerate((bell_a, bell_b))),
-            _native.address(stats[-1], np.int64, 12, True),
-        ))
-
-    def run(args):
-        if lib.qf_coincide(*args) < 0:
-            raise MemoryError("qf_coincide could not allocate its work space")
-
-    if len(calls) == 1:
-        run(calls[0])
-    else:
-        # imported here, as in source: a process that never needs it skips the import
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(len(calls)) as pool:
-            list(pool.map(run, calls))
-
-    # per piece: the matches of each pair, its multi-tag clusters, the singles
-    stats = [st.tolist() for st in stats]
-    total = np.sum(stats, axis=0).tolist()
-
+    stats = np.empty(12, np.int64)
+    if lib.qf_coincide(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n, tau,
+                       _native.address(_ROLE, np.uint8, 6),
+                       _native.address(bits, np.uint8, bits.size, True),
+                       *(_native.address(buf, np.int64, buf.size, True)
+                         for buf in (bell_t, bell_d, bell_a, bell_b)),
+                       _native.address(stats, np.int64, 12, True)) < 0:
+        raise MemoryError("qf_coincide could not allocate its work space")
+    # the matches of each pair, its multi-tag clusters, the tags of each channel
+    stats = stats.tolist()
+    k = stats[0] + stats[1]
+    a, b = STREAM_PAIRS[2]
     return StreamCoincidences(
-        bits=_joined_bits([(packed, st[0] + st[1]) for packed, st in zip(bits, stats)]),
-        bell=CoincidenceList(*(_packed_front(buf, bell_at, [st[2] for st in stats])
-                               for buf in (bell_t, bell_d))),
-        bell_times=(bell_a[:c_at[-1][0]], bell_b[:c_at[-1][1]]),
-        singles={c: total[6 + c] for c in Channel},
-        matches={pair: total[p] for p, pair in enumerate(STREAM_PAIRS)},
-        multi_tag_clusters={pair: total[3 + p] for p, pair in enumerate(STREAM_PAIRS)},
-        workers=len(calls),
+        bits=BitSequence(bits[: (k + 7) // 8], k),
+        bell=CoincidenceList(bell_t[: stats[2]], bell_d[: stats[2]]),
+        bell_times=(bell_a[: stats[6 + a]], bell_b[: stats[6 + b]]),
+        singles={c: stats[6 + c] for c in Channel},
+        matches={pair: stats[p] for p, pair in enumerate(STREAM_PAIRS)},
+        multi_tag_clusters={pair: stats[3 + p] for p, pair in enumerate(STREAM_PAIRS)},
+        workers=1,
     )

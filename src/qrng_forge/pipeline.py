@@ -58,6 +58,7 @@ import numpy as np
 
 from . import __version__, _native
 from .certify import (
+    MIN_BLOCK_EVENTS,
     SQRT8,
     CertBlock,
     Verdict,
@@ -265,9 +266,12 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
             raise ConfigError(f"unknown schedule.kind {kind!r}")
 
         if "source.duration_ps" in values:
-            duration = num(int, "source.duration_ps")
+            duration_key, to_ps = "source.duration_ps", int
         else:
-            duration = num(lambda v: round(float(v) * 1e12), "source.duration_s")
+            duration_key, to_ps = "source.duration_s", lambda v: round(float(v) * 1e12)
+        duration = num(to_ps, duration_key)
+        if num(float, duration_key) < 0:
+            raise ConfigError(f"{duration_key} must be >= 0")
         # zero-length acquisitions clamp to the 1 ps floor (empty stream)
         duration = max(duration, 1)
 
@@ -295,6 +299,8 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
             significance=num(float, "battery.significance"),
         )
         cert_block = num(int, "certifier.block")
+        if cert_block < MIN_BLOCK_EVENTS:
+            raise ConfigError(f"certifier.block must be >= {MIN_BLOCK_EVENTS}")
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError, EventBudgetError) as exc:
@@ -690,7 +696,8 @@ def sweep(
     """One pipeline per value; returns rows of (value, S, V, H_min, mbps).
 
     ``parameter`` is one of pump_power, window_tau (ps), alpha. Each
-    point also runs a short diagonal-basis fringe acquisition for V.
+    point also runs a diagonal-basis fringe acquisition for V, as long as
+    the point's own (``source.duration``).
     Failures are recorded per point and the sweep continues.
     """
     if parameter not in ("pump_power", "window_tau", "alpha"):

@@ -262,19 +262,6 @@ def decode_stream(data: bytes) -> TagStream:
         raise CorruptionError(str(exc)) from exc
 
 
-def _encode_records(ts: np.ndarray, ch: np.ndarray, out: np.ndarray) -> None:
-    """The records of :func:`_records` for the tags ``(ts, ch)``, into
-    ``out`` (``9 * ts.size`` bytes): by ``qf_encode_records`` when the
-    kernels are built."""
-    lib = _native.library()
-    if lib is None:
-        _records(ts, ch, out)
-    else:
-        n = ts.size
-        lib.qf_encode_records(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n,
-                              _native.address(out, np.uint8, 9 * n, True))
-
-
 def _record_buffer(n: int) -> np.ndarray:
     """The buffer :func:`_write_records` encodes the records of an
     ``n``-tag stream into, one chunk at a time."""
@@ -301,7 +288,7 @@ def _write_records(stream: TagStream, path, buf: np.ndarray | None = None) -> st
         for start in range(0, n, WRITE_RECORDS):
             stop = min(start + WRITE_RECORDS, n)
             data = buf[: (stop - start) * _RECORD_DTYPE.itemsize]
-            _encode_records(ts[start:stop], ch[start:stop], data)
+            _records(ts[start:stop], ch[start:stop], data)
             digest.update(data)
             f.write(data)
     return digest.hexdigest()

@@ -109,36 +109,15 @@ def test_coincide_c_equals_reference(rng):
     cfg = CoincidenceConfig(TAU)
     for stream in coincide_streams(rng):
         want = coincidence._coincide_py(stream, cfg)
-        for workers in (1, 2, 3):
-            got = coincidence._coincide_c(lib, stream, TAU, workers)
-            assert got.workers == len(coincidence._quiet_cuts(stream.timestamps, TAU, workers)) - 1
-            assert got.bits == want.bits
-            for g, w in zip((got.bell.times, got.bell.deltas, *got.bell_times),
-                            (want.bell.times, want.bell.deltas, *want.bell_times)):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
-            assert (got.singles, got.matches, got.multi_tag_clusters) == (
-                want.singles, want.matches, want.multi_tag_clusters)
-    assert got.workers == 1 and want.matches[coincidence.STREAM_PAIRS[2]] == 30_000
-
-
-def test_quiet_cuts(rng):
-    ts = np.sort(rng.integers(0, 10**7, 50_000))
-    for parts in (1, 2, 3, 7):
-        cuts = coincidence._quiet_cuts(ts, TAU, parts)
-        assert cuts[0] == 0 and cuts[-1] == ts.size and len(cuts) == parts + 1
-        assert np.all(np.diff(cuts) > 0)
-        assert all(ts[c] - ts[c - 1] > TAU for c in cuts[1:-1])
-    # a stream with no gap wider than tau is one piece
-    assert coincidence._quiet_cuts(np.arange(10_000) * TAU, TAU, 3) == [0, 10_000]
-    assert coincidence._quiet_cuts(np.empty(0, np.int64), TAU, 3) == [0, 0]
-
-
-def test_joined_bits(rng):
-    bits = rng.integers(0, 2, 1000).astype(np.uint8)
-    for sizes in ([1000], [0, 1000], [3, 997], [8, 992], [13, 0, 600, 387], [999, 1]):
-        ends = np.cumsum(sizes)
-        parts = [(np.packbits(bits[e - k:e]), k) for e, k in zip(ends, sizes)]
-        assert coincidence._joined_bits(parts) == BitSequence.from_bits(bits), sizes
+        got = coincidence._coincide_c(lib, stream, TAU)
+        assert got.workers == 1
+        assert got.bits == want.bits
+        for g, w in zip((got.bell.times, got.bell.deltas, *got.bell_times),
+                        (want.bell.times, want.bell.deltas, *want.bell_times)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert (got.singles, got.matches, got.multi_tag_clusters) == (
+            want.singles, want.matches, want.multi_tag_clusters)
+    assert want.matches[coincidence.STREAM_PAIRS[2]] == 30_000
 
 
 def split_cases(rng):
@@ -169,26 +148,6 @@ def test_split_channels_c_equals_numpy(rng):
         assert len(got) == len(want) == 6
         for w, g in zip(want, got):
             assert g.dtype == w.dtype and np.array_equal(w, g), (ts, ch)
-
-
-@needs_gcc
-def test_encode_records_c_equals_numpy(rng, monkeypatch):
-    # qf_encode_records against the structured-array encode
-    assert _native.library() is not None
-    extremes = (np.array([0, 0, 2**63 - 1]), np.array([5, 0, 3]))
-    for ts, ch in (*split_cases(rng), extremes):
-        ts = np.asarray(ts, np.int64)
-        ch = np.asarray(ch, np.uint8)
-        got = []
-        for backend in ("c", "numpy"):
-            with monkeypatch.context() as m:
-                if backend == "numpy":
-                    m.setattr(_native, "library", lambda: None)
-                out = np.empty(9 * ts.size, np.uint8)
-                timetags._encode_records(ts, ch, out)
-                got.append(out.tobytes())
-        want = encode_stream(TagStream(ts, ch, 2**63 - 1))[24:]
-        assert got[0] == got[1] == want, (ts, ch)
 
 
 def channel_times_by_mask(stream):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrng_forge import _native, coincidence, pipeline, source, timetags
+from qrng_forge import _native, pipeline, source, timetags
 from qrng_forge.certify import Verdict
 from qrng_forge.cli import main
 from qrng_forge.pipeline import (
@@ -178,6 +178,21 @@ class TestExitCodes:
         assert not (tmp_path / "tags.qtt").exists()
 
     @pytest.mark.parametrize("key, value", [
+        ("source.duration_s", "-5"),
+        ("source.duration_s", "-1e-13"),  # rounds to 0 ps, still negative
+        ("source.duration_ps", "-1"),
+        ("certifier.block", "100"),
+        ("certifier.block", "3999"),
+    ])
+    def test_out_of_range_value_exit_2(self, key, value, tmp_path, capsys):
+        # refused at the config step, before anything is simulated or written
+        with pytest.raises(ConfigError, match=key):
+            build_config({key: float(value)})
+        assert main(["run", "--set", f"{key}={value}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be >= ")
+        assert not (tmp_path / "tags.qtt").exists()
+
+    @pytest.mark.parametrize("key, value", [
         ("source.dark_rate.C1", "abc"),
         ("source.det_efficiency.U2", "abc"),
         ("source.dark_rate", "abc"),
@@ -279,34 +294,13 @@ class TestRunAndManifest:
         assert workers == source.simulation_workers(build_config(fast_overrides()).source)
         n_chunks = -(-400 // source.CHUNK_SLICES)  # 0.4 s is 400 slices
         assert workers == (min(len(os.sched_getaffinity(0)), n_chunks) if _native.library() else 0)
-        # qf_coincide's threads, by the same rule, one per PIECE_TAGS tags
-        n_pieces = -(-stages["coincide"]["items_in"] // coincidence.PIECE_TAGS)
-        assert stages["coincide"]["workers"] == (
-            min(len(os.sched_getaffinity(0)), n_pieces) if _native.library() else 0)
+        # qf_coincide runs as one call on the calling thread
+        assert stages["coincide"]["workers"] == (1 if _native.library() else 0)
         # the writer thread's own seconds, and how long the run waited for it
         assert stages["simulate"]["write_s"] > 0 and stages["simulate"]["write_wait_s"] >= 0
         multi = stages["coincide"]["multi_tag_clusters"]
         assert set(multi) == {"D1-U2", "D2-U1", "C1-C2"}
         assert all(isinstance(n, int) and n >= 0 for n in multi.values())
-
-    def test_outputs_same_on_any_coincide_workers(self, run_result, tmp_path, monkeypatch):
-        # the stream cut at quiet gaps and matched piece by piece on 1, 2
-        # or 3 threads gives the whole-stream outputs byte for byte
-        if _native.library() is None:
-            pytest.skip("qf_coincide needs the C kernels")
-        _, out = run_result
-        want = json.loads((out / "manifest.json").read_text())
-        monkeypatch.setattr(coincidence, "PIECE_TAGS", 1)
-        for k in (1, 2, 3):
-            monkeypatch.setattr(_native, "workers", lambda jobs, k=k: min(k, jobs))
-            result = run_pipeline(build_config(fast_overrides()), out_dir=tmp_path / str(k),
-                                  extractor_seed=(out / "toeplitz_seed.bin").read_bytes())
-            assert result.manifest["stages"]["coincide"]["workers"] == k
-            assert result.manifest["digests"] == want["digests"]
-            assert result.manifest["stages"]["coincide"]["multi_tag_clusters"] == (
-                want["stages"]["coincide"]["multi_tag_clusters"])
-            for name in ("raw.bits", "raw.bits.json", "coincidence_summary.json", "cert_report.json"):
-                assert (tmp_path / str(k) / name).read_bytes() == (out / name).read_bytes(), (k, name)
 
     def test_manifest_digests_are_file_sha256(self, run_result):
         # tags.qtt is hashed as it is written, the other files read back
@@ -368,13 +362,13 @@ class TestTagWriter:
     def slow_writer(self, monkeypatch):
         # the writer outlasts the later stages, so a run that stops early
         # stops while the file is still being written
-        encode = timetags._encode_records
+        records = timetags._records
 
         def slow(*args):
             time.sleep(0.3)
-            encode(*args)
+            return records(*args)
 
-        monkeypatch.setattr(timetags, "_encode_records", slow)
+        monkeypatch.setattr(timetags, "_records", slow)
 
     def test_refused_run_leaves_complete_tags(self, tmp_path, slow_writer, monkeypatch):
         cfg = build_config(self.small)

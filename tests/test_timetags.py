@@ -17,7 +17,7 @@ from qrng_forge import (
     read_bits,
     write_bits,
 )
-from qrng_forge import _native, timetags
+from qrng_forge import timetags
 from qrng_forge.timetags import (
     MAX_TIMESTAMP,
     WRITE_RECORDS,
@@ -29,7 +29,7 @@ from qrng_forge.timetags import (
     write_stream,
 )
 
-from conftest import make_stream, needs_gcc
+from conftest import make_stream
 
 
 class TestChannel:
@@ -156,12 +156,9 @@ class TestCodec:
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("backend", [pytest.param("c", marks=needs_gcc), "numpy"])
-def test_write_records_equal_encoding(tmp_path, rng, backend, monkeypatch):
+def test_write_records_equal_encoding(tmp_path, rng):
     # one chunk at a time, either side of each chunk edge: the bytes of
     # encode_stream and their sha256
-    if backend == "numpy":
-        monkeypatch.setattr(_native, "library", lambda: None)
     path = tmp_path / "tags.qtt"
     for n in (0, 1, WRITE_RECORDS - 1, WRITE_RECORDS, WRITE_RECORDS + 1, 2 * WRITE_RECORDS + 3):
         ts = np.sort(rng.integers(0, MAX_TIMESTAMP, n, endpoint=True))
@@ -173,6 +170,15 @@ def test_write_records_equal_encoding(tmp_path, rng, backend, monkeypatch):
         data = path.read_bytes()
         assert data == encode_stream(stream), n
         assert digest == hashlib.sha256(data).hexdigest(), n
+
+
+def test_from_tags_rebuilds_stream(rng):
+    # the tags a stream yields, back into the same stream: empty, with ties
+    # (kept in their order) and random
+    ts = np.sort(rng.integers(0, 10**9, 10_000))
+    for stream in (TagStream([], [], 100), TagStream([3, 3, 3, 7, 7], [5, 0, 2, 2, 1], 10),
+                   TagStream(ts, rng.integers(0, 6, ts.size), 10**9)):
+        assert TagStream.from_tags(list(stream), stream.duration) == stream
 
 
 class TestMerge:
