@@ -17,7 +17,7 @@ from qrng_forge import (
     read_bits,
     write_bits,
 )
-from qrng_forge import timetags
+from qrng_forge import _native, timetags
 from qrng_forge.timetags import (
     MAX_TIMESTAMP,
     WRITE_RECORDS,
@@ -29,7 +29,7 @@ from qrng_forge.timetags import (
     write_stream,
 )
 
-from conftest import make_stream
+from conftest import make_stream, needs_gcc
 
 
 class TestChannel:
@@ -156,9 +156,13 @@ class TestCodec:
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_write_records_equal_encoding(tmp_path, rng):
+@pytest.mark.parametrize("backend", [pytest.param("c", marks=needs_gcc), "numpy"])
+def test_write_records_equal_encoding(tmp_path, rng, backend, monkeypatch):
     # one chunk at a time, either side of each chunk edge: the bytes of
-    # encode_stream and their sha256
+    # encode_stream and their sha256, the same whether the C kernels are
+    # built or not
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
     path = tmp_path / "tags.qtt"
     for n in (0, 1, WRITE_RECORDS - 1, WRITE_RECORDS, WRITE_RECORDS + 1, 2 * WRITE_RECORDS + 3):
         ts = np.sort(rng.integers(0, MAX_TIMESTAMP, n, endpoint=True))
