@@ -3,14 +3,16 @@
  * Each kernel has a numpy reference in the Python module that calls it, and
  * the two must agree bit for bit:
  *   qf_simulate        source._slice_py, slice by slice: a range of source
- *                      slices, each drawn by numpy's own distribution code
- *                      (libnpyrandom.a) from a Philox keyed as
- *                      source._slice_rng keys it, routed, thinned, jittered
- *                      and sorted in C; built only when numpy's archive is
- *                      there to link (QF_NPYRANDOM)
+ *                      slices, each drawn from a Philox keyed as
+ *                      source._slice_rng keys it, through ports of numpy's
+ *                      samplers, then routed, thinned, jittered and sorted
+ *   qf_sample          numpy.random.Generator's standard_normal, integers,
+ *                      random and poisson (the samplers of qf_simulate, one
+ *                      at a time, for tests)
  *   qf_slice_key       numpy's SeedSequence([seed, s]).generate_state(2, uint64)
- *   qf_slice_sort      source._slice_order (qf_simulate's stable radix sort
- *                      of one slice, for tests)
+ *   qf_slice_sort      source._slice_order (qf_simulate's stable sort of one
+ *                      slice, a bucket pass finished by radix passes when it
+ *                      leaves too much out of place, for tests)
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_split_channels  timetags._split_channels_np
@@ -33,9 +35,6 @@
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
-#ifdef QF_NPYRANDOM
-#include "numpy/random/bitgen.h"
-#endif
 
 /* i if c, else j, by masks: compilers keep this free of branches */
 static inline int64_t pick(int c, int64_t i, int64_t j)
@@ -53,31 +52,52 @@ static void *regrow(void *p, size_t bytes, int *failed)
 }
 
 /* ---------------------------------------------------------------------------
- * Source slices: qf_simulate draws each slice from numpy's own Philox and
- * distribution code, so that it makes source._slice_py's draws bit for bit.
+ * Source slices: qf_simulate draws each slice from a Philox of its own,
+ * through ports of numpy's samplers, so that it makes source._slice_py's
+ * draws bit for bit, and sorts the slice by time.
  */
+
+/* Stable insertion sort of (ts, ch) by ts, in place. Each tag moves past
+ * the earlier tags with a strictly larger time, so equal times keep their
+ * order, and the work is linear when few tags are out of place. Once more
+ * than n moves have been made it stops, after finishing the tag in hand,
+ * and returns 0: the arrays then hold a permutation that kept the order of
+ * equal times, which a stable sort completes to the same result. Returns 1
+ * when the arrays are sorted. */
+int qf_settle(int64_t *ts, uint8_t *ch, int64_t n)
+{
+    int64_t moves = 0;
+    for (int64_t i = 1; i < n; i++) {
+        const int64_t t = ts[i];
+        if (t >= ts[i - 1])
+            continue;
+        const uint8_t c = ch[i];
+        int64_t j = i;
+        while (j > 0 && ts[j - 1] > t) {
+            ts[j] = ts[j - 1];
+            ch[j] = ch[j - 1];
+            j--;
+        }
+        ts[j] = t;
+        ch[j] = c;
+        moves += i - j;
+        if (moves > n)
+            return 0;
+    }
+    return 1;
+}
 
 #define RADIX_BITS 11
 #define RADIX (1 << RADIX_BITS)
 
-/* Stable LSD radix sort of (ts, ch)[0:n] by time into (out_ts, out_ch),
- * RADIX_BITS bits of t - lo a pass, lo the least time. The passes move the
- * tags back and forth between the two pairs of arrays, so (ts, ch) is
- * overwritten, and a pass whose digit every tag shares is skipped. */
-void qf_slice_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
+/* Stable LSD radix sort by time of (t[src], c[src])[0:n], whose times lie in
+ * [lo, lo + span], into (t[1], c[1]), RADIX_BITS bits of t - lo a pass. The
+ * passes move the tags back and forth between the two pairs of arrays, and a
+ * pass whose digit every tag shares is skipped. */
+static void radix_sort(int64_t *t[2], uint8_t *c[2], int src, int64_t n, int64_t lo,
+                       uint64_t span)
 {
-    if (n <= 0)
-        return;
-    int64_t lo = ts[0], hi = ts[0];
-    for (int64_t i = 1; i < n; i++) {
-        lo = ts[i] < lo ? ts[i] : lo;
-        hi = ts[i] > hi ? ts[i] : hi;
-    }
-    const uint64_t span = (uint64_t)hi - (uint64_t)lo;
-    int64_t *t[2] = {ts, out_ts};
-    uint8_t *c[2] = {ch, out_ch};
     int64_t count[RADIX];
-    int src = 0;
     for (int shift = 0; shift < 64 && span >> shift; shift += RADIX_BITS) {
         const int64_t *from = t[src];
         memset(count, 0, sizeof count);
@@ -101,9 +121,77 @@ void qf_slice_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t
         src = !src;
     }
     if (src == 0) {
-        memcpy(out_ts, ts, n * sizeof *ts);
-        memcpy(out_ch, ch, n);
+        memcpy(t[1], t[0], n * sizeof *t[0]);
+        memcpy(c[1], c[0], n);
     }
+}
+
+/* log2 of the buckets sort_slice puts n tags into: the least power of two
+ * that is at least n. */
+static int bucket_bits(int64_t n)
+{
+    int bits = 0;
+    while ((int64_t)1 << bits < n)
+        bits++;
+    return bits;
+}
+
+/* Stable sort of (ts, ch)[0:n] by time into (out_ts, out_ch); (ts, ch) is
+ * overwritten, and count must hold 2^bucket_bits(n) values.
+ *
+ * A stable scatter puts the tags into 2^bucket_bits(n) buckets by the top
+ * bits of t - lo, lo the least time, and qf_settle's insertion pass then
+ * sorts them within n moves when the times spread evenly, as a slice's do.
+ * When it needs more, the radix passes finish: the scatter and the insertion
+ * pass both keep equal times in their order, so a stable sort of what they
+ * leave is the stable sort of the input. Returns 1 when the insertion pass
+ * finished the sort, 0 when the radix passes did. */
+static int sort_slice(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch,
+                      int64_t *count)
+{
+    if (n <= 0)
+        return 1;
+    int64_t lo = ts[0], hi = ts[0];
+    for (int64_t i = 1; i < n; i++) {
+        lo = ts[i] < lo ? ts[i] : lo;
+        hi = ts[i] > hi ? ts[i] : hi;
+    }
+    const uint64_t span = (uint64_t)hi - (uint64_t)lo;
+    const int bits = bucket_bits(n), width = span ? 64 - __builtin_clzll(span) : 0;
+    const int shift = width > bits ? width - bits : 0;
+    const int64_t buckets = (int64_t)1 << bits;
+    memset(count, 0, buckets * sizeof *count);
+    for (int64_t i = 0; i < n; i++)
+        count[((uint64_t)ts[i] - (uint64_t)lo) >> shift]++;
+    for (int64_t d = 0, sum = 0; d < buckets; d++) {
+        const int64_t k = count[d];
+        count[d] = sum;
+        sum += k;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t j = count[((uint64_t)ts[i] - (uint64_t)lo) >> shift]++;
+        out_ts[j] = ts[i];
+        out_ch[j] = ch[i];
+    }
+    if (qf_settle(out_ts, out_ch, n))
+        return 1;
+    int64_t *t[2] = {ts, out_ts};
+    uint8_t *c[2] = {ch, out_ch};
+    radix_sort(t, c, 1, n, lo, span);
+    return 0;
+}
+
+/* qf_simulate's sort of one slice, sort_slice, with bucket counts of its
+ * own, for tests. Returns what sort_slice returns, or -1, sorting nothing,
+ * when the counts cannot be allocated. */
+int qf_slice_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
+{
+    int64_t *count = malloc(((int64_t)1 << bucket_bits(n)) * sizeof *count);
+    if (!count)
+        return -1;
+    const int done = sort_slice(ts, ch, n, out_ts, out_ch, count);
+    free(count);
+    return done;
 }
 
 /* SeedSequence's hashes (numpy/random/bit_generator.pyx): hashmix folds a
@@ -153,26 +241,451 @@ void qf_slice_key(uint64_t seed, uint64_t s, uint64_t *key)
     key[1] = w[2] | (uint64_t)w[3] << 32;
 }
 
-#ifdef QF_NPYRANDOM
-/* numpy's distributions, linked from numpy/random/lib/libnpyrandom.a. They
- * are declared here because numpy/random/distributions.h includes Python.h;
- * its npy_intp is Py_ssize_t, as wide as a pointer. */
-int64_t random_poisson(bitgen_t *state, double lam);
-void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng, intptr_t cnt,
-                                bool use_masked, uint64_t *out);
-void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
-void random_standard_normal_fill(bitgen_t *state, intptr_t cnt, double *out);
+__extension__ typedef unsigned __int128 u128;
+
+/* Philox4x64-10 as numpy's Philox runs it: the 256-bit counter steps by one
+ * before each block of four words, the words go out in order, and a 32-bit
+ * draw takes the low half of a word and keeps the high half for the next
+ * one. */
+typedef struct {
+    uint64_t ctr[4], key[2], buffer[4];
+    int next; /* the buffer's next word, 4 when it is used up */
+    int has_half;
+    uint32_t half;
+} philox;
+
+/* A fresh generator of key (k0, k1): counter 0, an empty buffer and no half
+ * word. */
+static void philox_init(philox *p, uint64_t k0, uint64_t k1)
+{
+    memset(p, 0, sizeof *p);
+    p->key[0] = k0;
+    p->key[1] = k1;
+    p->next = 4;
+}
+
+/* The counter's next block of four words, into the buffer. */
+static void philox_refill(philox *p)
+{
+    for (int i = 0; i < 4; i++)
+        if (++p->ctr[i])
+            break;
+    uint64_t c0 = p->ctr[0], c1 = p->ctr[1], c2 = p->ctr[2], c3 = p->ctr[3];
+    uint64_t k0 = p->key[0], k1 = p->key[1];
+    for (int round = 0; round < 10; round++) {
+        const u128 m0 = (u128)0xD2E7470EE14C6C93u * c0, m1 = (u128)0xCA5A826395121157u * c2;
+        c0 = (uint64_t)(m1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)m1;
+        c2 = (uint64_t)(m0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)m0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+    p->buffer[0] = c0;
+    p->buffer[1] = c1;
+    p->buffer[2] = c2;
+    p->buffer[3] = c3;
+    p->next = 0;
+}
+
+static inline uint64_t next64(philox *p)
+{
+    if (p->next == 4)
+        philox_refill(p);
+    return p->buffer[p->next++];
+}
+
+static inline uint32_t next32(philox *p)
+{
+    if (p->has_half) {
+        p->has_half = 0;
+        return p->half;
+    }
+    const uint64_t w = next64(p);
+    p->has_half = 1;
+    p->half = (uint32_t)(w >> 32);
+    return (uint32_t)w;
+}
+
+/* A uniform double in [0, 1), from the top 53 bits of a word. */
+static inline double next_double(philox *p)
+{
+    return (double)(next64(p) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* ---------------------------------------------------------------------------
+ * numpy's samplers, ported from numpy/random/src/distributions/distributions.c
+ * to take a philox, so that the compiler inlines the generator into each
+ * loop. Each draws what numpy.random.Generator draws from the same Philox
+ * state, bit for bit (qf_sample runs them for tests). The ziggurat tables
+ * are numpy's, under its licence:
+ *
+ * Copyright (c) 2005-2025, NumPy Developers.
+ * All rights reserved.
+ *
+ * Redistribution and use in source and binary forms, with or without
+ * modification, are permitted provided that the following conditions are
+ * met:
+ *
+ *     * Redistributions of source code must retain the above copyright
+ *        notice, this list of conditions and the following disclaimer.
+ *
+ *     * Redistributions in binary form must reproduce the above
+ *        copyright notice, this list of conditions and the following
+ *        disclaimer in the documentation and/or other materials provided
+ *        with the distribution.
+ *
+ *     * Neither the name of the NumPy Developers nor the names of any
+ *        contributors may be used to endorse or promote products derived
+ *        from this software without specific prior written permission.
+ *
+ * THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+ * "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+ * LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+ * A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+ * OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+ * SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+ * LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+ * DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+ * THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+ * (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+ * OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+ */
+
+/* The 256-level ziggurat of the standard normal (Marsaglia and Tsang, J.
+ * Stat. Softw. 5(8), 2000), as numpy tabulates it, with the density scaled
+ * to 1 at 0: level i >= 1 is the rectangle of x in [0, wi_double[i] * 2^52)
+ * and density in [fi_double[i], fi_double[i - 1]], which lies under the
+ * density up to x = ki_double[i] * wi_double[i]. Level 0 is the base strip,
+ * the tail beyond ZIGGURAT_NOR_R included. */
+#define ZIGGURAT_NOR_R 3.6541528853610087963519472518
+#define ZIGGURAT_NOR_INV_R 0.27366123732975827203338247596
+
+static const uint64_t ki_double[256] = {
+    0xef33d8025ef6a, 0x0000000000000, 0xc08be98fbc6a8, 0xda354fabd8142, 0xe51f67ec1eeea,
+    0xeb255e9d3f77e, 0xeef4b817ecab9, 0xf19470afa44aa, 0xf37ed61ffcb18, 0xf4f469561255c,
+    0xf61a5e41ba396, 0xf707a755396a4, 0xf7cb2ec28449a, 0xf86f10c6357d3, 0xf8fa6578325de,
+    0xf9724c74dd0da, 0xf9da907dbf509, 0xfa360f581fa74, 0xfa86fde5b4bf8, 0xfacf160d354dc,
+    0xfb0fb6718b90f, 0xfb49f8d5374c6, 0xfb7ec2366fe77, 0xfbaece9a1e50e, 0xfbdab9d040bed,
+    0xfc03060ff6c57, 0xfc2821037a248, 0xfc4a67ae25bd1, 0xfc6a2977aee31, 0xfc87aa92896a4,
+    0xfca325e4bde85, 0xfcbcce902231a, 0xfcd4d12f839c4, 0xfceb54d8fec99, 0xfd007bf1dc930,
+    0xfd1464dd6c4e6, 0xfd272a8e2f450, 0xfd38e4ff0c91e, 0xfd49a9990b478, 0xfd598b8920f53,
+    0xfd689c08e99ec, 0xfd76ea9c8e832, 0xfd848547b08e8, 0xfd9178bad2c8c, 0xfd9dd07a7add2,
+    0xfda9970105e8c, 0xfdb4d5dc02e20, 0xfdbf95c5bfcd0, 0xfdc9debb99a7d, 0xfdd3b8118729d,
+    0xfddd288342f90, 0xfde6364369f64, 0xfdeee708d514e, 0xfdf7401a6b42e, 0xfdff46599ed40,
+    0xfe06fe4bc24f2, 0xfe0e6c225a258, 0xfe1593c28b84c, 0xfe1c78cbc3f99, 0xfe231e9db1caa,
+    0xfe29885da1b91, 0xfe2fb8fb54186, 0xfe35b33558d4a, 0xfe3b799d0002a, 0xfe410e99ead7f,
+    0xfe46746d47734, 0xfe4bad34c095c, 0xfe50baed29524, 0xfe559f74ebc78, 0xfe5a5c8e41212,
+    0xfe5ef3e138689, 0xfe6366fd91078, 0xfe67b75c6d578, 0xfe6be661e11aa, 0xfe6ff55e5f4f2,
+    0xfe73e5900a702, 0xfe77b823e9e39, 0xfe7b6e37070a2, 0xfe7f08d774243, 0xfe8289053f08c,
+    0xfe85efb35173a, 0xfe893dc840864, 0xfe8c741f0cebc, 0xfe8f9387d4ef6, 0xfe929cc879b1d,
+    0xfe95909d388ea, 0xfe986fb939aa2, 0xfe9b3ac714866, 0xfe9df2694b6d5, 0xfea0973abe67c,
+    0xfea329cf166a4, 0xfea5aab32952c, 0xfea81a6d5741a, 0xfeaa797de1cf0, 0xfeacc85f3d920,
+    0xfeaf07865e63c, 0xfeb13762fec13, 0xfeb3585fe2a4a, 0xfeb56ae3162b4, 0xfeb76f4e284fa,
+    0xfeb965fe62014, 0xfebb4f4cf9d7c, 0xfebd2b8f449d0, 0xfebefb16e2e3e, 0xfec0be31ebde8,
+    0xfec2752b15a15, 0xfec42049dafd3, 0xfec5bfd29f196, 0xfec75406ceef4, 0xfec8dd2500cb4,
+    0xfeca5b6911f12, 0xfecbcf0c427fe, 0xfecd38454fb15, 0xfece97488c8b3, 0xfecfec47f91b7,
+    0xfed1377358528, 0xfed278f844903, 0xfed3b10242f4c, 0xfed4dfbad586e, 0xfed605498c3dd,
+    0xfed721d414fe8, 0xfed8357e4a982, 0xfed9406a42cc8, 0xfeda42b85b704, 0xfedb3c8746ab4,
+    0xfedc2df416652, 0xfedd171a46e52, 0xfeddf813c8ad3, 0xfeded0f909980, 0xfedfa1e0fd414,
+    0xfee06ae124bc4, 0xfee12c0d95a06, 0xfee1e579006e0, 0xfee29734b6524, 0xfee34150ae4bc,
+    0xfee3e3db89b3c, 0xfee47ee2982f4, 0xfee51271db086, 0xfee59e9407f41, 0xfee623528b42e,
+    0xfee6a0b5897f1, 0xfee716c3e077a, 0xfee7858327b82, 0xfee7ecf7b06ba, 0xfee84d2484ab2,
+    0xfee8a60b66343, 0xfee8f7accc851, 0xfee94207e25da, 0xfee9851a829ea, 0xfee9c0e13485c,
+    0xfee9f557273f4, 0xfeea22762ccae, 0xfeea4836b42ac, 0xfeea668fc2d71, 0xfeea7d76ed6fa,
+    0xfeea8ce04fa0a, 0xfeea94be8333b, 0xfeea950296410, 0xfeea8d9c0075e, 0xfeea7e7897654,
+    0xfeea678481d24, 0xfeea48aa29e83, 0xfeea21d22e4da, 0xfee9f2e352024, 0xfee9bbc26af2e,
+    0xfee97c524f2e4, 0xfee93473c0a3a, 0xfee8e40557516, 0xfee88ae369c7a, 0xfee828e7f3dfd,
+    0xfee7bdea7b888, 0xfee749bff37ff, 0xfee6cc3a9bd5e, 0xfee64529e007e, 0xfee5b45a32888,
+    0xfee51994e57b6, 0xfee474a0006cf, 0xfee3c53e12c50, 0xfee30b2e02ad8, 0xfee2462ad8205,
+    0xfee175eb83c5a, 0xfee09a22a1447, 0xfedfb27e349cc, 0xfedebea76216c, 0xfeddbe422047e,
+    0xfedcb0ece39d3, 0xfedb964042cf4, 0xfeda6dce938c9, 0xfed937237e98d, 0xfed7f1c38a836,
+    0xfed69d2b9c02b, 0xfed538d06ae00, 0xfed3c41dea422, 0xfed23e76a2fd8, 0xfed0a732fe644,
+    0xfecefda07fe34, 0xfecd4100eb7b8, 0xfecb708956eb4, 0xfec98b61230c1, 0xfec790a0da978,
+    0xfec57f50f31fe, 0xfec356686c962, 0xfec114cb4b335, 0xfebeb948e6fd0, 0xfebc429a0b692,
+    0xfeb9af5ee0cdc, 0xfeb6fe1c98542, 0xfeb42d3ad1f9e, 0xfeb13b00b2d4b, 0xfeae2591a02e9,
+    0xfeaaeae992257, 0xfea788d8ee326, 0xfea3fcffd73e5, 0xfea044c8dd9f6, 0xfe9c5d62f563b,
+    0xfe9843ba947a4, 0xfe93f471d4728, 0xfe8f6bd76c5d6, 0xfe8aa5dc4e8e6, 0xfe859e07ab1ea,
+    0xfe804f690a940, 0xfe7ab488233c0, 0xfe74c751f6aa5, 0xfe6e8102aa202, 0xfe67da0b6abd8,
+    0xfe60c9f38307e, 0xfe5947338f742, 0xfe51470977280, 0xfe48bd436f458, 0xfe3f9bffd1e37,
+    0xfe35d35eeb19c, 0xfe2b5122fe4fe, 0xfe20003995557, 0xfe13c82788314, 0xfe068c4ee67b0,
+    0xfdf82b02b71aa, 0xfde87c57efeaa, 0xfdd7509c63bfd, 0xfdc46e529bf13, 0xfdaf8f82e0282,
+    0xfd985e1b2ba75, 0xfd7e6ef48cf04, 0xfd613adbd650b, 0xfd40149e2f012, 0xfd1a1a7b4c7ac,
+    0xfcee204761f9e, 0xfcba8d85e11b2, 0xfc7d26ecd2d22, 0xfc32b2f1e22ed, 0xfbd6581c0b83a,
+    0xfb606c4005434, 0xfac40582a2874, 0xf9e971e014598, 0xf89fa48a41dfc, 0xf66c5f7f0302c,
+    0xf1a5a4b331c4a,
+};
+static const double wi_double[256] = {
+    0x1.f493b7815d979p-51, 0x1.b8d0be3fdf6c6p-55, 0x1.250af3c2c5bb4p-54, 0x1.57cb938443b61p-54,
+    0x1.801fce82fa70cp-54, 0x1.a230c2e4cd0bcp-54, 0x1.c004d2f3861f7p-54, 0x1.dac2f5a747274p-54,
+    0x1.f32482d4cd5c3p-54, 0x1.04d32278ebbadp-53, 0x1.0f5053b025d43p-53, 0x1.192a697413677p-53,
+    0x1.227a28f7a1af5p-53, 0x1.2b52e3863d880p-53, 0x1.33c3fc05791f5p-53, 0x1.3bd9ec1a2b12fp-53,
+    0x1.439ef8dff9b55p-53, 0x1.4b1bb363dfea7p-53, 0x1.52575621ad374p-53, 0x1.59580a707ce96p-53,
+    0x1.60231cfd97eeap-53, 0x1.66bd261a37c3dp-53, 0x1.6d2a292000570p-53, 0x1.736dad346f8a6p-53,
+    0x1.798ad10b32a77p-53, 0x1.7f845ad46f543p-53, 0x1.855cc53430a77p-53, 0x1.8b1649e7b769ap-53,
+    0x1.90b2ea94ecf98p-53, 0x1.96347822c1eeap-53, 0x1.9b9c98e38c546p-53, 0x1.a0eccdca4a72cp-53,
+    0x1.a62676d77cd59p-53, 0x1.ab4ad6e101630p-53, 0x1.b05b16d136c9cp-53, 0x1.b558487427a29p-53,
+    0x1.ba4368e529f3ap-53, 0x1.bf1d62abf8232p-53, 0x1.c3e70f9594ef3p-53, 0x1.c8a13a5323b61p-53,
+    0x1.cd4c9fe72268bp-53, 0x1.d1e9f0e80b748p-53, 0x1.d679d29e41f10p-53, 0x1.dafce0023b8c3p-53,
+    0x1.df73aa9f17653p-53, 0x1.e3debb5d2edfep-53, 0x1.e83e9337a6f00p-53, 0x1.ec93abdf982cep-53,
+    0x1.f0de784f06226p-53, 0x1.f51f654d8f688p-53, 0x1.f956d9e87d7aep-53, 0x1.fd8537dfa2eacp-53,
+    0x1.00d56e04234ecp-52, 0x1.02e40f5398f9ap-52, 0x1.04eea9e16a5fcp-52, 0x1.06f565b72a010p-52,
+    0x1.08f869071f40bp-52, 0x1.0af7d84bc6113p-52, 0x1.0cf3d664bcc7fp-52, 0x1.0eec84b16086bp-52,
+    0x1.10e20329515eep-52, 0x1.12d4707310fbep-52, 0x1.14c3e9f8e9141p-52, 0x1.16b08bfc4201ep-52,
+    0x1.189a71a78da34p-52, 0x1.1a81b51ee6d88p-52, 0x1.1c666f8f82acbp-52, 0x1.1e48b93e0d42ep-52,
+    0x1.2028a9940a09fp-52, 0x1.2206572c4c6e9p-52, 0x1.23e1d7de9c31fp-52, 0x1.25bb40ca96bfbp-52,
+    0x1.2792a661dd37fp-52, 0x1.29681c719d71bp-52, 0x1.2b3bb62b82edap-52, 0x1.2d0d862e1b853p-52,
+    0x1.2edd9e8cba98ep-52, 0x1.30ac10d6e48d7p-52, 0x1.3278ee1f4b930p-52, 0x1.3444470265ea1p-52,
+    0x1.360e2baca52d5p-52, 0x1.37d6abe05586ap-52, 0x1.399dd6fb2b264p-52, 0x1.3b63bbfb83d03p-52,
+    0x1.3d28698561de0p-52, 0x1.3eebede725a83p-52, 0x1.40ae571e09e74p-52, 0x1.426fb2da6745dp-52,
+    0x1.44300e83c30a4p-52, 0x1.45ef773cac75dp-52, 0x1.47adf9e66c336p-52, 0x1.496ba32488f2fp-52,
+    0x1.4b287f602415dp-52, 0x1.4ce49acb311dcp-52, 0x1.4ea001638a605p-52, 0x1.505abef5e5562p-52,
+    0x1.5214df20a8b5ap-52, 0x1.53ce6d56a664fp-52, 0x1.558774e1bb2c8p-52, 0x1.574000e555f78p-52,
+    0x1.58f81c60e8514p-52, 0x1.5aafd23241b59p-52, 0x1.5c672d17d733dp-52, 0x1.5e1e37b2f8cd3p-52,
+    0x1.5fd4fc89f5e38p-52, 0x1.618b860a31fc3p-52, 0x1.6341de8a2b0a2p-52, 0x1.64f8104b7260bp-52,
+    0x1.66ae257c99672p-52, 0x1.6864283b13137p-52, 0x1.6a1a22950b2b1p-52, 0x1.6bd01e8b343bbp-52,
+    0x1.6d8626128d352p-52, 0x1.6f3c43161f854p-52, 0x1.70f27f78b68ebp-52, 0x1.72a8e516914c6p-52,
+    0x1.745f7dc70eedcp-52, 0x1.7616535e5731fp-52, 0x1.77cd6faeff449p-52, 0x1.7984dc8babd93p-52,
+    0x1.7b3ca3c8b1409p-52, 0x1.7cf4cf3db22fbp-52, 0x1.7ead68c73dee7p-52, 0x1.80667a486ea1fp-52,
+    0x1.82200dac88676p-52, 0x1.83da2ce899f15p-52, 0x1.8594e1fd1f5bdp-52, 0x1.875036f7a7ec5p-52,
+    0x1.890c35f47f72dp-52, 0x1.8ac8e9205c043p-52, 0x1.8c865aba10c9cp-52, 0x1.8e44951446a27p-52,
+    0x1.9003a2973b58fp-52, 0x1.91c38dc288347p-52, 0x1.9384612ef0afcp-52, 0x1.954627903a28ap-52,
+    0x1.9708ebb70d5eep-52, 0x1.98ccb892e2a31p-52, 0x1.9a919933f99bfp-52, 0x1.9c5798cd5d92cp-52,
+    0x1.9e1ec2b6f7411p-52, 0x1.9fe7226fad24ap-52, 0x1.a1b0c39f93692p-52, 0x1.a37bb21a2c85bp-52,
+    0x1.a547f9e0bbb88p-52, 0x1.a715a724aa9a4p-52, 0x1.a8e4c64a0313dp-52, 0x1.aab563e9ff108p-52,
+    0x1.ac878cd5af5cep-52, 0x1.ae5b4e18bb336p-52, 0x1.b030b4fc3a11ap-52, 0x1.b207cf09a985bp-52,
+    0x1.b3e0aa0e00c00p-52, 0x1.b5bb541ce3d03p-52, 0x1.b797db93f8927p-52, 0x1.b9764f1e5f73cp-52,
+    0x1.bb56bdb85256ep-52, 0x1.bd3936b2ec0a2p-52, 0x1.bf1dc9b81ae83p-52, 0x1.c10486cec16a0p-52,
+    0x1.c2ed7e5f07a2dp-52, 0x1.c4d8c136e0d1cp-52, 0x1.c6c6608ec8705p-52, 0x1.c8b66e0eba617p-52,
+    0x1.caa8fbd36a2abp-52, 0x1.cc9e1c73bd690p-52, 0x1.ce95e3068e037p-52, 0x1.d0906328b8f6ep-52,
+    0x1.d28db1037ef20p-52, 0x1.d48de1533c647p-52, 0x1.d691096e7f123p-52, 0x1.d8973f4d7fba5p-52,
+    0x1.daa0999206e70p-52, 0x1.dcad2f8fc490ep-52, 0x1.debd195522e37p-52, 0x1.e0d06fb49d21cp-52,
+    0x1.e2e74c4ea46f6p-52, 0x1.e501c99c1d188p-52, 0x1.e72002f97fe25p-52, 0x1.e94214b2abf0ap-52,
+    0x1.eb681c0f76f08p-52, 0x1.ed9237610a73ap-52, 0x1.efc086101eca9p-52, 0x1.f1f328ac25321p-52,
+    0x1.f42a40fb74d6dp-52, 0x1.f665f20c90168p-52, 0x1.f8a6604899782p-52, 0x1.faebb187122bfp-52,
+    0x1.fd360d22fe785p-52, 0x1.ff859c118f60bp-52, 0x1.00ed447d3a075p-51, 0x1.021a8028fc947p-51,
+    0x1.034a983a902abp-51, 0x1.047da4e3ef5c7p-51, 0x1.05b3bf6adb37ep-51, 0x1.06ed023a72668p-51,
+    0x1.082988f632e17p-51, 0x1.0969708e8a254p-51, 0x1.0aacd7571c0c4p-51, 0x1.0bf3dd1eed448p-51,
+    0x1.0d3ea34aa3d30p-51, 0x1.0e8d4cf116593p-51, 0x1.0fdffefa69fb6p-51, 0x1.1136e04207041p-51,
+    0x1.129219bbb5d35p-51, 0x1.13f1d69c4096dp-51, 0x1.1556448602e3bp-51, 0x1.16bf93b9deef3p-51,
+    0x1.182df74d21261p-51, 0x1.19a1a564eebacp-51, 0x1.1b1ad777f2f8ep-51, 0x1.1c99ca971a694p-51,
+    0x1.1e1ebfbe4ae39p-51, 0x1.1fa9fc2e2d901p-51, 0x1.213bc9d04cc81p-51, 0x1.22d477a6fd3eep-51,
+    0x1.24745a4ac9c24p-51, 0x1.261bcc77658e0p-51, 0x1.27cb2faa8592ep-51, 0x1.2982ecd770e78p-51,
+    0x1.2b437532a0a52p-51, 0x1.2d0d43196db97p-51, 0x1.2ee0db1a978f5p-51, 0x1.30becd256aeeep-51,
+    0x1.32a7b5e68a4a3p-51, 0x1.349c405ae12a3p-51, 0x1.369d27a33a840p-51, 0x1.38ab39256410ap-51,
+    0x1.3ac7570ae88fap-51, 0x1.3cf27b31704a6p-51, 0x1.3f2dbaa60f475p-51, 0x1.417a49cb9e5dap-51,
+    0x1.43d9815545e94p-51, 0x1.464ce44a73a15p-51, 0x1.48d62759c43bcp-51, 0x1.4b7739d6b5a27p-51,
+    0x1.4e3250dcd8902p-51, 0x1.5109f53e9ac41p-51, 0x1.54011523a7e42p-51, 0x1.571b1a94ae41bp-51,
+    0x1.5a5c08b718dd9p-51, 0x1.5dc8a243ad0fep-51, 0x1.61669cf861e4cp-51, 0x1.653ce7b006aeap-51,
+    0x1.69540be9fe5c3p-51, 0x1.6db6b8d09e232p-51, 0x1.72728f05f7a34p-51, 0x1.7799556090673p-51,
+    0x1.7d42df4d6ce8cp-51, 0x1.839030529f234p-51, 0x1.8ab0fbfaa7c14p-51, 0x1.92ee0946f4496p-51,
+    0x1.9cbee014057abp-51, 0x1.a8fdc7894775ap-51, 0x1.b981f3878fdb1p-51, 0x1.d3bb48209ad33p-51,
+};
+static const double fi_double[256] = {
+    0x1.0000000000000p+0, 0x1.f446ac979f087p-1, 0x1.eb7545b6ca915p-1, 0x1.e3f11e027f077p-1,
+    0x1.dd36fa704de95p-1, 0x1.d70920657bcf2p-1, 0x1.d144978a119dcp-1, 0x1.cbd33a8a72debp-1,
+    0x1.c6a5ecea9787fp-1, 0x1.c1b1cd9eebaeap-1, 0x1.bceeb4ee1dc82p-1, 0x1.b85653a8ff552p-1,
+    0x1.b3e3a8234dd10p-1, 0x1.af92a3f6ce8a2p-1, 0x1.ab5fef17a2504p-1, 0x1.a748bd550c9e1p-1,
+    0x1.a34aafdf5af0fp-1, 0x1.9f63bee651fd8p-1, 0x1.9b9228d240681p-1, 0x1.97d4657617ac1p-1,
+    0x1.94291c21b7a47p-1, 0x1.908f1bd31714fp-1, 0x1.8d0554fe60aa8p-1, 0x1.898ad48badf02p-1,
+    0x1.861ebfc37bcacp-1, 0x1.82c050f56cf6ep-1, 0x1.7f6ed4b20e2cbp-1, 0x1.7c29a779c6858p-1,
+    0x1.78f033ca0b0d5p-1, 0x1.75c1f0770d856p-1, 0x1.729e5f43f6d12p-1, 0x1.6f850baea7aeep-1,
+    0x1.6c7589e635a89p-1, 0x1.696f75e513b2ap-1, 0x1.667272a92e323p-1, 0x1.637e298550c18p-1,
+    0x1.6092498802665p-1, 0x1.5dae86f4aff6ap-1, 0x1.5ad29acc85c89p-1, 0x1.57fe4264c8d8fp-1,
+    0x1.55313f08d9e46p-1, 0x1.526b55a656cd5p-1, 0x1.4fac4e820b667p-1, 0x1.4cf3f4f494ec0p-1,
+    0x1.4a42172dc5278p-1, 0x1.479685fdf5012p-1, 0x1.44f114a493679p-1, 0x1.425198a355fe3p-1,
+    0x1.3fb7e99585b82p-1, 0x1.3d23e10af31a3p-1, 0x1.3a955a662cd0ep-1, 0x1.380c32bda00d5p-1,
+    0x1.358848bf550e9p-1, 0x1.33097c9703a35p-1, 0x1.308fafd6438efp-1, 0x1.2e1ac55ea3beep-1,
+    0x1.2baaa14d7954ap-1, 0x1.293f28e93cd15p-1, 0x1.26d84290504edp-1, 0x1.2475d5a90db84p-1,
+    0x1.2217ca92ff7f2p-1, 0x1.1fbe0a9929620p-1, 0x1.1d687fe549969p-1, 0x1.1b171573fd111p-1,
+    0x1.18c9b709b3c50p-1, 0x1.16805128639dap-1, 0x1.143ad105ea99cp-1, 0x1.11f9248311f38p-1,
+    0x1.0fbb3a2325913p-1, 0x1.0d810104142a0p-1, 0x1.0b4a68d70d9aep-1, 0x1.091761d995d81p-1,
+    0x1.06e7dccf03c36p-1, 0x1.04bbcafa63f2ep-1, 0x1.02931e18b822ap-1, 0x1.006dc85b8cac4p-1,
+    0x1.fc9778c7bbda1p-2, 0x1.f859da7a900cap-2, 0x1.f4229cb2f7af3p-2, 0x1.eff1a717e8f95p-2,
+    0x1.ebc6e20bd1f54p-2, 0x1.e7a236a4ec3c5p-2, 0x1.e3838ea5f9b85p-2, 0x1.df6ad47763a09p-2,
+    0x1.db57f320b56b1p-2, 0x1.d74ad6426de33p-2, 0x1.d3436a1021080p-2, 0x1.cf419b4ae5b6dp-2,
+    0x1.cb45573c0a848p-2, 0x1.c74e8bb00d7c7p-2, 0x1.c35d26f1d2cb8p-2, 0x1.bf7117c616a17p-2,
+    0x1.bb8a4d6716d91p-2, 0x1.b7a8b7807131bp-2, 0x1.b3cc462b331cap-2, 0x1.aff4e9ea18552p-2,
+    0x1.ac2293a5f5a9ep-2, 0x1.a85534aa4d880p-2, 0x1.a48cbea20c04dp-2, 0x1.a0c923946843ep-2,
+    0x1.9d0a55e1e93dfp-2, 0x1.995048418c0c6p-2, 0x1.959aedbe09f93p-2, 0x1.91ea39b33cb17p-2,
+    0x1.8e3e1fcb9f115p-2, 0x1.8a9693fde9188p-2, 0x1.86f38a8ac5ab6p-2, 0x1.8354f7faa0dd9p-2,
+    0x1.7fbad11b8d911p-2, 0x1.7c250aff414b0p-2, 0x1.78939af9252ebp-2, 0x1.7506769c7b1edp-2,
+    0x1.717d93ba9614cp-2, 0x1.6df8e86124caap-2, 0x1.6a786ad88de21p-2, 0x1.66fc11a25cbe2p-2,
+    0x1.6383d377be515p-2, 0x1.600fa7480d2c8p-2, 0x1.5c9f84376c244p-2, 0x1.5933619d6eebep-2,
+    0x1.55cb3703d0100p-2, 0x1.5266fc2533bedp-2, 0x1.4f06a8ebf6d92p-2, 0x1.4baa357109ca2p-2,
+    0x1.485199fad6ad4p-2, 0x1.44fccefc324fep-2, 0x1.41abcd1357a19p-2, 0x1.3e5e8d08ed2dbp-2,
+    0x1.3b1507cf143aep-2, 0x1.37cf368081379p-2, 0x1.348d125f9d19ep-2, 0x1.314e94d5af62fp-2,
+    0x1.2e13b77210766p-2, 0x1.2adc73e963fddp-2, 0x1.27a8c414db11ep-2, 0x1.2478a1f17de89p-2,
+    0x1.214c079f7cc9ep-2, 0x1.1e22ef6188116p-2, 0x1.1afd539c2f050p-2, 0x1.17db2ed5454e8p-2,
+    0x1.14bc7bb34ee67p-2, 0x1.11a134fcf2423p-2, 0x1.0e895598709c4p-2, 0x1.0b74d88b242dap-2,
+    0x1.0863b8f904336p-2, 0x1.0555f2242e9d9p-2, 0x1.024b7f6c7747ep-2, 0x1.fe88b89df93c5p-3,
+    0x1.f88108cb83235p-3, 0x1.f27fe6ce998d2p-3, 0x1.ec854a4c99c44p-3, 0x1.e6912b2283cddp-3,
+    0x1.e0a3816457184p-3, 0x1.dabc455c7900ap-3, 0x1.d4db6f8b2514fp-3, 0x1.cf00f8a5e6fccp-3,
+    0x1.c92cd9971df53p-3, 0x1.c35f0b7d89d47p-3, 0x1.bd9787abe18a1p-3, 0x1.b7d647a8731aap-3,
+    0x1.b21b452ccd13ap-3, 0x1.ac667a2571807p-3, 0x1.a6b7e0b19267ep-3, 0x1.a10f7322d7e3dp-3,
+    0x1.9b6d2bfd2fe5ap-3, 0x1.95d105f6a7c27p-3, 0x1.903afbf74fa69p-3, 0x1.8aab09192815bp-3,
+    0x1.852128a819a38p-3, 0x1.7f9d5621f7175p-3, 0x1.7a1f8d368a323p-3, 0x1.74a7c9c7ab5a6p-3,
+    0x1.6f3607e964716p-3, 0x1.69ca43e21f25cp-3, 0x1.64647a2adf19cp-3, 0x1.5f04a76f883f9p-3,
+    0x1.59aac88f31d6cp-3, 0x1.5456da9c86835p-3, 0x1.4f08dade31fc1p-3, 0x1.49c0c6cf5ce2dp-3,
+    0x1.447e9c20375d5p-3, 0x1.3f4258b6931aep-3, 0x1.3a0bfaae8d7eep-3, 0x1.34db805b4ab88p-3,
+    0x1.2fb0e847c2a65p-3, 0x1.2a8c3137a071ap-3, 0x1.256d5a2835eb7p-3, 0x1.2054625183c34p-3,
+    0x1.1b41492757d42p-3, 0x1.16340e5a82d63p-3, 0x1.112cb1da26eb9p-3, 0x1.0c2b33d5209bap-3,
+    0x1.072f94bb8bf85p-3, 0x1.0239d54067d2ap-3, 0x1.fa93ecb6b222cp-4, 0x1.f0bff29520e1cp-4,
+    0x1.e6f7bf29aa54bp-4, 0x1.dd3b56176e88fp-4, 0x1.d38abb9bd91e5p-4, 0x1.c9e5f493b740ap-4,
+    0x1.c04d0680b1015p-4, 0x1.b6bff78f2e233p-4, 0x1.ad3ece9caf633p-4, 0x1.a3c9933ea6286p-4,
+    0x1.9a604dc9d5b19p-4, 0x1.9103075a4a0abp-4, 0x1.87b1c9dbf2852p-4, 0x1.7e6ca013eefd6p-4,
+    0x1.753395aaa1176p-4, 0x1.6c06b73694a4cp-4, 0x1.62e6124854d18p-4, 0x1.59d1b577466a4p-4,
+    0x1.50c9b06fa2baep-4, 0x1.47ce1401b2213p-4, 0x1.3edef23269a86p-4, 0x1.35fc5e4d93e70p-4,
+    0x1.2d266cf9b3111p-4, 0x1.245d344dd0d91p-4, 0x1.1ba0cbe97897dp-4, 0x1.12f14d0f2179dp-4,
+    0x1.0a4ed2c159625p-4, 0x1.01b979e30e497p-4, 0x1.f262c2b6c6e35p-5, 0x1.e16d547b25181p-5,
+    0x1.d092efeadf162p-5, 0x1.bfd3e0f282a2cp-5, 0x1.af30790385f70p-5, 0x1.9ea90f9295563p-5,
+    0x1.8e3e02a68b5abp-5, 0x1.7defb77af271ep-5, 0x1.6dbe9b398d064p-5, 0x1.5dab23cf2add4p-5,
+    0x1.4db5d0e11275dp-5, 0x1.3ddf2ce98eecbp-5, 0x1.2e27ce83df497p-5, 0x1.1e9059f1f6abcp-5,
+    0x1.0f1982e968011p-5, 0x1.ff881d718a5c4p-6, 0x1.e121adb828c75p-6, 0x1.c301983cd091ap-6,
+    0x1.a529f4e22ebf8p-6, 0x1.879d1b600c10ap-6, 0x1.6a5daf40bbf82p-6, 0x1.4d6eaf2fbb064p-6,
+    0x1.30d388dab5e13p-6, 0x1.1490334603012p-6, 0x1.f152a4f72dd49p-7, 0x1.ba48d274f8facp-7,
+    0x1.841040d8da478p-7, 0x1.4eb96421acfe0p-7, 0x1.1a59229952f92p-7, 0x1.ce160f8ec6837p-8,
+    0x1.69ea8d90cb85dp-8, 0x1.08a1f03b0b1fdp-8, 0x1.55f9f43c1b067p-9, 0x1.4a605b6b9f70fp-10,
+};
+
+/* A standard normal, as numpy's random_standard_normal draws it. One word
+ * gives the level (its low 8 bits), the sign (bit 8) and a 52-bit magnitude.
+ * Inside the level's part under the density, 99.3% of the time, the signed
+ * magnitude is the draw. Otherwise level 0 draws from the tail and the other
+ * levels test the wedge against the density with a uniform, and a rejected
+ * draw starts over. slow, unless NULL, counts the draws that enter the tail
+ * (slow[0]) and the wedge test (slow[1]). */
+static inline double standard_normal(philox *p, int64_t *slow)
+{
+    for (;;) {
+        const uint64_t r = next64(p);
+        const int idx = r & 0xff;
+        const uint64_t rabs = r >> 9 & 0x000fffffffffffffu;
+        union {
+            double d;
+            uint64_t u;
+        } x = {(double)rabs * wi_double[idx]};
+        x.u ^= (r >> 8 & 1) << 63; /* the sign, without a branch */
+        if (rabs < ki_double[idx])
+            return x.d;
+        if (idx == 0) {
+            if (slow)
+                slow[0]++;
+            for (;;) {
+                /* 1 - U, not U, so that the log never sees 0 */
+                const double xx = -ZIGGURAT_NOR_INV_R * log1p(-next_double(p));
+                const double yy = -log1p(-next_double(p));
+                if (yy + yy > xx * xx)
+                    return rabs >> 8 & 1 ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
+            }
+        }
+        if (slow)
+            slow[1]++;
+        if ((fi_double[idx - 1] - fi_double[idx]) * next_double(p) + fi_double[idx]
+            < exp(-0.5 * x.d * x.d))
+            return x.d;
+    }
+}
+
+/* off plus an integer uniform in [0, rng], n times, as numpy's
+ * random_bounded_uint64_fill draws them for a range below 2^32 with
+ * use_masked false: Lemire's multiply and reject (ACM TOMACS 29(1), 3, 2019)
+ * on 32-bit draws. Range 0 draws nothing, and range 2^32 - 1 takes each
+ * 32-bit draw as it is. numpy computes the threshold only once a product's
+ * low word falls below rng + 1; the threshold is below rng + 1 itself, so
+ * computing it first rejects the same draws. */
+static void bounded_fill(philox *p, uint64_t off, uint32_t rng, int64_t n, uint64_t *out)
+{
+    if (rng == 0 || rng == UINT32_MAX) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = off + (rng ? next32(p) : 0);
+        return;
+    }
+    const uint32_t excl = rng + 1, threshold = (UINT32_MAX - rng) % excl;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t m = (uint64_t)next32(p) * excl;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next32(p) * excl;
+        out[i] = off + (m >> 32);
+    }
+}
+
+/* log Gamma(x), as numpy's random_loggam computes it: Stirling's series at
+ * x + n >= 7, and the recurrence down to x. */
+static double loggam(double x)
+{
+    static const double a[10] = {8.333333333333333e-02, -2.777777777777778e-03,
+                                 7.936507936507937e-04, -5.952380952380952e-04,
+                                 8.417508417508418e-04, -1.917526917526918e-03,
+                                 6.410256410256410e-03, -2.955065359477124e-02,
+                                 1.796443723688307e-01, -1.39243221690590e+00};
+    if (x == 1.0 || x == 2.0)
+        return 0.0;
+    const int64_t n = x < 7.0 ? (int64_t)(7 - x) : 0;
+    double x0 = x + n;
+    const double x2 = (1.0 / x0) * (1.0 / x0), lg2pi = 1.8378770664093453e+00;
+    double gl0 = a[9];
+    for (int k = 8; k >= 0; k--) {
+        gl0 *= x2;
+        gl0 += a[k];
+    }
+    double gl = gl0 / x0 + 0.5 * lg2pi + (x0 - 0.5) * log(x0) - x0;
+    if (x < 7.0)
+        for (int64_t k = 1; k <= n; k++) {
+            gl -= log(x0 - 1.0);
+            x0 -= 1.0;
+        }
+    return gl;
+}
+
+/* A Poisson draw of mean lam >= 10 by the transformed rejection PTRS
+ * (Hörmann, Insurance Math. Econom. 12, 39, 1993), as numpy draws it. */
+static int64_t poisson_ptrs(philox *p, double lam)
+{
+    const double slam = sqrt(lam), loglam = log(lam), b = 0.931 + 2.53 * slam;
+    const double a = -0.059 + 0.02483 * b, invalpha = 1.1239 + 1.1328 / (b - 3.4);
+    const double vr = 0.9277 - 3.6224 / (b - 2);
+    for (;;) {
+        const double u = next_double(p) - 0.5, v = next_double(p), us = 0.5 - fabs(u);
+        const int64_t k = (int64_t)floor((2 * a / us + b) * u + lam + 0.43);
+        if (us >= 0.07 && v <= vr)
+            return k;
+        if (k < 0 || (us < 0.013 && v > us))
+            continue;
+        /* v = 0 makes log(v) -inf, which accepts */
+        if (log(v) + log(invalpha) - log(a / (us * us) + b) <= -lam + k * loglam - loggam(k + 1))
+            return k;
+    }
+}
+
+/* A Poisson draw of mean lam >= 0, as numpy's random_poisson draws it: PTRS
+ * from lam = 10 on, 0 at lam = 0, and otherwise the count of uniforms whose
+ * running product stays above exp(-lam). */
+static int64_t poisson(philox *p, double lam)
+{
+    if (lam >= 10)
+        return poisson_ptrs(p, lam);
+    if (lam == 0)
+        return 0;
+    const double enlam = exp(-lam);
+    double prod = 1.0;
+    for (int64_t k = 0;; k++) {
+        prod *= next_double(p);
+        if (!(prod > enlam))
+            return k;
+    }
+}
 
 /* Signal tags of one source slice, before thinning and jitter.
  *
  * times[0:n] are the slice's pair emission times and section[0:n] their
  * section pairs, 0 (U1, D2), 1 (U2, D1) or 2 (C1, C2), of which there are
- * per_section[0:3]. u holds one uniform per section-2 pair, in pair order,
- * and cum the n_settings x 4 cumulative joint-outcome probabilities of the
- * analyzer settings. A section-2 pair at time t >= 0 sees setting
- * (t / dwell) % n_settings and outcome min(#(cum[k] <= u), 3), compared on
- * the same doubles as the reference: outcomes 0 and 1 fire C1, outcomes 0
- * and 2 fire C2.
+ * per_section[0:3]. Each section-2 pair draws one uniform u from p, in pair
+ * order, and cum holds the n_settings x 4 cumulative joint-outcome
+ * probabilities of the analyzer settings. A section-2 pair at time t >= 0
+ * sees setting (t / dwell) % n_settings and outcome min(#(cum[k] <= u), 3),
+ * compared on the same doubles as the reference: outcomes 0 and 1 fire C1,
+ * outcomes 0 and 2 fire C2.
  *
  * Writes the tags to (ts, ch) as U1 and D2 of the section-0 pairs, U2 and
  * D1 of the section-1 pairs, the C1 hits, then the C2 hits, each group in
@@ -182,9 +695,9 @@ void random_standard_normal_fill(bitgen_t *state, intptr_t cnt, double *out);
  * every pair stores its time into each group it might join, and a store
  * that does not count goes to ts[2n], a slot past every group.
  */
-static int64_t route_pairs(const uint64_t *times, const uint64_t *section, int64_t n,
-                           const int64_t *per_section, const double *u, const double *cum,
-                           int64_t n_settings, int64_t dwell, int64_t *ts, uint8_t *ch)
+static int64_t route_pairs(philox *p, const uint64_t *times, const uint64_t *section, int64_t n,
+                           const int64_t *per_section, const double *cum, int64_t n_settings,
+                           int64_t dwell, int64_t *ts, uint8_t *ch)
 {
     const int64_t sink = 2 * n, u2_start = 2 * per_section[0];
     const int64_t c1_start = u2_start + 2 * per_section[1], c2_start = c1_start + per_section[2];
@@ -205,7 +718,7 @@ static int64_t route_pairs(const uint64_t *times, const uint64_t *section, int64
     int64_t c1 = c1_start, c2 = c2_start;
     for (int64_t k = 0; k < per_section[2]; k++) {
         const int64_t t = ts[c1_start + k];
-        const double *row = cum + 4 * ((t / dwell) % n_settings), x = u[k];
+        const double *row = cum + 4 * ((t / dwell) % n_settings), x = next_double(p);
         int outcome = (row[0] <= x) + (row[1] <= x) + (row[2] <= x) + (row[3] <= x);
         outcome -= outcome > 3;
         const int hit1 = (outcome == 0) | (outcome == 1), hit2 = (outcome == 0) | (outcome == 2);
@@ -225,95 +738,38 @@ static int64_t route_pairs(const uint64_t *times, const uint64_t *section, int64
     return c1 + c2 - c2_start;
 }
 
-/* Detector efficiency: keeps tag i when u[i] < eta[ch[i]], compacting
- * (ts, ch) in place, and returns how many stay. Channel codes must be < 6. */
-static int64_t thin_tags(int64_t *ts, uint8_t *ch, int64_t n, const double *u, const double *eta)
+/* Detector efficiency: each tag i draws a uniform u from p, in tag order,
+ * and stays when u < eta[ch[i]]. Compacts (ts, ch) in place and returns how
+ * many stay. Channel codes must be < 6. */
+static int64_t thin_tags(philox *p, int64_t *ts, uint8_t *ch, int64_t n, const double *eta)
 {
     int64_t k = 0;
     for (int64_t i = 0; i < n; i++)
-        if (u[i] < eta[ch[i]]) {
+        if (next_double(p) < eta[ch[i]]) {
             ts[k] = ts[i];
             ch[k++] = ch[i];
         }
     return k;
 }
 
-/* Timing jitter: ts[i] += rint(sigma * z[i]) for standard normals z, then
- * clipped to [0, duration]. sigma * z is the double that numpy's
- * normal(0, sigma) draws from the same generator state. */
-static void jitter_tags(int64_t *ts, int64_t n, const double *z, double sigma, int64_t duration)
+/* Timing jitter: ts[i] += rint(sigma * z) for a standard normal z drawn from
+ * p per tag, in tag order, then clipped to [0, duration]. sigma * z is the
+ * double that numpy's normal(0, sigma) draws from the same generator state. */
+static void jitter_tags(philox *p, int64_t *ts, int64_t n, double sigma, int64_t duration)
 {
     for (int64_t i = 0; i < n; i++) {
-        const int64_t t = ts[i] + (int64_t)rint(sigma * z[i]);
+        const int64_t t = ts[i] + (int64_t)rint(sigma * standard_normal(p, NULL));
         ts[i] = t < 0 ? 0 : t > duration ? duration : t;
     }
 }
 
-__extension__ typedef unsigned __int128 u128;
-
-/* Philox4x64-10 as numpy's Philox runs it: the 256-bit counter steps by one
- * before each block of four words, the words go out in order, and a 32-bit
- * draw takes the low half of a word and keeps the high half for the next
- * one. A fresh generator has counter 0, an empty buffer and no half word. */
-typedef struct {
-    uint64_t ctr[4], key[2], buffer[4];
-    int next; /* the buffer's next word, 4 when it is used up */
-    int has_half;
-    uint32_t half;
-} philox;
-
-static uint64_t philox_next64(void *state)
-{
-    philox *p = state;
-    if (p->next == 4) {
-        for (int i = 0; i < 4; i++)
-            if (++p->ctr[i])
-                break;
-        uint64_t c0 = p->ctr[0], c1 = p->ctr[1], c2 = p->ctr[2], c3 = p->ctr[3];
-        uint64_t k0 = p->key[0], k1 = p->key[1];
-        for (int round = 0; round < 10; round++) {
-            const u128 m0 = (u128)0xD2E7470EE14C6C93u * c0, m1 = (u128)0xCA5A826395121157u * c2;
-            c0 = (uint64_t)(m1 >> 64) ^ c1 ^ k0;
-            c1 = (uint64_t)m1;
-            c2 = (uint64_t)(m0 >> 64) ^ c3 ^ k1;
-            c3 = (uint64_t)m0;
-            k0 += 0x9E3779B97F4A7C15u;
-            k1 += 0xBB67AE8584CAA73Bu;
-        }
-        p->buffer[0] = c0;
-        p->buffer[1] = c1;
-        p->buffer[2] = c2;
-        p->buffer[3] = c3;
-        p->next = 0;
-    }
-    return p->buffer[p->next++];
-}
-
-static uint32_t philox_next32(void *state)
-{
-    philox *p = state;
-    if (p->has_half) {
-        p->has_half = 0;
-        return p->half;
-    }
-    const uint64_t w = philox_next64(p);
-    p->has_half = 1;
-    p->half = (uint32_t)(w >> 32);
-    return (uint32_t)w;
-}
-
-static double philox_next_double(void *state)
-{
-    return (double)(philox_next64(state) >> 11) * (1.0 / 9007199254740992.0);
-}
-
 /* The scratch of one qf_simulate call, grown as its slices need: pair draws
- * for cap_pairs pairs, the slice's tags for cap_tags tags (the sort's scratch),
- * and dark tags for cap_dark. */
+ * for cap_pairs pairs, the slice's tags for cap_tags tags (the sort's
+ * scratch, with bucket counts for as many tags), and dark tags for
+ * cap_dark. */
 typedef struct {
     uint64_t *times, *section, *dark_ts;
-    double *f;
-    int64_t *ts;
+    int64_t *ts, *count;
     uint8_t *ch, *dark_ch;
     int64_t cap_pairs, cap_tags, cap_dark;
     int failed;
@@ -326,7 +782,6 @@ static void reserve_pairs(slice_scratch *w, int64_t n)
     const int64_t cap = n + n / 2;
     w->times = regrow(w->times, cap * sizeof *w->times, &w->failed);
     w->section = regrow(w->section, cap * sizeof *w->section, &w->failed);
-    w->f = regrow(w->f, 2 * cap * sizeof *w->f, &w->failed);
     w->cap_pairs = w->failed ? w->cap_pairs : cap;
 }
 
@@ -337,6 +792,7 @@ static void reserve_tags(slice_scratch *w, int64_t n)
     const int64_t cap = n + n / 2;
     w->ts = regrow(w->ts, cap * sizeof *w->ts, &w->failed);
     w->ch = regrow(w->ch, cap, &w->failed);
+    w->count = regrow(w->count, ((int64_t)1 << bucket_bits(cap)) * sizeof *w->count, &w->failed);
     w->cap_tags = w->failed ? w->cap_tags : cap;
 }
 
@@ -363,7 +819,8 @@ static void reserve_dark(slice_scratch *w, int64_t n)
  * then, for each channel c with dark[c] > 0 in turn, a Poisson count of mean
  * dark[c] times the width and that many uniform times. dark holds counts
  * per picosecond, eta and dark one value per channel, and cum and dwell the
- * analyzer settings, as in route_pairs.
+ * analyzer settings, as in route_pairs. slice_ps must be at most 2^32, so
+ * that the uniform times take 32-bit draws.
  *
  * A slice whose tags do not fit in the capacity - counts[0] slots left is
  * not written, and the call returns its index, with counts[1] set to its
@@ -377,7 +834,6 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
                     uint8_t *ch, int64_t capacity, int64_t *counts)
 {
     philox p;
-    bitgen_t rng = {&p, philox_next64, philox_next32, philox_next_double, philox_next64};
     slice_scratch w;
     memset(&w, 0, sizeof w);
     int thin = 0;
@@ -386,45 +842,39 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
     int64_t s = s0, written = 0;
     counts[1] = 0;
     for (; s < s1; s++) {
-        memset(&p, 0, sizeof p);
-        p.next = 4;
-        qf_slice_key(seed, (uint64_t)s, p.key);
+        uint64_t key[2];
+        qf_slice_key(seed, (uint64_t)s, key);
+        philox_init(&p, key[0], key[1]);
         const int64_t t0 = s * slice_ps, t1 = t0 + slice_ps < duration ? t0 + slice_ps : duration;
         const double width = (double)(t1 - t0);
+        const uint32_t range = (uint32_t)(t1 - 1 - t0);
 
-        const int64_t n_pairs = random_poisson(&rng, rate * width);
+        const int64_t n_pairs = poisson(&p, rate * width);
         reserve_pairs(&w, n_pairs);
         reserve_tags(&w, 2 * n_pairs + 1);
         if (w.failed)
             break;
-        random_bounded_uint64_fill(&rng, (uint64_t)t0, (uint64_t)(t1 - 1 - t0), n_pairs, false,
-                                   w.times);
-        random_bounded_uint64_fill(&rng, 0, 2, n_pairs, false, w.section);
+        bounded_fill(&p, (uint64_t)t0, range, n_pairs, w.times);
+        bounded_fill(&p, 0, 2, n_pairs, w.section);
         int64_t per_section[3] = {0, 0, 0};
         for (int64_t i = 0; i < n_pairs; i++)
             per_section[w.section[i]]++;
-        random_standard_uniform_fill(&rng, per_section[2], w.f);
-        int64_t n = route_pairs(w.times, w.section, n_pairs, per_section, w.f, cum, n_settings,
+        int64_t n = route_pairs(&p, w.times, w.section, n_pairs, per_section, cum, n_settings,
                                 dwell, w.ts, w.ch);
-        if (thin) {
-            random_standard_uniform_fill(&rng, n, w.f);
-            n = thin_tags(w.ts, w.ch, n, w.f, eta);
-        }
-        if (sigma > 0 && n) {
-            random_standard_normal_fill(&rng, n, w.f);
-            jitter_tags(w.ts, n, w.f, sigma, duration);
-        }
+        if (thin)
+            n = thin_tags(&p, w.ts, w.ch, n, eta);
+        if (sigma > 0)
+            jitter_tags(&p, w.ts, n, sigma, duration);
 
         int64_t n_dark = 0;
         for (int c = 0; c < 6; c++) {
-            const int64_t k = dark[c] > 0 ? random_poisson(&rng, dark[c] * width) : 0;
+            const int64_t k = dark[c] > 0 ? poisson(&p, dark[c] * width) : 0;
             if (!k)
                 continue;
             reserve_dark(&w, n_dark + k);
             if (w.failed)
                 break;
-            random_bounded_uint64_fill(&rng, (uint64_t)t0, (uint64_t)(t1 - 1 - t0), k, false,
-                                       w.dark_ts + n_dark);
+            bounded_fill(&p, (uint64_t)t0, range, k, w.dark_ts + n_dark);
             memset(w.dark_ch + n_dark, c, k);
             n_dark += k;
         }
@@ -443,49 +893,49 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
             counts[1] = n;
             break;
         }
-        qf_slice_sort(w.ts, w.ch, n, ts + written, ch + written);
+        sort_slice(w.ts, w.ch, n, ts + written, ch + written, w.count);
         written += n;
     }
     free(w.times);
     free(w.section);
-    free(w.f);
     free(w.ts);
+    free(w.count);
     free(w.ch);
     free(w.dark_ts);
     free(w.dark_ch);
     counts[0] = written;
     return w.failed ? -1 : s;
 }
-#endif
 
-/* Stable insertion sort of (ts, ch) by ts, in place. Each tag moves past
- * the earlier tags with a strictly larger time, so equal times keep their
- * order, and the work is linear when few tags are out of place. Once more
- * than n moves have been made it stops, after finishing the tag in hand,
- * and returns 0: the arrays then hold a permutation that kept the order of
- * equal times, which a stable sort completes to the same result. Returns 1
- * when the arrays are sorted. */
-int qf_settle(int64_t *ts, uint8_t *ch, int64_t n)
+/* n draws of one sampler from a fresh Philox of key (key0, key1), as
+ * numpy.random.Generator(Philox(key=[key0, key1])) makes them, for tests:
+ * kind 0 standard normals, 1 off plus integers in [0, rng] (integers(off,
+ * off + rng + 1)), 2 uniforms, 3 Poisson draws of mean lam. out receives n
+ * doubles (kinds 0 and 2) or 64-bit integers (kinds 1 and 3), and slow[0:2]
+ * the normals that entered the ziggurat's tail and its wedge test. Returns 0,
+ * or -1, drawing nothing, for another kind or a range of 2^32 or more. */
+int64_t qf_sample(uint64_t key0, uint64_t key1, int64_t kind, uint64_t off, uint64_t rng,
+                  double lam, int64_t n, void *out, int64_t *slow)
 {
-    int64_t moves = 0;
-    for (int64_t i = 1; i < n; i++) {
-        const int64_t t = ts[i];
-        if (t >= ts[i - 1])
-            continue;
-        const uint8_t c = ch[i];
-        int64_t j = i;
-        while (j > 0 && ts[j - 1] > t) {
-            ts[j] = ts[j - 1];
-            ch[j] = ch[j - 1];
-            j--;
-        }
-        ts[j] = t;
-        ch[j] = c;
-        moves += i - j;
-        if (moves > n)
-            return 0;
-    }
-    return 1;
+    philox p;
+    philox_init(&p, key0, key1);
+    double *f = out;
+    int64_t *k = out;
+    slow[0] = slow[1] = 0;
+    if (kind == 0)
+        for (int64_t i = 0; i < n; i++)
+            f[i] = standard_normal(&p, slow);
+    else if (kind == 1 && rng <= UINT32_MAX)
+        bounded_fill(&p, off, (uint32_t)rng, n, out);
+    else if (kind == 2)
+        for (int64_t i = 0; i < n; i++)
+            f[i] = next_double(&p);
+    else if (kind == 3)
+        for (int64_t i = 0; i < n; i++)
+            k[i] = poisson(&p, lam);
+    else
+        return -1;
+    return 0;
 }
 
 /* Non-paralyzable dead time on a time-ordered stream, per channel: a tag

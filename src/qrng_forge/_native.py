@@ -5,10 +5,10 @@ The kernels and the numpy references they must match bit for bit:
 * ``qf_simulate``: a contiguous range of source slices in one call, with
   the GIL released (``source._slice_py``, slice by slice). Each slice draws
   from its own Philox, keyed by ``qf_slice_key`` as ``source._slice_rng``
-  keys it (numpy's ``SeedSequence``), through numpy's own distribution
-  functions, linked from ``numpy/random/lib/libnpyrandom.a``; routing,
-  thinning, jitter and the stable sort of the slice (``qf_slice_sort``,
-  against ``source._slice_order``) run in C
+  keys it (numpy's ``SeedSequence``), through C ports of the four numpy
+  samplers it uses (``qf_sample`` runs each alone, against
+  ``numpy.random.Generator``); routing, thinning, jitter and the stable sort
+  of the slice (``qf_slice_sort``, against ``source._slice_order``) run in C
 * ``qf_settle``: the insertion pass that settles the concatenated slices
   into one time-ordered stream (``source._settle_py``, a stable argsort)
 * ``qf_dead_time``: per-channel dead time (``source._dead_time_keep_py``)
@@ -37,16 +37,15 @@ checks dtype, contiguity and size first.
 
 The system ``gcc`` compiles the source into a per-user cache directory,
 ``$XDG_CACHE_HOME/qrng_forge`` (``~/.cache/qrng_forge`` by default). The
-library's file name hashes the source, the compiler, the flags, the machine
-type, numpy's include path and the bytes of its ``libnpyrandom.a``, so an
-edited source or another numpy builds a new library, while a second process
-loads the one already built. A build is written to a temporary file and
-renamed into place, so a process never loads a partial library.
+library's file name hashes the source, the compiler, the flags and the
+machine type, so an edited source builds a new library, while a second
+process loads the one already built. The library links nothing of numpy's,
+so its draws do not depend on numpy's version. A build is written to a
+temporary file and renamed into place, so a process never loads a partial
+library.
 
 :func:`library` returns None, after one warning per process, when no
-compiler works; callers then run their numpy reference kernels. When numpy
-ships no ``libnpyrandom.a``, the library is built without ``qf_simulate``,
-after one warning, and the source runs its numpy reference.
+compiler works; callers then run their numpy reference kernels.
 """
 
 from __future__ import annotations
@@ -65,11 +64,10 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
+#: -std=c99 keeps floating-point contraction off, which the ported samplers'
+#: exp and log1p paths need to draw numpy's doubles exactly.
 CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 LIBS = ("-lm",)
-#: numpy's static library of its random distributions, which ``qf_simulate``
-#: links so that it draws exactly as ``numpy.random.Generator`` does.
-NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 
 _N = ctypes.c_int64
@@ -81,7 +79,8 @@ _F64 = ctypes.c_double
 KERNELS = {
     "qf_simulate": ([_U64, _N, _N, _F64, _P, _P, _F64, _P, _N, _N, _N, _N, _P, _P, _N, _P], _N),
     "qf_slice_key": ([_U64, _U64, _P], None),
-    "qf_slice_sort": ([_P, _P, _N, _P, _P], None),
+    "qf_sample": ([_U64, _U64, _N, _U64, _U64, _F64, _N, _P, _P], _N),
+    "qf_slice_sort": ([_P, _P, _N, _P, _P], ctypes.c_int),
     "qf_settle": ([_P, _P, _N], ctypes.c_int),
     "qf_dead_time": ([_P, _P, _N, _N], _N),
     "qf_split_channels": ([_P, _P, _N, _P, _P], None),
@@ -97,36 +96,26 @@ class NativeKernelWarning(RuntimeWarning):
     """The C kernels could not be built or loaded; numpy kernels run instead."""
 
 
-def _build_args(archive: Path | None) -> tuple[str, ...]:
-    """gcc's arguments after ``SOURCE``: ``qf_simulate`` is compiled and
-    linked against ``archive`` unless that is None."""
-    if archive is None:
-        return (*CFLAGS, *LIBS)
-    return (*CFLAGS, f"-I{np.get_include()}", "-DQF_NPYRANDOM", str(archive), *LIBS)
-
-
-def _library_key(gcc: str, archive: Path | None) -> str:
-    """The cache key of a build. It hashes the source, the archive's bytes,
-    the compiler, the machine type and the arguments, numpy's include path
-    among them, so that another numpy builds a library of its own; not the
-    source's path, so that every copy of one source shares a build."""
+def _library_key(gcc: str) -> str:
+    """The cache key of a build. It hashes the source, the compiler, the
+    machine type and gcc's arguments; not the source's path, so that every
+    copy of one source shares a build."""
     return hashlib.sha256(
-        b"\0".join([SOURCE.read_bytes(), archive.read_bytes() if archive else b"",
-                    gcc.encode(), platform.machine().encode(),
-                    *(arg.encode() for arg in _build_args(archive))])
+        b"\0".join([SOURCE.read_bytes(), gcc.encode(), platform.machine().encode(),
+                    *(arg.encode() for arg in (*CFLAGS, *LIBS))])
     ).hexdigest()[:20]
 
 
-def _built_library(gcc: str, archive: Path | None) -> Path:
+def _built_library(gcc: str) -> Path:
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qrng_forge"
-    target = cache / f"kernels-{_library_key(gcc, archive)}.so"
+    target = cache / f"kernels-{_library_key(gcc)}.so"
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([gcc, "-o", tmp, str(SOURCE), *_build_args(archive)],
+        subprocess.run([gcc, "-o", tmp, str(SOURCE), *CFLAGS, *LIBS],
                        check=True, capture_output=True, text=True, timeout=120)
         os.replace(tmp, target)
     finally:
@@ -139,22 +128,16 @@ def _built_library(gcc: str, archive: Path | None) -> Path:
 def library() -> ctypes.CDLL | None:
     """The loaded kernel library, or None when it cannot be built here."""
     gcc = shutil.which("gcc")
-    archive = NPYRANDOM if NPYRANDOM.is_file() else None
     try:
         if gcc is None:
             raise FileNotFoundError("gcc not found on PATH")
-        lib = ctypes.CDLL(str(_built_library(gcc, archive)))
+        lib = ctypes.CDLL(str(_built_library(gcc)))
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(f"C kernels unavailable, numpy kernels run instead: {detail}",
                       NativeKernelWarning, stacklevel=2)
         return None
-    if archive is None:
-        warnings.warn(f"{NPYRANDOM} not found: the source simulation runs its numpy reference",
-                      NativeKernelWarning, stacklevel=2)
     for name, (argtypes, restype) in KERNELS.items():
-        if name == "qf_simulate" and archive is None:
-            continue
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = restype

@@ -34,8 +34,10 @@ comments), overridable from the command line:
 
 Every run writes a manifest with the full resolved config, RNG seed,
 output digests, stage timings and stage telemetry (items in and out,
-rate, peak memory); re-running from a manifest reproduces
-the bit outputs byte for byte.
+rate, peak memory), the kernel backend and numpy's version; re-running from
+a manifest reproduces the bit outputs byte for byte. With the C kernels the
+simulated stream does not depend on numpy's version; on the numpy backend
+it may, since numpy does not pin its samplers' streams (NEP 19).
 
 ``run`` writes ``tags.qtt`` on a thread of its own, from the moment the
 events are generated, while coincide, certify, extract and test run; the
@@ -637,6 +639,7 @@ def run_pipeline(
         "tool": "qrng-forge",
         "version": __version__,
         "kernel_backend": "numpy" if _native.library() is None else "c",
+        "numpy": np.__version__,
         "config": cfg.snapshot,
         "rng_seed": cfg.source.rng_seed,
         "extractor_seed_file": "toeplitz_seed.bin",

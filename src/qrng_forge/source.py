@@ -28,16 +28,16 @@ signal tags in the order U1, D2, U2, D1, C1, C2.
 
 The slices are cut into chunks of ``CHUNK_SLICES``, and each chunk is one
 call of the C kernel ``qf_simulate``, with no Python per slice. The kernel
-keys each slice's Philox as :func:`_slice_rng` does and draws through
-numpy's own distribution code (``libnpyrandom.a``), so it makes the draws of
-the per-slice numpy reference :func:`_slice_py` bit for bit; that reference
-runs when no compiler is present. ctypes releases the GIL for each call, so
-the chunks run on one thread per CPU this process may use, and they are
-appended in slice order: the stream does not depend on the number of
-threads or on the chunk size. The slices go into one buffer, which an
-insertion pass settles into time order in place (slices overlap only where
-jitter carries a tag across a slice edge), and dead time then compacts it
-in place.
+keys each slice's Philox as :func:`_slice_rng` does and draws through C
+ports of numpy's samplers, so it makes the draws of the per-slice numpy
+reference :func:`_slice_py` bit for bit, and its stream does not depend on
+numpy's version; the reference, whose stream does, runs when no compiler is
+present. ctypes releases the GIL for each call, so the chunks run on one
+thread per CPU this process may use, and they are appended in slice order:
+the stream does not depend on the number of threads or on the chunk size.
+The slices go into one buffer, which an insertion pass settles into time
+order in place (slices overlap only where jitter carries a tag across a
+slice edge), and dead time then compacts it in place.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from .timetags import SECTION_PAIRS, Channel, TagStream
 
 #: Fixed time-slice width for seeded event generation (1 ms of stream time).
 SLICE_PS = 10**9
+# qf_simulate draws a slice's uniform times with 32-bit bounded integers
+assert SLICE_PS < 2**32
 
 #: Slices per ``qf_simulate`` call, the unit of work of a simulation thread.
 #: Small chunks keep the scratch held at once small: a process that simulates
@@ -548,8 +550,10 @@ def _expected_tags(config: SourceConfig, duration: int) -> int:
 
 
 def _simulate_kernel():
-    """``qf_simulate``, or None when the numpy reference has to run."""
-    return getattr(_native.library(), "qf_simulate", None)
+    """``qf_simulate``, or None when no compiler works and the numpy
+    reference has to run."""
+    lib = _native.library()
+    return None if lib is None else lib.qf_simulate
 
 
 def simulation_workers(config: SourceConfig) -> int:

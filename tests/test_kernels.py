@@ -1,6 +1,5 @@
 """The C kernels against their numpy references, and the kernel cache."""
 
-import hashlib
 import os
 import re
 import subprocess
@@ -18,10 +17,9 @@ from qrng_forge import (
     ExtractorParams,
     TagStream,
     _native,
-    encode_stream,
     find_coincidences,
 )
-from qrng_forge import coincidence, randtests, source, timetags
+from qrng_forge import coincidence, randtests, timetags
 from qrng_forge.extract import _hash_blocks
 
 from conftest import naive_toeplitz, needs_gcc
@@ -346,55 +344,99 @@ def test_bit_stats_rejects_bad_arguments(rng):
         randtests._bit_stats(packed.astype(np.int64), 0, 1000)  # wrong dtype
 
 
+#: qf_sample's kinds: the numpy.random.Generator method each ports
+NORMAL, INTEGERS, UNIFORM, POISSON = 0, 1, 2, 3
+#: numpy's ziggurat_nor_r: the normals beyond it come from the ziggurat's tail
+ZIGGURAT_NOR_R = 3.6541528853610087963519472518
+
+
+def sample(key, kind, n, off=0, rng=0, lam=0.0):
+    """n draws of qf_sample's sampler ``kind`` from a fresh Philox of ``key``,
+    and the normals' tail and wedge counts."""
+    out = np.empty(n, np.float64 if kind in (NORMAL, UNIFORM) else np.int64)
+    slow = np.zeros(2, np.int64)
+    code = _native.library().qf_sample(
+        int(key[0]), int(key[1]), kind, off, rng, lam, n,
+        _native.address(out, out.dtype, n, writable=True), _native.address(slow, np.int64, 2, True))
+    assert code == 0
+    return out, slow
+
+
+def generator(key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
+
+
+@needs_gcc
+def test_normal_sampler_equals_numpy(rng):
+    key = rng.integers(0, 2**64, 2, dtype=np.uint64)
+    got, (tail, wedge) = sample(key, NORMAL, 10**6)
+    want = generator(key).standard_normal(10**6)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # -0.0 included
+    # the rare paths ran often enough to be compared: each tail draw lands beyond r
+    assert tail >= 100 and wedge >= 100
+    assert tail == np.count_nonzero(np.abs(got) > ZIGGURAT_NOR_R)
+
+
+@needs_gcc
+@pytest.mark.parametrize("span", [0, 1, 2, 999_999_999, 2**32 - 1])
+def test_integer_sampler_equals_numpy(rng, span):
+    # integers(off, off + span + 1): span 0 draws nothing, 2^32 - 1 takes raw
+    # 32-bit draws, and a slice's times take span SLICE_PS - 1
+    key = rng.integers(0, 2**64, 2, dtype=np.uint64)
+    off = 10**12 + 7
+    got, _ = sample(key, INTEGERS, 10**6, off=off, rng=span)
+    want = generator(key).integers(off, off + span + 1, 10**6, dtype=np.int64)
+    assert np.array_equal(got, want)
+
+
+@needs_gcc
+def test_integer_sampler_rejects_64_bit_ranges():
+    out, slow = np.empty(1, np.int64), np.zeros(2, np.int64)
+    assert _native.library().qf_sample(1, 2, INTEGERS, 0, 2**32, 0.0, 1, _native.address(out, np.int64, 1, True),
+                                       _native.address(slow, np.int64, 2, True)) == -1
+
+
+@needs_gcc
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 5.0, 9.999, 10.0, 3000.0, 1e8])
+def test_poisson_sampler_equals_numpy(rng, lam):
+    # multiplication below 10, PTRS (and its log-gamma) from 10 on
+    key = rng.integers(0, 2**64, 2, dtype=np.uint64)
+    got, _ = sample(key, POISSON, 10**6, lam=lam)
+    assert np.array_equal(got, generator(key).poisson(lam, 10**6))
+
+
+@needs_gcc
+def test_uniform_sampler_equals_numpy(rng):
+    key = rng.integers(0, 2**64, 2, dtype=np.uint64)
+    got, _ = sample(key, UNIFORM, 10**6)
+    assert np.array_equal(got, generator(key).random(10**6))
+
+
 @needs_gcc
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # a full compile at the library's -O3, since some warnings need the optimizer;
-    # keeps the target-attribute and intrinsic code and every new kernel warning-clean,
-    # linked against numpy's archive as the library is, and built without it
+    # keeps the target-attribute and intrinsic code and every new kernel warning-clean
     warn = ("-Wall", "-Wextra", "-pedantic", "-Werror")
-    for archive in (_native.NPYRANDOM, None):
-        result = subprocess.run(["gcc", *warn, "-o", str(tmp_path / "kernels.so"), str(_native.SOURCE),
-                                 *_native._build_args(archive)],
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
+    result = subprocess.run(["gcc", *warn, "-o", str(tmp_path / "kernels.so"), str(_native.SOURCE),
+                             *_native.CFLAGS, *_native.LIBS],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
-@needs_gcc
-def test_missing_archive_warns_once_and_simulates_with_numpy(tmp_path, monkeypatch):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(_native, "NPYRANDOM", tmp_path / "libnpyrandom.a")
-    _native.library.cache_clear()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert _native.library() is not None
-            assert source._simulate_kernel() is None
-            cfg = source.SourceConfig(1.0, 10**6, source.TwoPhotonState.bell(),
-                                      source.AnalyzerSchedule.chsh(dwell=10**7), 3 * 10**9, rng_seed=7,
-                                      jitter_sigma=0.0)
-            assert source.simulation_workers(cfg) == 0
-            stream = source.generate_events(cfg)
-        assert [w.category for w in caught] == [_native.NativeKernelWarning]
-        assert "libnpyrandom.a" in str(caught[0].message)
-        # the numpy path writes the pinned stream (test_source.GOLDEN["ties"])
-        assert hashlib.sha256(encode_stream(stream)).hexdigest() == (
-            "0904fdbd15d1359cc98ace23141d67a3ffda706194b10d2f00b46f756ed800d8")
-    finally:
-        _native.library.cache_clear()
-
-
-def test_library_key_hashes_archive_and_numpy_include(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.a", tmp_path / "b.a"
-    a.write_bytes(b"!<arch>\none")
-    b.write_bytes(b"!<arch>\ntwo")
-    key = _native._library_key("gcc", a)
-    assert _native._library_key("gcc", a) == key
-    assert len({key, _native._library_key("gcc", None)}) == 2
-    a.write_bytes(b"!<arch>\ntwo")  # same path, other bytes: an upgraded numpy
-    assert _native._library_key("gcc", a) != key
-    key = _native._library_key("gcc", a)
-    monkeypatch.setattr(np, "get_include", lambda: str(tmp_path / "include"))
-    assert _native._library_key("gcc", a) != key
+def test_library_key_hashes_source_compiler_flags_and_machine(tmp_path, monkeypatch):
+    key = _native._library_key("gcc")
+    assert _native._library_key("gcc") == key
+    assert _native._library_key("/usr/local/bin/gcc") != key
+    with monkeypatch.context() as m:
+        m.setattr(_native, "CFLAGS", (*_native.CFLAGS, "-march=native"))
+        assert _native._library_key("gcc") != key
+    with monkeypatch.context() as m:
+        m.setattr(_native.platform, "machine", lambda: "riscv64")
+        assert _native._library_key("gcc") != key
+    edited = tmp_path / "_kernels.c"
+    edited.write_bytes(_native.SOURCE.read_bytes() + b"\n")
+    monkeypatch.setattr(_native, "SOURCE", edited)
+    assert _native._library_key("gcc") != key
 
 
 def test_missing_compiler_warns_once_and_falls_back(monkeypatch):

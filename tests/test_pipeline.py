@@ -313,6 +313,8 @@ class TestRunAndManifest:
         _, out = run_result
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kernel_backend"] == ("numpy" if _native.library() is None else "c")
+        # the numpy backend's stream may change with numpy's version
+        assert manifest["numpy"] == np.__version__
         monkeypatch.setattr(_native, "library", lambda: None)
         cfg = build_config(fast_overrides(**{
             "source.duration_s": 0.05,
@@ -322,6 +324,7 @@ class TestRunAndManifest:
         }))
         fallback = run_pipeline(cfg, out_dir=tmp_path, force=True)
         assert fallback.manifest["kernel_backend"] == "numpy"
+        assert fallback.manifest["numpy"] == np.__version__
 
     def test_ratio_report_keys(self, run_result):
         _, out = run_result

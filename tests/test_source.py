@@ -389,6 +389,26 @@ class TestSliceKernels:
                 assert np.array_equal(got_ts, want_ts), (cfg, s)
                 assert np.array_equal(got_ch, want_ch), (cfg, s)
 
+    def test_one_picosecond_slices_draw_no_times(self):
+        # a 1-ps slice draws its times from a range of one value, which takes
+        # no draw; were one taken, the sections and dark counts after it would
+        # come out of step with the reference
+        cfg = small_config(pair_rate_coeff=3e12, duration=60, rng_seed=13, dark_rate=5e11,
+                           jitter_sigma=0.4, det_efficiency=0.8,
+                           analyzer_schedule=AnalyzerSchedule.chsh(dwell=7))
+        model = source._SliceModel.of(cfg)
+        args = list(model.kernel_args())
+        args[1] = 1  # the slice width, SLICE_PS for a real acquisition
+        pieces = source._kernel_chunk(source._simulate_kernel(), tuple(args), 0, cfg.duration,
+                                      np.empty(64, np.int64), np.empty(64, np.uint8))
+        want = [source._slice_py(model, source._slice_rng(cfg.rng_seed, s), s, s + 1)
+                for s in range(cfg.duration)]
+        assert sum(ts.size for ts, _ in want) > 300
+        assert np.array_equal(np.concatenate([ts for ts, _ in pieces]),
+                              np.concatenate([ts for ts, _ in want]))
+        assert np.array_equal(np.concatenate([ch for _, ch in pieces]),
+                              np.concatenate([ch for _, ch in want]))
+
     def test_stream_independent_of_workers_and_chunks(self):
         # the appended slices, before settling, for 1 and 2 threads, 5 threads
         # on fewer CPUs, and chunks of 1, 7 and all slices
@@ -429,39 +449,49 @@ class TestSliceKernels:
             assert got == encode_stream(generate_events(cfg)), cfg
 
     def test_slice_sort_equals_slice_order(self, rng):
+        # qf_slice_sort returns 1 when its bucket pass and insertion pass sorted
+        # the slice, and 0 when the radix passes had to finish
         lib = _native.library()
         big = 2**62
-        clustered = np.concatenate([rng.integers(0, 1000, 3000), [10**12]])
+        bucket, radix = 1, 0
+
+        def clustered(outlier):  # all but one tag in the lowest bucket: past the move budget
+            return np.concatenate([rng.integers(0, 1000, 3000), [outlier]])
+
+        slice_times = rng.integers(0, 10**9, 5000)
         cases = [
-            np.empty(0, np.int64),
-            np.array([5]),
-            # equal times: no pass runs, and the input is copied out
-            np.array([5, 5, 5, 5, 5, 5, 5, 5]),
-            # one, two and three passes of 11 bits
-            rng.integers(0, 30, 3000),
-            rng.integers(0, 10**6, 4000),
-            rng.integers(10**9, 2 * 10**9, 6000),
-            np.sort(rng.integers(0, 10**9, 5000))[::-1].copy(),
-            # a middle pass whose digit every tag shares is skipped
-            np.array([2**22 + 3, 5, 2**22, 0, 5]),
+            (np.empty(0, np.int64), bucket),
+            (np.array([5]), bucket),
+            (np.array([5, 5, 5, 5, 5, 5, 5, 5]), bucket),  # equal times, one bucket
+            (rng.integers(0, 30, 3000), bucket),  # a bucket per time
+            (rng.integers(0, 10**6, 4000), bucket),
+            (rng.integers(10**9, 2 * 10**9, 6000), bucket),
+            (np.sort(rng.integers(0, 10**9, 5000))[::-1].copy(), bucket),
+            # a slice: uniform times in 1e9 ps, jittered by 100 ps
+            (slice_times + np.rint(rng.normal(0, 100, slice_times.size)).astype(np.int64), bucket),
+            (np.array([2**22 + 3, 5, 2**22, 0, 5]), bucket),
             # spans of up to 63 bits
-            np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]),
-            np.array([big, 0, big, 1]),
-            np.array([2**63 - 1, 0, 7, 2**63 - 1, 7]),
-            # all but one tag within 1000 ps: most passes put them in one digit
-            clustered, clustered[::-1].copy(),
+            (np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]), bucket),
+            (np.array([big, 0, big, 1]), bucket),
+            (np.array([2**63 - 1, 0, 7, 2**63 - 1, 7]), bucket),
+            (clustered(10**12), radix),
+            (clustered(10**12)[::-1].copy(), radix),
+            (clustered(2**63 - 1), radix),  # six radix passes
+            # the radix passes of bits 11 to 32 find one digit in every tag: skipped
+            (np.concatenate([rng.integers(0, 2**11, 3000), [2**33]]), radix),
         ]
-        for ts in cases:
+        for ts, path in cases:
             ts = ts.astype(np.int64)
             ch = rng.integers(0, 6, ts.size).astype(np.uint8)
             out_ts, out_ch = np.empty_like(ts), np.empty_like(ch)
             work_ts, work_ch = ts.copy(), ch.copy()  # the kernel sorts through its input
-            lib.qf_slice_sort(_native.address(work_ts, np.int64, ts.size, True),
-                              _native.address(work_ch, np.uint8, ts.size, True), ts.size,
-                              _native.address(out_ts, np.int64, ts.size, True),
-                              _native.address(out_ch, np.uint8, ts.size, True))
+            got = lib.qf_slice_sort(_native.address(work_ts, np.int64, ts.size, True),
+                                    _native.address(work_ch, np.uint8, ts.size, True), ts.size,
+                                    _native.address(out_ts, np.int64, ts.size, True),
+                                    _native.address(out_ch, np.uint8, ts.size, True))
             order = source._slice_order(ts)
             assert np.array_equal(out_ts, ts[order]) and np.array_equal(out_ch, ch[order]), ts
+            assert got == path, ts
 
     def test_settle_equals_stable_argsort(self, rng):
         lib = _native.library()
