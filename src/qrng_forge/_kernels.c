@@ -1253,25 +1253,17 @@ static void emit_bits(coincide_pass *s, int64_t bound0, int64_t bound1, int drai
  * zeroed and hold n / 16 + 1 bytes. Pair 2's matches go to bell_t (the
  * earlier tag's time) and bell_d (b minus a), which must each hold one value
  * more than the fewer of its a-tags and b-tags (the slot after the last
- * match is written too), and the times of its a-tags and b-tags to bell_a
- * and bell_b, which must hold as many values as there are such tags. stats
- * receives 12 counts: the matches of each pair, the clusters of each pair
- * holding more than one tag of either side, and the tags of each channel
- * code 0 to 5 (higher codes are skipped). Returns 0, or -1 if the work space
- * cannot be allocated.
+ * match is written too). No tag time is kept: certification counts its
+ * singles on the stream itself. stats receives 12 counts: the matches of
+ * each pair, the clusters of each pair holding more than one tag of either
+ * side, and the tags of each channel code 0 to 5 (higher codes are
+ * skipped). Returns 0, or -1 if the work space cannot be allocated.
  */
 int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau,
                     const uint8_t *role, uint8_t *bits, int64_t *bell_t, int64_t *bell_d,
-                    int64_t *bell_a, int64_t *bell_b, int64_t *stats)
+                    int64_t *stats)
 {
     coincide_pass s = {.bits = bits, .bell_t = bell_t, .bell_d = bell_d, .stats = stats};
-    /* where each channel's next tag time goes: the Bell pair's to bell_a or
-     * bell_b, each other channel's to one slot it overwrites */
-    int64_t sink, *tag_out[6], tag_step[6];
-    for (int c = 0; c < 6; c++) {
-        tag_step[c] = role[c] >> 1 == 2;
-        tag_out[c] = tag_step[c] ? (role[c] & 1 ? bell_b : bell_a) : &sink;
-    }
     for (int q = 0; q < 12; q++)
         stats[q] = 0;
     for (int p = 0; p < 3; p++) {
@@ -1291,8 +1283,6 @@ int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau
             continue;
         const int p = role[c] >> 1;
         cluster *cl = &s.pair[p];
-        *tag_out[c] = t;
-        tag_out[c] += tag_step[c];
         stats[6 + c]++;
         if ((uint64_t)t - (uint64_t)cl->last > (uint64_t)tau) { /* t >= last: no overflow */
             close_cluster(&s, p, tau);

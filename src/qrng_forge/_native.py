@@ -19,7 +19,7 @@ The kernels and the numpy references they must match bit for bit:
   full table)
 * ``qf_coincide``: one pass over a whole tag stream that matches its three
   section pairs with ``qf_match``'s cluster scan and DP, and gives the
-  packed raw bits, the Bell pair's coincidences and tag times, the singles
+  packed raw bits, the Bell pair's coincidences, the singles of each channel
   and the pileup clusters (``coincidence._coincide_py``: the channel split,
   ``find_coincidences`` per pair and ``assign_bits``)
 * ``qf_toeplitz``: Toeplitz hashing of a whole packed stream, one
@@ -85,7 +85,7 @@ KERNELS = {
     "qf_dead_time": ([_P, _P, _N, _N], _N),
     "qf_split_channels": ([_P, _P, _N, _P, _P], None),
     "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),
-    "qf_coincide": ([_P, _P, _N, _N, _P, _P, _P, _P, _P, _P, _P], _N),
+    "qf_coincide": ([_P, _P, _N, _N, _P, _P, _P, _P, _P], _N),
     "qf_toeplitz": ([_P, _P, _N, _N, _N, _P], _N),
     "qf_clmul": ([_P, _P, _N, _N, _P], _N),
     "qf_bit_stats": ([_P, _N, _N, _N, _N, _N, _N, _N, _P, _P, _P, _P], _N),

@@ -3,7 +3,8 @@
 Certification runs on the (C1, C2) analyzer coincidences concurrently
 with bit production. The stream is cut into blocks of a fixed event
 count; each block gets an S value with a counting-noise standard error,
-a g2 value, and a verdict:
+a g2 value (from its C1 and C2 singles, counted on the tag stream), and a
+verdict:
 
     CERTIFIED_BELL   S - 3*sigma_S > 2
     CERTIFIED_G2     otherwise, g2 > 2
@@ -31,10 +32,13 @@ import numpy as np
 
 from .coincidence import CoincidenceConfig, CoincidenceList
 from .source import AnalyzerSchedule
+from .timetags import Channel, TagStream
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 #: The fewest coincidences a certification block may hold.
 MIN_BLOCK_EVENTS = 4000
+#: Channel codes compared at once when g2's singles are counted.
+_COUNT_CHUNK = 1 << 18
 
 
 class InsufficientDataError(ValueError):
@@ -221,6 +225,23 @@ def chsh_measurement(
     return result
 
 
+def _g2_singles(stream: TagStream, edges: list[int]) -> list[tuple[int, int]]:
+    """The C1 and the C2 tags of ``stream`` from each of the ascending
+    ``edges`` to the next, and from the last on: one pass over the channel
+    codes, compared a chunk at a time so that no temporary grows with n."""
+    ch = stream.channels
+    cuts = [*np.searchsorted(stream.timestamps, edges).tolist(), ch.size]
+    counts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n_a = n_b = 0
+        for at in range(lo, hi, _COUNT_CHUNK):
+            part = ch[at:min(at + _COUNT_CHUNK, hi)]
+            n_a += int(np.count_nonzero(part == int(Channel.C1)))
+            n_b += int(np.count_nonzero(part == int(Channel.C2)))
+        counts.append((n_a, n_b))
+    return counts
+
+
 def live_certify(
     coincidences: CoincidenceList,
     schedule: AnalyzerSchedule,
@@ -228,17 +249,33 @@ def live_certify(
     *,
     duration: int,
     window: CoincidenceConfig | None = None,
-    c1_times: np.ndarray | None = None,
-    c2_times: np.ndarray | None = None,
+    stream: TagStream | None = None,
 ) -> list[CertBlock]:
     """Blockwise certification of the analyzer-arm coincidence stream.
 
     Events are cut into consecutive blocks of ``block_size`` (the
     remainder joins the final block); each block computes S with its
-    propagated standard error, g2 (when the C-channel singles are
-    supplied), and a verdict. Blocks tile [0, duration], so every bit
-    timestamp falls in exactly one block.
+    propagated standard error, g2 (when the tag ``stream`` is supplied:
+    from the C1 and C2 singles of the block's span [t_start, t_end)), and
+    a verdict. Blocks tile [0, duration], so every bit timestamp falls in
+    exactly one block.
     """
+    return certify_run(coincidences, schedule, block_size, duration=duration, window=window,
+                       stream=stream)[0]
+
+
+def certify_run(
+    coincidences: CoincidenceList,
+    schedule: AnalyzerSchedule,
+    block_size: int = 100_000,
+    *,
+    duration: int,
+    window: CoincidenceConfig | None = None,
+    stream: TagStream | None = None,
+) -> tuple[list[CertBlock], float | None]:
+    """The blocks of :func:`live_certify`, and the run's g2 from every C1
+    and C2 tag of ``stream``, those at ``duration`` included: None without
+    a stream, or if either channel has none. One count serves both."""
     if block_size < MIN_BLOCK_EVENTS:
         raise ValueError(f"certification blocks need at least {MIN_BLOCK_EVENTS} events")
     if duration <= 0:
@@ -247,63 +284,43 @@ def live_certify(
     times = coincidences.times
     structured = chsh_structure(schedule)
 
+    # block k holds events cuts[k]:cuts[k + 1] and spans edges[k]:edges[k + 1];
+    # the remainder joins the last block
     n = times.size
-    n_full = n // block_size
-    if n_full <= 1:
-        bounds = [(0, n)]
-    else:
-        bounds = [(k * block_size, (k + 1) * block_size) for k in range(n_full)]
-        lo, _ = bounds[-1]
-        bounds[-1] = (lo, n)  # remainder joins the last block
+    cuts = [k * block_size for k in range(max(n // block_size, 1))] + [n]
+    edges = [0, *(int(times[hi]) for hi in cuts[1:-1]), duration]
+    singles = None if stream is None else _g2_singles(stream, edges)
 
     blocks: list[CertBlock] = []
-    t_start = 0
-    for bi, (lo, hi) in enumerate(bounds):
-        last = bi == len(bounds) - 1
-        t_end = duration if last else int(times[hi])
-        block_times = times[lo:hi]
-        n_events = int(hi - lo)
-
-        s_val = float("nan")
-        s_err = float("nan")
-        g2 = float("nan")
-        vis: dict[str, float] = {}
-        verdict = Verdict.UNCERTIFIED
-
-        covered = structured and (t_end - t_start) >= schedule.cycle_ps
+    for bi, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        t_start, t_end = edges[bi], edges[bi + 1]
         result = None
-        if covered:
-            result = _chsh_from_bins(_bin_counts(block_times, schedule))
-        if result is not None:
-            s_val = result.s
-            s_err = result.s_stderr
-            vis["bell_equivalent"] = s_val / SQRT8
-            if c1_times is not None and c2_times is not None:
-                n_a = int(np.searchsorted(c1_times, t_end) - np.searchsorted(c1_times, t_start))
-                n_b = int(np.searchsorted(c2_times, t_end) - np.searchsorted(c2_times, t_start))
-                try:
-                    g2 = g2_cross(n_a, n_b, n_events, t_end - t_start, window)
-                except InsufficientDataError:
-                    g2 = float("nan")
-            if s_val - 3.0 * s_err > 2.0:
-                verdict = Verdict.CERTIFIED_BELL
-            elif not math.isnan(g2) and g2 > 2.0:
-                verdict = Verdict.CERTIFIED_G2
+        if structured and (t_end - t_start) >= schedule.cycle_ps:
+            result = _chsh_from_bins(_bin_counts(times[lo:hi], schedule))
+        if result is None:
+            blocks.append(CertBlock(t_start, t_end, math.nan, math.nan, n_cert_events=hi - lo))
+            continue
+        g2 = math.nan
+        if singles is not None:
+            try:
+                g2 = g2_cross(*singles[bi], hi - lo, t_end - t_start, window)
+            except InsufficientDataError:
+                pass
+        if result.s - 3.0 * result.s_stderr > 2.0:
+            verdict = Verdict.CERTIFIED_BELL
+        else:
+            verdict = Verdict.CERTIFIED_G2 if g2 > 2.0 else Verdict.UNCERTIFIED
+        blocks.append(CertBlock(t_start, t_end, result.s, result.s_stderr,
+                                {"bell_equivalent": result.s / SQRT8}, g2, hi - lo, verdict))
 
-        blocks.append(
-            CertBlock(
-                t_start=t_start,
-                t_end=t_end,
-                s=s_val,
-                s_stderr=s_err,
-                visibility=vis,
-                g2=g2,
-                n_cert_events=n_events,
-                verdict=verdict,
-            )
-        )
-        t_start = t_end
-    return blocks
+    g2_run = None
+    if singles is not None:
+        n_a, n_b = map(sum, zip(*singles))
+        try:
+            g2_run = g2_cross(n_a, n_b, n, duration, window)
+        except InsufficientDataError:
+            pass
+    return blocks, g2_run
 
 
 def verdicts_for_times(blocks: Sequence[CertBlock], times) -> list[Verdict]:

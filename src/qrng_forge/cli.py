@@ -137,8 +137,7 @@ def cmd_certify(args) -> int:
     cfg = _load(args)
     stream = read_stream(args.tags)
     cert_coincs = _match_pair(stream, Channel.C1, Channel.C2, cfg.coincidence)
-    _, report = _certify(cfg, stream.duration, cert_coincs, stream.channel_times(Channel.C1),
-                         stream.channel_times(Channel.C2), _out_dir(cfg))
+    _, report = _certify(cfg, stream, cert_coincs, _out_dir(cfg))
     s = report.get("S_run")
     s_text = f"{s:.4f} +/- {report.get('S_run_stderr', 0.0):.4f}" if isinstance(s, float) else "n/a"
     print(f"verdict: {report['verdict']}  S = {s_text}  g2 = {report.get('g2_run')}")

@@ -274,9 +274,8 @@ def coincidence_summary(
 class StreamCoincidences:
     """The section pairs of one tag stream, matched.
 
-    ``bits`` are the raw bits, ``bell`` the (C1, C2) coincidences and
-    ``bell_times`` the C1 and the C2 tag times, which certification needs
-    for g2. ``singles`` counts the tags of each channel. ``matches`` and
+    ``bits`` are the raw bits and ``bell`` the (C1, C2) coincidences.
+    ``singles`` counts the tags of each channel. ``matches`` and
     ``multi_tag_clusters`` hold, for each pair of :data:`STREAM_PAIRS`, its
     coincidences and its gap-tau clusters holding more than one tag of
     either side: the pileups where the matcher has a choice to make.
@@ -286,7 +285,6 @@ class StreamCoincidences:
 
     bits: BitSequence
     bell: CoincidenceList
-    bell_times: tuple[np.ndarray, np.ndarray]
     singles: dict[Channel, int]
     matches: dict[tuple[Channel, Channel], int]
     multi_tag_clusters: dict[tuple[Channel, Channel], int]
@@ -321,7 +319,6 @@ def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidence
     return StreamCoincidences(
         bits=BitSequence.from_bits(assign_bits(found[0].times, found[1].times)),
         bell=found[2],
-        bell_times=times[2],
         singles=stream.counts_by_channel(),
         matches={pair: len(c) for pair, c in zip(STREAM_PAIRS, found)},
         multi_tag_clusters=multi,
@@ -336,23 +333,20 @@ def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
     # written take no memory, so the bound costs no more than the count
     bits = np.zeros(n // 16 + 1, np.uint8)
     bell_t, bell_d = np.empty(n // 2 + 1, np.int64), np.empty(n // 2 + 1, np.int64)
-    bell_a, bell_b = np.empty(n, np.int64), np.empty(n, np.int64)
     stats = np.empty(12, np.int64)
     if lib.qf_coincide(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n, tau,
                        _native.address(_ROLE, np.uint8, 6),
                        _native.address(bits, np.uint8, bits.size, True),
                        *(_native.address(buf, np.int64, buf.size, True)
-                         for buf in (bell_t, bell_d, bell_a, bell_b)),
+                         for buf in (bell_t, bell_d)),
                        _native.address(stats, np.int64, 12, True)) < 0:
         raise MemoryError("qf_coincide could not allocate its work space")
     # the matches of each pair, its multi-tag clusters, the tags of each channel
     stats = stats.tolist()
     k = stats[0] + stats[1]
-    a, b = STREAM_PAIRS[2]
     return StreamCoincidences(
         bits=BitSequence(bits[: (k + 7) // 8], k),
         bell=CoincidenceList(bell_t[: stats[2]], bell_d[: stats[2]]),
-        bell_times=(bell_a[: stats[6 + a]], bell_b[: stats[6 + b]]),
         singles={c: stats[6 + c] for c in Channel},
         matches={pair: stats[p] for p, pair in enumerate(STREAM_PAIRS)},
         multi_tag_clusters={pair: stats[3 + p] for p, pair in enumerate(STREAM_PAIRS)},

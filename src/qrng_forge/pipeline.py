@@ -64,11 +64,10 @@ from .certify import (
     SQRT8,
     CertBlock,
     Verdict,
+    certify_run,
     chsh_measurement,
     chsh_structure,
     fringe_counts,
-    g2_cross,
-    live_certify,
     run_verdict,
     visibility,
 )
@@ -400,35 +399,24 @@ def certification_report(
     cert_coincs,
     schedule: AnalyzerSchedule,
     cert_block: int,
-    duration: int,
     window: CoincidenceConfig,
-    c1_times: np.ndarray,
-    c2_times: np.ndarray,
+    stream: TagStream,
 ) -> tuple[list[CertBlock], dict]:
-    """Blockwise certification plus run-level aggregates (and, for fringe
-    schedules, the fitted visibility)."""
-    blocks = live_certify(
-        cert_coincs,
-        schedule,
-        cert_block,
-        duration=duration,
-        window=window,
-        c1_times=c1_times,
-        c2_times=c2_times,
+    """Blockwise certification of the coincidences ``cert_coincs`` of
+    ``stream``, plus run-level aggregates (and, for fringe schedules, the
+    fitted visibility)."""
+    duration = stream.duration
+    blocks, g2_run = certify_run(
+        cert_coincs, schedule, cert_block, duration=duration, window=window, stream=stream
     )
     verdict = run_verdict(blocks)
     report: dict = {
         "verdict": verdict.value,
         "n_cert_events": len(cert_coincs),
         "blocks": [b.to_dict() for b in blocks],
+        "g2_run": g2_run,
     }
     duration_s = duration * 1e-12
-    try:
-        report["g2_run"] = g2_cross(
-            int(c1_times.size), int(c2_times.size), len(cert_coincs), duration, window
-        )
-    except ValueError:
-        report["g2_run"] = None
     if chsh_structure(schedule):
         try:
             run_chsh = chsh_measurement(cert_coincs, schedule)
@@ -479,13 +467,11 @@ def _coincide(cfg: RunConfig, stream: TagStream, out_dir: Path):
     return found, summary
 
 
-def _certify(cfg: RunConfig, duration: int, cert_coincs, c1_times, c2_times, out_dir: Path):
+def _certify(cfg: RunConfig, stream: TagStream, cert_coincs, out_dir: Path):
     """Certify stage: :func:`certification_report` on the C1-C2 coincidences
-    and the C1 and C2 tag times of an acquisition of ``duration`` ps,
-    written to ``cert_report.json``."""
+    of ``stream``, written to ``cert_report.json``."""
     blocks, report = certification_report(
-        cert_coincs, cfg.source.analyzer_schedule, cfg.cert_block, duration,
-        cfg.coincidence, c1_times, c2_times,
+        cert_coincs, cfg.source.analyzer_schedule, cfg.cert_block, cfg.coincidence, stream
     )
     _write_json(out_dir / "cert_report.json", report)
     return blocks, report
@@ -602,8 +588,7 @@ def run_pipeline(
             counts["workers"] = found.workers
             counts["multi_tag_clusters"] = _pair_names(found.multi_tag_clusters)
         with _stage("certify", timing, stages, "coincidences", "blocks") as counts:
-            blocks, cert_report = _certify(cfg, stream.duration, found.bell, *found.bell_times,
-                                           out_dir)
+            blocks, cert_report = _certify(cfg, stream, found.bell, out_dir)
             counts["in"], counts["out"] = len(found.bell), len(blocks)
         verdict = Verdict(cert_report["verdict"])
         pair_counts = _pair_names(found.matches)
@@ -696,17 +681,22 @@ def sweep(
     values: list[float],
     out_dir: Path,
 ) -> list[dict]:
-    """One pipeline per value; returns rows of (value, S, V, H_min, mbps).
+    """One pipeline per value; returns rows of (value, S, V, g2, H_min, mbps).
 
     ``parameter`` is one of pump_power, window_tau (ps), alpha. Each
     point also runs a diagonal-basis fringe acquisition for V, as long as
     the point's own (``source.duration``).
-    Failures are recorded per point and the sweep continues.
+    Failures are recorded per point and the sweep continues. An alpha
+    sweep of a config that sets ``source.hwp_theta``, which would take the
+    state from the angle at every point, is a ConfigError.
     """
     if parameter not in ("pump_power", "window_tau", "alpha"):
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 values")
+    if parameter == "alpha" and "source.hwp_theta" in cfg.snapshot:
+        raise ConfigError("an alpha sweep needs a config without source.hwp_theta, "
+                          "which sets the state in place of source.alpha")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, value in enumerate(values):
@@ -724,6 +714,7 @@ def sweep(
             result = run_pipeline(point_cfg, out_dir=point_dir, force=True)
             cert = result.manifest["certification"]
             row["S"] = cert.get("S_run")
+            row["g2"] = cert["g2_run"]
             row["h_min"] = result.manifest["rates"]["h_min"]
             row["mbps"] = result.manifest["rates"]["extracted_mbps"]
             row["verdict"] = cert["verdict"]
@@ -745,7 +736,7 @@ def sweep(
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    header = ["value", "S", "V", "h_min", "mbps", "verdict", "error"]
+    header = ["value", "S", "V", "g2", "h_min", "mbps", "verdict", "error"]
     lines = [",".join(header)]
     for row in rows:
         lines.append(

@@ -629,9 +629,6 @@ def generate_events(config: SourceConfig) -> TagStream:
     appended in slice order to one buffer, which :func:`_settle` sorts in
     place and dead time then compacts in place.
     """
-    if config.expected_pairs() >= PAIR_BUDGET:
-        raise EventBudgetError("event budget exceeded")
-
     lib = _native.library()
     model = _SliceModel.of(config)
     tags = _TagBuffer(_expected_tags(config, config.duration))

@@ -24,8 +24,10 @@ from qrng_forge import (
     verdicts_for_times,
     visibility,
 )
-from qrng_forge.certify import FitError, InsufficientDataError, chsh_structure
+from qrng_forge import certify
+from qrng_forge.certify import FitError, InsufficientDataError, certify_run, chsh_structure
 from qrng_forge.coincidence import CoincidenceList
+from qrng_forge.timetags import TagStream
 
 BELL = TwoPhotonState.bell()
 CHSH_ANGLES = ((0.0, 67.5), (0.0, 22.5), (45.0, 67.5), (45.0, 22.5))
@@ -58,7 +60,7 @@ def cert_sim(state, pair_rate=6 * 10**5, duration=4 * 10**12, seed=5, dwell=10**
     c1 = stream.channel_times(Channel.C1)
     c2 = stream.channel_times(Channel.C2)
     cc = find_coincidences(c1, c2, WINDOW)
-    return cc, sched, cfg, c1, c2
+    return cc, sched, cfg, stream
 
 
 class TestVisibility:
@@ -186,16 +188,17 @@ class TestG2:
         assert g2_cross(n_a, n_b, round(n_acc), duration, WINDOW) == pytest.approx(1.0, rel=0.01)
 
     def test_correlated_source_far_above_classical(self):
-        cc, _, cfg, c1, c2 = cert_sim(BELL, pair_rate=10**5, duration=2 * 10**12, seed=9)
+        cc, _, cfg, stream = cert_sim(BELL, pair_rate=10**5, duration=2 * 10**12, seed=9)
+        c1, c2 = stream.channel_times(Channel.C1), stream.channel_times(Channel.C2)
         g2 = g2_cross(c1.size, c2.size, len(cc), cfg.duration, WINDOW)
         assert g2 > 100  # >> 2: nonclassical
 
 
 class TestLiveCertify:
     def test_bell_blocks_certified(self):
-        cc, sched, cfg, c1, c2 = cert_sim(BELL, duration=3 * 10**12)
+        cc, sched, cfg, stream = cert_sim(BELL, duration=3 * 10**12)
         blocks = live_certify(
-            cc, sched, 50_000, duration=cfg.duration, c1_times=c1, c2_times=c2
+            cc, sched, 50_000, duration=cfg.duration, stream=stream
         )
         assert len(blocks) >= 2
         assert blocks[-1].t_end == cfg.duration
@@ -207,11 +210,11 @@ class TestLiveCertify:
         assert run_verdict(blocks) is Verdict.CERTIFIED_BELL
 
     def test_low_noise_state_falls_back_to_g2(self):
-        cc, sched, cfg, c1, c2 = cert_sim(
+        cc, sched, cfg, stream = cert_sim(
             TwoPhotonState.bell(0.6), duration=3 * 10**12, seed=17
         )
         blocks = live_certify(
-            cc, sched, 50_000, duration=cfg.duration, c1_times=c1, c2_times=c2
+            cc, sched, 50_000, duration=cfg.duration, stream=stream
         )
         for blk in blocks:
             assert blk.s == pytest.approx(2 * math.sqrt(2) * 0.6, abs=0.05)
@@ -232,22 +235,52 @@ class TestLiveCertify:
         assert math.isnan(blk.s)
 
     def test_non_chsh_schedule_uncertified(self):
-        cc, _, cfg, c1, c2 = cert_sim(BELL, duration=10**12)
+        cc, _, cfg, stream = cert_sim(BELL, duration=10**12)
         fringe = AnalyzerSchedule.fringe(45.0, dwell=10**7)
         blocks = live_certify(
-            cc, fringe, 50_000, duration=cfg.duration, c1_times=c1, c2_times=c2
+            cc, fringe, 50_000, duration=cfg.duration, stream=stream
         )
         assert all(b.verdict is Verdict.UNCERTIFIED for b in blocks)
         assert all(math.isnan(b.s) and math.isnan(b.g2) for b in blocks)
 
     def test_block_smaller_than_cycle_uncertified(self):
         # dwell so long that one block never sees a full 16-setting cycle
-        cc, _, cfg, c1, c2 = cert_sim(BELL, duration=10**12, dwell=10**12)
+        cc, _, cfg, stream = cert_sim(BELL, duration=10**12, dwell=10**12)
         long_sched = AnalyzerSchedule.chsh(dwell=10**12)
         blocks = live_certify(
-            cc, long_sched, 50_000, duration=cfg.duration, c1_times=c1, c2_times=c2
+            cc, long_sched, 50_000, duration=cfg.duration, stream=stream
         )
         assert all(b.verdict is Verdict.UNCERTIFIED for b in blocks)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 20])
+    def test_g2_singles_at_block_edges_and_duration(self, rng, monkeypatch, chunk):
+        # a hand-built stream with C1 and C2 tags exactly at the inner block
+        # edge and at t == duration: a block counts the singles of
+        # [t_start, t_end), the run counts every C tag; the channel codes are
+        # compared in chunks of `chunk` tags
+        monkeypatch.setattr(certify, "_COUNT_CHUNK", chunk)
+        duration = 10**9
+        times = np.sort(rng.integers(0, duration, 9000))
+        cc = CoincidenceList(times, np.zeros(times.size, np.int64))
+        edge = int(times[4500])
+        at_edges = np.repeat([edge, duration], [40, 25])
+        ts = np.concatenate([rng.integers(0, duration, 30_000), at_edges, at_edges])
+        ch = np.concatenate([rng.integers(0, 6, 30_000), np.full(at_edges.size, Channel.C1),
+                             np.full(at_edges.size, Channel.C2)])
+        order = np.argsort(ts, kind="stable")
+        stream = TagStream(ts[order], ch[order], duration)
+        blocks, g2_run = certify_run(cc, AnalyzerSchedule.chsh(dwell=10**6), 4500,
+                                     duration=duration, window=WINDOW, stream=stream)
+        assert [(b.t_start, b.t_end) for b in blocks] == [(0, edge), (edge, duration)]
+        c1, c2 = stream.channel_times(Channel.C1), stream.channel_times(Channel.C2)
+        for blk in blocks:
+            n_a = int(np.searchsorted(c1, blk.t_end) - np.searchsorted(c1, blk.t_start))
+            n_b = int(np.searchsorted(c2, blk.t_end) - np.searchsorted(c2, blk.t_start))
+            assert blk.g2 == (blk.n_cert_events * (blk.t_end - blk.t_start)
+                              / (n_a * n_b * 2.0 * WINDOW.window_tau))
+        assert g2_run == times.size * duration / (c1.size * c2.size * 2.0 * WINDOW.window_tau)
+        assert live_certify(cc, AnalyzerSchedule.chsh(dwell=10**6), 4500, duration=duration,
+                            window=WINDOW, stream=stream) == blocks
 
     def test_minimum_block_size_enforced(self):
         with pytest.raises(ValueError, match="4000"):

@@ -505,7 +505,20 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["S"] == pytest.approx(2.83, abs=0.2)
         assert "V" in rows[0]
+        assert rows[0]["g2"] > 2
         assert "error" in rows[1]  # alpha = 5 is invalid, recorded not raised
         csv_text = sweep_csv(rows)
-        assert csv_text.splitlines()[0] == "value,S,V,h_min,mbps,verdict,error"
+        assert csv_text.splitlines()[0] == "value,S,V,g2,h_min,mbps,verdict,error"
         assert len(csv_text.splitlines()) == 3
+
+    def test_alpha_sweep_refuses_a_hwp_theta_config(self, tmp_path):
+        # source.hwp_theta sets the state in place of source.alpha, so each
+        # point would run one state whatever its alpha: refused before any runs
+        out = tmp_path / "sweep"
+        sets = [f"{k}={v}" for k, v in fast_overrides(**{"source.hwp_theta": 22.5}).items()]
+        argv = ["sweep", "--parameter", "alpha", "--values", "0.2,0.9", "--out", str(out)]
+        assert main([*argv, *(a for kv in sets for a in ("--set", kv))]) == 2
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="hwp_theta"):
+            sweep(build_config(fast_overrides(**{"source.hwp_theta": 22.5})), "alpha",
+                  [0.2, 0.9], out)
