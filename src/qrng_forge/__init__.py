@@ -15,13 +15,13 @@ from .certify import (
     CorrelationCounts,
     Verdict,
     VisibilityResult,
+    certify_run,
     chsh_measurement,
     chsh_s,
     correlation_E,
     correlation_E_stderr,
     fringe_counts,
     g2_cross,
-    live_certify,
     run_verdict,
     verdicts_for_times,
     visibility,
@@ -32,6 +32,7 @@ from .coincidence import (
     StreamCoincidences,
     accidental_rate,
     assign_bits,
+    bell_coincidences,
     coincide_stream,
     coincidence_summary,
     find_coincidences,

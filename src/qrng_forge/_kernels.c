@@ -15,12 +15,15 @@
  *                      leaves too much out of place, for tests)
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
- *   qf_split_channels  timetags._split_channels_np
  *   qf_match           coincidence._match_py
  *   qf_coincide        coincidence._coincide_py (the channel split,
  *                      find_coincidences per section pair and assign_bits):
  *                      one pass over a tag stream that matches its three
- *                      section pairs with qf_match's cluster scan and DP
+ *                      section pairs with qf_match's cluster scan and DP; a
+ *                      channel of role above 5 is skipped after its single
+ *                      is counted, so coincidence.bell_coincidences matches
+ *                      the C1-C2 pair alone (find_coincidences on the two
+ *                      channels' times)
  *   qf_toeplitz        extract._FftHasher, block by block (qf_clmul runs its
  *                      product with either word multiply, for tests)
  *   qf_bit_stats       randtests._bit_stats_py (every count of one battery
@@ -958,30 +961,6 @@ int64_t qf_dead_time(int64_t *ts, uint8_t *ch, int64_t n, int64_t dead_time)
     return k;
 }
 
-/* Stable split of a time-ordered tag stream into its six channels.
- *
- * counts[c] receives the number of tags with channel code c (codes above 5
- * are skipped), and out[0:sum(counts)] the tags' timestamps grouped by
- * channel code, each group in stream order. out must hold n values.
- */
-void qf_split_channels(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t *counts,
-                       int64_t *out)
-{
-    int64_t pos[6], start = 0;
-    for (int c = 0; c < 6; c++)
-        counts[c] = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (ch[i] < 6)
-            counts[ch[i]]++;
-    for (int c = 0; c < 6; c++) {
-        pos[c] = start;
-        start += counts[c];
-    }
-    for (int64_t i = 0; i < n; i++)
-        if (ch[i] < 6)
-            out[pos[ch[i]]++] = ts[i];
-}
-
 /* ---------------------------------------------------------------------------
  * Coincidences. In merged time order, consecutive tags of a channel pair
  * more than tau apart can never be matched across that gap, so such gaps
@@ -1247,7 +1226,10 @@ static void emit_bits(coincide_pass *s, int64_t bound0, int64_t bound1, int drai
  * three section pairs at once, each exactly as qf_match matches it.
  *
  * role[c] = 2p + s puts channel code c on side s (0 for a, 1 for b) of pair
- * p, and each side of a pair holds one channel. The matches of pairs 0 and 1
+ * p, and each side of a pair holds one channel. A role above 5 skips the
+ * tags of code c: they are counted in stats and join no pair, so a table
+ * that gives only pair 2 its roles matches that pair alone, its output the
+ * same as with every role given. The matches of pairs 0 and 1
  * are the raw bits, 0 and 1, in time order (the earlier tag's time) with
  * the 0 first at equal times, written MSB-first to bits, which must be
  * zeroed and hold n / 16 + 1 bytes. Pair 2's matches go to bell_t (the
@@ -1256,8 +1238,9 @@ static void emit_bits(coincide_pass *s, int64_t bound0, int64_t bound1, int drai
  * match is written too). No tag time is kept: certification counts its
  * singles on the stream itself. stats receives 12 counts: the matches of
  * each pair, the clusters of each pair holding more than one tag of either
- * side, and the tags of each channel code 0 to 5 (higher codes are
- * skipped). Returns 0, or -1 if the work space cannot be allocated.
+ * side, and the tags of each channel code 0 to 5, skipped roles included
+ * (higher codes are skipped). Returns 0, or -1 if the work space cannot be
+ * allocated.
  */
 int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau,
                     const uint8_t *role, uint8_t *bits, int64_t *bell_t, int64_t *bell_d,
@@ -1281,9 +1264,11 @@ int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau
         const uint8_t c = ch[i];
         if (c > 5)
             continue;
+        stats[6 + c]++;
+        if (role[c] > 5)
+            continue;
         const int p = role[c] >> 1;
         cluster *cl = &s.pair[p];
-        stats[6 + c]++;
         if ((uint64_t)t - (uint64_t)cl->last > (uint64_t)tau) { /* t >= last: no overflow */
             close_cluster(&s, p, tau);
             cl->first = t;

@@ -19,6 +19,13 @@ and it gates every raw bit at once: the pipeline refuses to extract from an
 UNCERTIFIED run unless forced, and then extracts every bit.
 :func:`verdicts_for_times` gives the verdict of the block covering each
 timestamp, but no stage gates bits block by block yet.
+
+:func:`certify_run` bins each block's coincidences by analyzer setting
+once, and also returns the run's counts per setting as the sum of the
+blocks'. The run-level S and fringe fit come from that sum, so no pass
+bins the whole record again; :func:`chsh_measurement` and
+:func:`fringe_counts`, which bin a whole record at once, are their
+references.
 """
 
 from __future__ import annotations
@@ -195,9 +202,9 @@ def chsh_structure(schedule: AnalyzerSchedule) -> bool:
 
 
 def _bin_counts(times: np.ndarray, schedule: AnalyzerSchedule) -> np.ndarray:
-    """16-bin (pair, variant) histogram of event times under the schedule."""
-    idx = schedule.setting_index_at(times)
-    return np.bincount(idx, minlength=16)
+    """The events at each setting of the schedule, from their times: on the
+    CHSH cycle, the 16 (pair, variant) bins."""
+    return np.bincount(schedule.setting_index_at(times), minlength=len(schedule.settings))
 
 
 def _chsh_from_bins(bins: np.ndarray) -> ChshResult | None:
@@ -242,28 +249,6 @@ def _g2_singles(stream: TagStream, edges: list[int]) -> list[tuple[int, int]]:
     return counts
 
 
-def live_certify(
-    coincidences: CoincidenceList,
-    schedule: AnalyzerSchedule,
-    block_size: int = 100_000,
-    *,
-    duration: int,
-    window: CoincidenceConfig | None = None,
-    stream: TagStream | None = None,
-) -> list[CertBlock]:
-    """Blockwise certification of the analyzer-arm coincidence stream.
-
-    Events are cut into consecutive blocks of ``block_size`` (the
-    remainder joins the final block); each block computes S with its
-    propagated standard error, g2 (when the tag ``stream`` is supplied:
-    from the C1 and C2 singles of the block's span [t_start, t_end)), and
-    a verdict. Blocks tile [0, duration], so every bit timestamp falls in
-    exactly one block.
-    """
-    return certify_run(coincidences, schedule, block_size, duration=duration, window=window,
-                       stream=stream)[0]
-
-
 def certify_run(
     coincidences: CoincidenceList,
     schedule: AnalyzerSchedule,
@@ -272,10 +257,22 @@ def certify_run(
     duration: int,
     window: CoincidenceConfig | None = None,
     stream: TagStream | None = None,
-) -> tuple[list[CertBlock], float | None]:
-    """The blocks of :func:`live_certify`, and the run's g2 from every C1
-    and C2 tag of ``stream``, those at ``duration`` included: None without
-    a stream, or if either channel has none. One count serves both."""
+) -> tuple[list[CertBlock], float | None, np.ndarray]:
+    """Blockwise certification of the analyzer-arm coincidence stream.
+
+    Events are cut into consecutive blocks of ``block_size`` (the
+    remainder joins the final block); each block computes S with its
+    propagated standard error, g2 (when the tag ``stream`` is supplied:
+    from the C1 and C2 singles of the block's span [t_start, t_end)), and
+    a verdict. Blocks tile [0, duration], so every bit timestamp falls in
+    exactly one block.
+
+    Also returns the run's g2, from every C1 and C2 tag of ``stream``, those
+    at ``duration`` included (None without a stream, or if either channel
+    has none; one count of the singles serves both), and the run's events
+    at each setting of the schedule: the sum of the blocks' counts, each
+    block binned once.
+    """
     if block_size < MIN_BLOCK_EVENTS:
         raise ValueError(f"certification blocks need at least {MIN_BLOCK_EVENTS} events")
     if duration <= 0:
@@ -292,11 +289,14 @@ def certify_run(
     singles = None if stream is None else _g2_singles(stream, edges)
 
     blocks: list[CertBlock] = []
+    run_counts = np.zeros(len(schedule.settings), np.int64)
     for bi, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         t_start, t_end = edges[bi], edges[bi + 1]
+        bins = _bin_counts(times[lo:hi], schedule)
+        run_counts += bins
         result = None
         if structured and (t_end - t_start) >= schedule.cycle_ps:
-            result = _chsh_from_bins(_bin_counts(times[lo:hi], schedule))
+            result = _chsh_from_bins(bins)
         if result is None:
             blocks.append(CertBlock(t_start, t_end, math.nan, math.nan, n_cert_events=hi - lo))
             continue
@@ -320,7 +320,7 @@ def certify_run(
             g2_run = g2_cross(n_a, n_b, n, duration, window)
         except InsufficientDataError:
             pass
-    return blocks, g2_run
+    return blocks, g2_run, run_counts
 
 
 def verdicts_for_times(blocks: Sequence[CertBlock], times) -> list[Verdict]:
@@ -356,10 +356,15 @@ def fringe_counts(
     ready for :func:`visibility`. The scan angle is the first (C1)
     analyzer angle of each setting.
     """
+    return _fringe_samples(_bin_counts(coincidences.times, schedule), schedule, duration)
+
+
+def _fringe_samples(
+    counts: np.ndarray, schedule: AnalyzerSchedule, duration: int
+) -> list[tuple[float, float]]:
+    """:func:`fringe_counts` from the ``counts`` of events at each setting."""
     n_settings = len(schedule.settings)
-    raw = np.bincount(
-        schedule.setting_index_at(coincidences.times), minlength=n_settings
-    ).astype(float)
+    raw = counts.astype(float)
     cycle = schedule.cycle_ps
     full_cycles = duration // cycle
     rem = duration % cycle

@@ -12,17 +12,13 @@ Subcommands wire the pipeline stages over files:
     export     bit file -> raw_packed or ascii01 bytes
 
 Each stage subcommand writes the same artifacts, byte for byte, as that
-stage of ``run`` on the same input. ``coincide``, ``extract`` and ``test``
-call the stage function that ``run`` calls; two subcommands take another
-way to the same bytes:
-
-* ``simulate`` writes ``tags.qtt`` through ``simulate_to_file``, on the
-  calling thread, where ``run`` writes it on a thread of its own while the
-  later stages run;
-* ``certify`` matches only the C1-C2 pair, by the channel split and
-  ``find_coincidences`` (``qf_match``), where ``run`` takes that pair from its
-  ``coincide_stream`` pass over all three; one pair costs a fraction of
-  the three.
+stage of ``run`` on the same input. ``coincide``, ``certify``, ``extract``
+and ``test`` call the stage function that ``run`` calls. ``certify`` first
+matches the C1-C2 pair alone, by ``bell_coincidences``: the ``qf_coincide``
+pass that ``run`` makes over all three pairs, with the bit channels left
+out. ``simulate`` calls ``generate_events`` and writes ``tags.qtt`` with
+``write_stream`` on the calling thread, where ``run`` writes it on a thread
+of its own while the later stages run.
 
 The one difference in output: ``extract`` has no acquisition time, so
 ``seconds`` and ``mbps`` in its ``ratio_report.json`` are null.
@@ -39,25 +35,26 @@ import argparse
 import sys
 from pathlib import Path
 
+from .coincidence import bell_coincidences
 from .pipeline import (
     CertificationRefused,
     ConfigError,
     StageError,
     _certify,
+    _channel_rates,
     _coerce,
     _coincide,
     _extract,
-    _match_pair,
     _test,
     load_config,
     rerun_from_manifest,
     run_pipeline,
-    simulate_to_file,
     sweep,
     sweep_csv,
 )
 from .randtests import export_bits
-from .timetags import Channel, TagFileError, read_bits, read_stream
+from .source import generate_events
+from .timetags import TagFileError, read_bits, read_stream, write_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,7 +109,10 @@ def _out_dir(cfg) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    stream, tag_path, _, rates = simulate_to_file(cfg, cfg.output_dir)
+    stream = generate_events(cfg.source)
+    tag_path = _out_dir(cfg) / "tags.qtt"
+    write_stream(stream, tag_path)
+    rates = _channel_rates(cfg, stream.counts_by_channel())
     print(f"wrote {tag_path} ({len(stream)} tags, {cfg.source.duration} ps)")
     print(f"{'channel':>8} {'observed Hz':>14} {'expected Hz':>14}")
     for name, row in rates.items():
@@ -136,7 +136,7 @@ def cmd_coincide(args) -> int:
 def cmd_certify(args) -> int:
     cfg = _load(args)
     stream = read_stream(args.tags)
-    cert_coincs = _match_pair(stream, Channel.C1, Channel.C2, cfg.coincidence)
+    cert_coincs = bell_coincidences(stream, cfg.coincidence)
     _, report = _certify(cfg, stream, cert_coincs, _out_dir(cfg))
     s = report.get("S_run")
     s_text = f"{s:.4f} +/- {report.get('S_run_stderr', 0.0):.4f}" if isinstance(s, float) else "n/a"

@@ -31,7 +31,11 @@ the live Bell test.
 kernels built, in one call of ``qf_coincide`` (the same cluster scan and
 DP, for the three pairs at once) on the calling thread;
 :func:`_coincide_py`, the channel split, :func:`find_coincidences` per pair
-and :func:`assign_bits`, is its reference.
+and :func:`assign_bits`, is its reference. :func:`bell_coincidences` matches
+the (C1, C2) pair alone, for certifying a stored stream: the same kernel
+pass, with a role table that puts the four bit channels in no pair (their
+singles are still counted); :func:`find_coincidences` on the two channels'
+times is its reference.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ STREAM_PAIRS = tuple((a, a.partner) for a in (Channel.D1, Channel.D2, Channel.C1
 _ROLE = np.zeros(6, np.uint8)
 _ROLE[[c for pair in STREAM_PAIRS for c in pair]] = range(6)
 _ROLE.setflags(write=False)
+#: The roles of :func:`bell_coincidences`: C1 and C2 keep theirs, and role 6
+#: leaves every other channel counted and in no pair.
+_BELL_ROLE = np.where(_ROLE >= 4, _ROLE, 6).astype(np.uint8)
+_BELL_ROLE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -326,8 +334,9 @@ def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidence
     )
 
 
-def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
-    """:func:`coincide_stream` by one ``qf_coincide`` call."""
+def _coincide_pass(lib, stream: TagStream, tau: int, role: np.ndarray):
+    """One ``qf_coincide`` pass over ``stream`` with the ``role`` table: the
+    packed bits, the Bell pair's coincidences and the kernel's 12 counts."""
     ts, ch, n = stream.timestamps, stream.channels, len(stream)
     # every output at the size the kernel may fill: pages that are never
     # written take no memory, so the bound costs no more than the count
@@ -335,20 +344,41 @@ def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
     bell_t, bell_d = np.empty(n // 2 + 1, np.int64), np.empty(n // 2 + 1, np.int64)
     stats = np.empty(12, np.int64)
     if lib.qf_coincide(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n, tau,
-                       _native.address(_ROLE, np.uint8, 6),
+                       _native.address(role, np.uint8, 6),
                        _native.address(bits, np.uint8, bits.size, True),
                        *(_native.address(buf, np.int64, buf.size, True)
                          for buf in (bell_t, bell_d)),
                        _native.address(stats, np.int64, 12, True)) < 0:
         raise MemoryError("qf_coincide could not allocate its work space")
-    # the matches of each pair, its multi-tag clusters, the tags of each channel
     stats = stats.tolist()
+    return bits, CoincidenceList(bell_t[: stats[2]], bell_d[: stats[2]]), stats
+
+
+def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
+    """:func:`coincide_stream` by one ``qf_coincide`` call."""
+    bits, bell, stats = _coincide_pass(lib, stream, tau, _ROLE)
+    # the matches of each pair, its multi-tag clusters, the tags of each channel
     k = stats[0] + stats[1]
     return StreamCoincidences(
         bits=BitSequence(bits[: (k + 7) // 8], k),
-        bell=CoincidenceList(bell_t[: stats[2]], bell_d[: stats[2]]),
+        bell=bell,
         singles={c: stats[6 + c] for c in Channel},
         matches={pair: stats[p] for p, pair in enumerate(STREAM_PAIRS)},
         multi_tag_clusters={pair: stats[3 + p] for p, pair in enumerate(STREAM_PAIRS)},
         workers=1,
     )
+
+
+def bell_coincidences(stream: TagStream, cfg: CoincidenceConfig) -> CoincidenceList:
+    """The (C1, C2) coincidences of ``stream``: the ``bell`` of
+    :func:`coincide_stream`, without matching the bit pairs.
+
+    With the kernels built this is one ``qf_coincide`` pass whose role table
+    gives C1 and C2 alone a pair; without them, :func:`find_coincidences`
+    on the two channels' times, its reference.
+    """
+    lib = _native.library()
+    if lib is None:
+        return find_coincidences(stream.channel_times(Channel.C1),
+                                 stream.channel_times(Channel.C2), cfg)
+    return _coincide_pass(lib, stream, cfg.window_tau, _BELL_ROLE)[1]

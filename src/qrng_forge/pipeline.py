@@ -64,8 +64,9 @@ from .certify import (
     SQRT8,
     CertBlock,
     Verdict,
+    _chsh_from_bins,
+    _fringe_samples,
     certify_run,
-    chsh_measurement,
     chsh_structure,
     fringe_counts,
     run_verdict,
@@ -73,9 +74,9 @@ from .certify import (
 )
 from .coincidence import (
     CoincidenceConfig,
+    bell_coincidences,
     coincide_stream,
     coincidence_summary,
-    find_coincidences,
 )
 from .extract import extract_stream
 from .randtests import run_battery
@@ -384,17 +385,6 @@ def _channel_rates(cfg: RunConfig, observed: dict[Channel, int]) -> dict:
     }
 
 
-def simulate_to_file(cfg: RunConfig, out_dir: Path) -> tuple[TagStream, Path, str, dict]:
-    """Generate events, write the QTT1 file, and report observed vs
-    analytic per-channel rates; returns the stream, the file's path and
-    sha256 digest, and the rates."""
-    stream = generate_events(cfg.source)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tag_path = out_dir / "tags.qtt"
-    tag_digest = _write_records(stream, tag_path)
-    return stream, tag_path, tag_digest, _channel_rates(cfg, stream.counts_by_channel())
-
-
 def certification_report(
     cert_coincs,
     schedule: AnalyzerSchedule,
@@ -404,9 +394,9 @@ def certification_report(
 ) -> tuple[list[CertBlock], dict]:
     """Blockwise certification of the coincidences ``cert_coincs`` of
     ``stream``, plus run-level aggregates (and, for fringe schedules, the
-    fitted visibility)."""
+    fitted visibility), from the sum of the blocks' counts per setting."""
     duration = stream.duration
-    blocks, g2_run = certify_run(
+    blocks, g2_run, counts = certify_run(
         cert_coincs, schedule, cert_block, duration=duration, window=window, stream=stream
     )
     verdict = run_verdict(blocks)
@@ -418,18 +408,17 @@ def certification_report(
     }
     duration_s = duration * 1e-12
     if chsh_structure(schedule):
-        try:
-            run_chsh = chsh_measurement(cert_coincs, schedule)
+        run_chsh = _chsh_from_bins(counts)
+        if run_chsh is None:  # a setting pair without coincidences
+            report["S_run"] = None
+        else:
             report["S_run"] = run_chsh.s
             report["S_run_stderr"] = run_chsh.s_stderr
             report["E_values"] = list(run_chsh.e_values)
             report["visibility"] = {"bell_equivalent": run_chsh.s / SQRT8}
-        except ValueError:
-            report["S_run"] = None
     else:
-        samples = fringe_counts(cert_coincs, schedule, duration)
         try:
-            fit = visibility(samples)
+            fit = visibility(_fringe_samples(counts, schedule, duration))
             report["visibility"] = {
                 "fit": fit.v,
                 "raw": fit.v_raw,
@@ -439,14 +428,6 @@ def certification_report(
             report["visibility"] = {"error": str(exc)}
     report["duration_s"] = duration_s
     return blocks, report
-
-
-def _match_pair(stream: TagStream, channel_a: Channel, channel_b: Channel,
-                window: CoincidenceConfig):
-    """Coincidences of one section pair of ``stream``."""
-    return find_coincidences(
-        stream.channel_times(channel_a), stream.channel_times(channel_b), window
-    )
 
 
 def _pair_names(by_pair: dict) -> dict:
@@ -724,7 +705,7 @@ def sweep(
             fringe_overrides["schedule.fixed"] = 45.0
             fringe_cfg = build_config(fringe_overrides)
             stream = generate_events(fringe_cfg.source)
-            cert_coincs = _match_pair(stream, Channel.C1, Channel.C2, fringe_cfg.coincidence)
+            cert_coincs = bell_coincidences(stream, fringe_cfg.coincidence)
             samples = fringe_counts(
                 cert_coincs, fringe_cfg.source.analyzer_schedule, fringe_cfg.source.duration
             )

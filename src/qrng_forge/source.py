@@ -172,7 +172,7 @@ class AnalyzerSchedule:
 
     def setting_index_at(self, times_ps) -> np.ndarray:
         t = np.asarray(times_ps, dtype=np.int64)
-        return ((t // self.dwell) % len(self.settings)).astype(np.int64)
+        return ((t // self.dwell) % len(self.settings)).astype(np.int64, copy=False)
 
     @classmethod
     def chsh(

@@ -28,8 +28,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _native
-
 MAX_TIMESTAMP = 2**63 - 1  # headroom for signed arithmetic on differences
 
 _MAGIC = b"QTT1"
@@ -173,42 +171,22 @@ class TagStream:
     def channel_times(self, channel: Channel) -> np.ndarray:
         """Timestamps of one channel, sorted and read-only.
 
-        The first call splits the stream into all six channels in one pass
-        and keeps the result, so later calls return without scanning.
+        The first call splits the stream into all six channels, by one mask
+        per channel, and keeps the result, so later calls return without
+        scanning.
         """
         if self._by_channel is None:
-            self._by_channel = _split_channels(self.timestamps, self.channels)
+            parts = tuple(self.timestamps[self.channels == int(c)] for c in Channel)
+            for part in parts:
+                part.setflags(write=False)
+            self._by_channel = parts
         return self._by_channel[int(channel)]
 
     def counts_by_channel(self) -> dict[Channel, int]:
         """Tags per channel, counted on the channel codes, so that a count
         does not make the :meth:`channel_times` split."""
-        return {ch: int(np.count_nonzero(self.channels == ch)) for ch in Channel}
-
-
-def _split_channels_np(ts: np.ndarray, ch: np.ndarray) -> list[np.ndarray]:
-    """Per-channel timestamps by one mask per channel: the reference for
-    ``qf_split_channels``."""
-    return [ts[ch == int(c)] for c in Channel]
-
-
-def _split_channels(ts: np.ndarray, ch: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The split of :func:`_split_channels_np`, in one pass of
-    ``qf_split_channels`` when the kernels are built; each part read-only."""
-    lib = _native.library()
-    if lib is None:
-        parts = _split_channels_np(ts, ch)
-    else:
-        n = ts.size
-        counts = np.empty(6, np.int64)
-        out = np.empty(n, np.int64)
-        lib.qf_split_channels(_native.address(ts, np.int64, n), _native.address(ch, np.uint8, n), n,
-                              _native.address(counts, np.int64, 6, True),
-                              _native.address(out, np.int64, n, True))
-        parts = np.split(out[: counts.sum()], np.cumsum(counts)[:-1])
-    for part in parts:
-        part.setflags(write=False)
-    return tuple(parts)
+        counts = np.bincount(self.channels, minlength=6).tolist()
+        return {ch: counts[ch] for ch in Channel}
 
 
 def _header(stream: TagStream) -> bytes:

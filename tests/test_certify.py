@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from qrng_forge import (
     correlation_E,
     correlation_E_stderr,
     find_coincidences,
+    fringe_counts,
     g2_cross,
     generate_events,
     joint_outcome_probs,
-    live_certify,
     run_verdict,
     verdicts_for_times,
     visibility,
@@ -27,6 +28,7 @@ from qrng_forge import (
 from qrng_forge import certify
 from qrng_forge.certify import FitError, InsufficientDataError, certify_run, chsh_structure
 from qrng_forge.coincidence import CoincidenceList
+from qrng_forge.pipeline import certification_report
 from qrng_forge.timetags import TagStream
 
 BELL = TwoPhotonState.bell()
@@ -197,7 +199,7 @@ class TestG2:
 class TestLiveCertify:
     def test_bell_blocks_certified(self):
         cc, sched, cfg, stream = cert_sim(BELL, duration=3 * 10**12)
-        blocks = live_certify(
+        blocks, *_ = certify_run(
             cc, sched, 50_000, duration=cfg.duration, stream=stream
         )
         assert len(blocks) >= 2
@@ -213,7 +215,7 @@ class TestLiveCertify:
         cc, sched, cfg, stream = cert_sim(
             TwoPhotonState.bell(0.6), duration=3 * 10**12, seed=17
         )
-        blocks = live_certify(
+        blocks, *_ = certify_run(
             cc, sched, 50_000, duration=cfg.duration, stream=stream
         )
         for blk in blocks:
@@ -222,7 +224,7 @@ class TestLiveCertify:
         assert run_verdict(blocks) is Verdict.CERTIFIED_G2
 
     def test_empty_stream_single_uncertified_block(self):
-        blocks = live_certify(
+        blocks, *_ = certify_run(
             CoincidenceList.empty(),
             AnalyzerSchedule.chsh(dwell=10**6),
             10_000,
@@ -237,7 +239,7 @@ class TestLiveCertify:
     def test_non_chsh_schedule_uncertified(self):
         cc, _, cfg, stream = cert_sim(BELL, duration=10**12)
         fringe = AnalyzerSchedule.fringe(45.0, dwell=10**7)
-        blocks = live_certify(
+        blocks, *_ = certify_run(
             cc, fringe, 50_000, duration=cfg.duration, stream=stream
         )
         assert all(b.verdict is Verdict.UNCERTIFIED for b in blocks)
@@ -247,7 +249,7 @@ class TestLiveCertify:
         # dwell so long that one block never sees a full 16-setting cycle
         cc, _, cfg, stream = cert_sim(BELL, duration=10**12, dwell=10**12)
         long_sched = AnalyzerSchedule.chsh(dwell=10**12)
-        blocks = live_certify(
+        blocks, *_ = certify_run(
             cc, long_sched, 50_000, duration=cfg.duration, stream=stream
         )
         assert all(b.verdict is Verdict.UNCERTIFIED for b in blocks)
@@ -269,7 +271,7 @@ class TestLiveCertify:
                              np.full(at_edges.size, Channel.C2)])
         order = np.argsort(ts, kind="stable")
         stream = TagStream(ts[order], ch[order], duration)
-        blocks, g2_run = certify_run(cc, AnalyzerSchedule.chsh(dwell=10**6), 4500,
+        blocks, g2_run, _ = certify_run(cc, AnalyzerSchedule.chsh(dwell=10**6), 4500,
                                      duration=duration, window=WINDOW, stream=stream)
         assert [(b.t_start, b.t_end) for b in blocks] == [(0, edge), (edge, duration)]
         c1, c2 = stream.channel_times(Channel.C1), stream.channel_times(Channel.C2)
@@ -279,12 +281,10 @@ class TestLiveCertify:
             assert blk.g2 == (blk.n_cert_events * (blk.t_end - blk.t_start)
                               / (n_a * n_b * 2.0 * WINDOW.window_tau))
         assert g2_run == times.size * duration / (c1.size * c2.size * 2.0 * WINDOW.window_tau)
-        assert live_certify(cc, AnalyzerSchedule.chsh(dwell=10**6), 4500, duration=duration,
-                            window=WINDOW, stream=stream) == blocks
 
     def test_minimum_block_size_enforced(self):
         with pytest.raises(ValueError, match="4000"):
-            live_certify(
+            certify_run(
                 CoincidenceList.empty(),
                 AnalyzerSchedule.chsh(dwell=10**6),
                 100,
@@ -304,7 +304,7 @@ class TestLiveCertify:
             p = joint_outcome_probs(state, t1, t2)[0]
             keep[sel] = rng.random(int(sel.sum())) < p * 4  # scale to keep stats
         cc = CoincidenceList(times[keep], np.zeros(int(keep.sum()), np.int64))
-        blocks = live_certify(cc, sched, 4000, duration=16 * 10**6)
+        blocks, *_ = certify_run(cc, sched, 4000, duration=16 * 10**6)
         for blk in blocks:
             if not math.isnan(blk.s) and blk.s - 3 * blk.s_stderr <= 2.0:
                 assert blk.verdict is not Verdict.CERTIFIED_BELL
@@ -360,3 +360,60 @@ class TestChshMeasurement:
         result = chsh_measurement(cc, sched)
         assert result.s == pytest.approx(2 * math.sqrt(2), abs=0.02)
         assert result.s_stderr < 0.01
+
+
+class TestRunReport:
+    """``certification_report``'s run-level values come from the sum of the
+    blocks' counts per setting; a pass over the whole record is their
+    oracle."""
+
+    @pytest.mark.parametrize("dwell, block", [(10**7, 50_000), (10**10, 4000)])
+    def test_chsh_equals_whole_record(self, dwell, block):
+        # at dwell 1e10 ps every block is shorter than a cycle, so no block
+        # has an S, and the run's still counts every block's events
+        cc, sched, cfg, stream = cert_sim(BELL, duration=10**12, dwell=dwell)
+        blocks, report = certification_report(cc, sched, block, WINDOW, stream)
+        assert (dwell == 10**10) == all(math.isnan(b.s) for b in blocks)
+        want = chsh_measurement(cc, sched)
+        assert report["S_run"] == want.s
+        assert report["S_run_stderr"] == want.s_stderr
+        assert report["E_values"] == list(want.e_values)
+        assert report["visibility"] == {"bell_equivalent": want.s / certify.SQRT8}
+
+    def test_fringe_equals_whole_record(self):
+        sched = AnalyzerSchedule.fringe(45.0, dwell=10**7)
+        cfg = SourceConfig(pump_power=1.0, pair_rate_coeff=6 * 10**5, state=BELL,
+                           analyzer_schedule=sched, duration=10**12 + 3 * 10**6, rng_seed=5,
+                           jitter_sigma=0.0)
+        stream = generate_events(cfg)
+        cc = find_coincidences(stream.channel_times(Channel.C1),
+                               stream.channel_times(Channel.C2), WINDOW)
+        _, report = certification_report(cc, sched, 50_000, WINDOW, stream)
+        fit = visibility(fringe_counts(cc, sched, cfg.duration))
+        assert report["visibility"] == {"fit": fit.v, "raw": fit.v_raw, "phase_deg": fit.phase_deg}
+
+    def test_zero_coincidences_have_no_s(self):
+        stream = TagStream(np.empty(0, np.int64), np.empty(0, np.uint8), 10**10)
+        _, report = certification_report(CoincidenceList.empty(), AnalyzerSchedule.chsh(dwell=10**6),
+                                         10_000, WINDOW, stream)
+        assert report["S_run"] is None
+        assert "S_run_stderr" not in report and "E_values" not in report
+
+    @pytest.mark.parametrize("schedule", [AnalyzerSchedule.chsh(dwell=10**6),
+                                          AnalyzerSchedule.fringe(45.0, dwell=10**6)],
+                             ids=["chsh", "fringe"])
+    def test_memory_stays_within_a_block(self, rng, schedule):
+        # 1 M coincidences in blocks of 100,000: the run's counts come from
+        # the blocks, so no temporary grows with the record (8 MiB of times)
+        n, duration = 10**6, 10**12
+        times = np.sort(rng.integers(0, duration, n))
+        cc = CoincidenceList(times, np.zeros(n, np.int64))
+        stream = TagStream(np.repeat(times, 2), np.tile([Channel.C1, Channel.C2], n), duration)
+        tracemalloc.start()
+        try:
+            _, report = certification_report(cc, schedule, 100_000, WINDOW, stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["n_cert_events"] == n
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -20,7 +20,7 @@ from qrng_forge import (
     _native,
     find_coincidences,
 )
-from qrng_forge import coincidence, randtests, timetags
+from qrng_forge import coincidence, randtests
 from qrng_forge.extract import _hash_blocks
 
 from conftest import naive_toeplitz, needs_gcc
@@ -115,6 +115,15 @@ def test_coincide_c_equals_reference(rng):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert (got.singles, got.matches, got.multi_tag_clusters) == (
             want.singles, want.matches, want.multi_tag_clusters)
+        # roles above 5 for the bit channels: their tags are counted and join
+        # no pair, and the Bell pair comes out as with every role given
+        bits, bell, stats = coincidence._coincide_pass(lib, stream, TAU, coincidence._BELL_ROLE)
+        pair = coincidence.STREAM_PAIRS[2]
+        assert not bits.any()
+        assert np.array_equal(bell.times, want.bell.times)
+        assert np.array_equal(bell.deltas, want.bell.deltas)
+        assert stats[:6] == [0, 0, want.matches[pair], 0, 0, want.multi_tag_clusters[pair]]
+        assert stats[6:] == [want.singles[c] for c in Channel]
     assert want.matches[coincidence.STREAM_PAIRS[2]] == 30_000
 
 
@@ -126,6 +135,31 @@ def split_cases(rng):
     yield np.array([7, 7, 7, 7, 9, 9]), np.array([3, 1, 3, 0, 5, 1])  # equal timestamps
     ts = np.sort(rng.integers(0, 10**6, 20_000))  # many ties, every channel
     yield ts, rng.integers(0, 6, ts.size)
+    ts = np.sort(rng.integers(0, 10**6, 3000))
+    yield ts, rng.integers(0, 5, ts.size)  # no C2 tag
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_gcc),
+    "numpy",
+])
+def test_bell_coincidences_equal_find_coincidences(rng, backend, monkeypatch):
+    # the C1-C2 pair alone, by qf_coincide with the bit channels in no pair,
+    # or by the reference without a compiler: find_coincidences on the two
+    # channels' times
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    else:
+        assert _native.library() is not None
+    cfg = CoincidenceConfig(TAU)
+    for stream in coincide_streams(rng):
+        want = find_coincidences(stream.channel_times(Channel.C1),
+                                 stream.channel_times(Channel.C2), cfg)
+        got = coincidence.bell_coincidences(stream, cfg)
+        for name in ("times", "deltas"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert len(got) == 30_000  # the last stream's one dense Bell cluster
 
 
 def test_kernel_table_names_every_kernel():
@@ -144,19 +178,6 @@ def test_kernel_table_names_every_kernel():
         assert restype is returns[ret], name
 
 
-@needs_gcc
-def test_split_channels_c_equals_numpy(rng):
-    assert _native.library() is not None
-    for ts, ch in split_cases(rng):
-        ts = np.asarray(ts, np.int64)
-        ch = np.asarray(ch, np.uint8)
-        want = timetags._split_channels_np(ts, ch)
-        got = timetags._split_channels(ts, ch)
-        assert len(got) == len(want) == 6
-        for w, g in zip(want, got):
-            assert g.dtype == w.dtype and np.array_equal(w, g), (ts, ch)
-
-
 def channel_times_by_mask(stream):
     return [stream.timestamps[stream.channels == int(c)] for c in Channel]
 
@@ -166,17 +187,20 @@ def channel_times_by_mask(stream):
     "numpy",
 ])
 def test_channel_times_read_only_and_cached(rng, backend, monkeypatch):
+    # the split runs no kernel, so it is the same on either backend
     if backend == "numpy":
         monkeypatch.setattr(_native, "library", lambda: None)
-    ts = np.sort(rng.integers(0, 10**6, 3000))
-    stream = TagStream(ts, rng.integers(0, 5, ts.size), 10**6)  # no C2 tag
-    first = [stream.channel_times(c) for c in Channel]
-    for got, want in zip(first, channel_times_by_mask(stream)):
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[:1] = 0
-    assert all(stream.channel_times(c) is a for c, a in zip(Channel, first))
+    for ts, ch in split_cases(rng):
+        ts = np.asarray(ts, np.int64)
+        stream = TagStream(ts, np.asarray(ch, np.uint8), int(ts.max()) + 1 if ts.size else 1)
+        first = [stream.channel_times(c) for c in Channel]
+        for got, want in zip(first, channel_times_by_mask(stream)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[:1] = 0
+        assert all(stream.channel_times(c) is a for c, a in zip(Channel, first))
+        assert stream.counts_by_channel() == {c: a.size for c, a in zip(Channel, first)}
 
 
 def clmul_py(a, b):

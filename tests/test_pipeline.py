@@ -342,12 +342,12 @@ class TestRunAndManifest:
         assert repeat.manifest["digests"] == result.manifest["digests"]
 
     def test_simulate_deterministic_across_calls(self, tmp_path):
-        cfg = build_config(fast_overrides(**{"source.duration_s": 0.05}))
-        from qrng_forge.pipeline import simulate_to_file
-
-        _, path_a, _, _ = simulate_to_file(cfg, tmp_path / "a")
-        _, path_b, _, _ = simulate_to_file(cfg, tmp_path / "b")
-        assert path_a.read_bytes() == path_b.read_bytes()
+        sets = [arg for k, v in fast_overrides(**{"source.duration_s": 0.05}).items()
+                for arg in ("--set", f"{k}={v}")]
+        for name in ("a", "b"):
+            assert main(["simulate", *sets, "--out", str(tmp_path / name)]) == 0
+        tags = (tmp_path / "a" / "tags.qtt").read_bytes()
+        assert len(tags) > 24 and tags == (tmp_path / "b" / "tags.qtt").read_bytes()
 
 
 class TestTagWriter:
