@@ -24,8 +24,10 @@
  *                      is counted, so coincidence.bell_coincidences matches
  *                      the C1-C2 pair alone (find_coincidences on the two
  *                      channels' times)
- *   qf_toeplitz        extract._FftHasher, block by block (qf_clmul runs its
- *                      product with either word multiply, for tests)
+ *   qf_toeplitz        extract._FftHasher, block by block: a range of blocks,
+ *                      each hashed as one middle product of the seed and the
+ *                      block (qf_middle_product runs it on each base case,
+ *                      the portable one, pclmul's or AVX-512's, for tests)
  *   qf_bit_stats       randtests._bit_stats_py (every count of one battery
  *                      sequence in one pass over its packed bits)
  * Callers check dtypes, contiguity and buffer sizes (_native.address).
@@ -1294,99 +1296,183 @@ int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau
     return s.failed ? -1 : 0;
 }
 
-/* Operands of at most this many words are multiplied by a schoolbook. */
-#define KARATSUBA_BASE 16
+/* Middle products of at most this many words run in a base case. */
+#define MP_BASE 24
 
-/* r[0:2n] = a * b over GF(2)[z] for n-word operands, n <= KARATSUBA_BASE,
- * word k holding the coefficients of z^(64k) to z^(64k + 63): a schoolbook
- * of one carry-less word multiply per pair of words, here by shift and xor. */
-typedef void (*schoolbook)(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n);
+/* r[0:2n] = the n entries of the middle product of the (2n - 1)-word a and
+ * the n-word b over GF(2)[z], word k of each holding the coefficients of
+ * z^(64k) to z^(64k + 63): entry k is the 128-bit sum over j < n of the
+ * carry-less products a[k + n - 1 - j] b[j], its low word r[2k] and its
+ * high word r[2k + 1]. A base case makes one word multiply per term, here
+ * by shift and xor. */
+typedef void (*mp_base)(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n);
 
-static void schoolbook_portable(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
+static void mp_portable(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
 {
-    memset(r, 0, 2 * n * sizeof *r);
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t j = 0; j < n; j++)
+    for (int64_t k = 0; k < n; k++) {
+        uint64_t lo = 0, hi = 0;
+        for (int64_t j = 0; j < n; j++) {
+            const uint64_t x = a[k + n - 1 - j], y = b[j];
             for (int s = 0; s < 64; s++) {
-                const uint64_t mask = -(b[j] >> s & 1);
-                r[i + j] ^= a[i] << s & mask;
-                r[i + j + 1] ^= s ? a[i] >> (64 - s) & mask : 0;
+                const uint64_t mask = -(y >> s & 1);
+                lo ^= x << s & mask;
+                hi ^= s ? x >> (64 - s) & mask : 0;
             }
+        }
+        r[2 * k] = lo;
+        r[2 * k + 1] = hi;
+    }
 }
 
-/* The schoolbook of every product, picked once when the library loads. */
-static schoolbook base = schoolbook_portable;
+/* The base cases this CPU runs, set once when the library loads: the
+ * portable one, pclmul's and AVX-512's. Every middle product runs base, the
+ * last of them that this CPU has. */
+static mp_base bases[3] = {mp_portable};
+static mp_base base = mp_portable;
 
 #if defined(__x86_64__)
-/* The schoolbook by pclmulqdq: each 128-bit product is xored into the
- * accumulator of its low word, and the high halves carry into the next word
- * at the end. */
-__attribute__((target("pclmul,sse4.1")))
-static void schoolbook_pclmul(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
+/* The base case by pclmulqdq, four entries at a time: the 128-bit loads of
+ * a[k + n - 1 - j], a[k + n - j] and of a[k + n + 1 - j], a[k + n + 2 - j]
+ * serve entries k to k + 3 with one load of b[j]. */
+__attribute__((target("pclmul,sse2")))
+static void mp_pclmul(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
 {
-    __m128i acc[2 * KARATSUBA_BASE], bw[KARATSUBA_BASE];
-    for (int64_t j = 0; j < n; j++)
-        bw[j] = _mm_cvtsi64_si128((long long)b[j]);
-    for (int64_t k = 0; k < 2 * n; k++)
-        acc[k] = _mm_setzero_si128();
-    for (int64_t i = 0; i < n; i++) {
-        const __m128i ai = _mm_cvtsi64_si128((long long)a[i]);
-        for (int64_t j = 0; j < n; j++)
-            acc[i + j] = _mm_xor_si128(acc[i + j], _mm_clmulepi64_si128(ai, bw[j], 0));
+    int64_t k = 0;
+    for (; k + 3 < n; k += 4) {
+        __m128i acc0 = _mm_setzero_si128(), acc1 = _mm_setzero_si128();
+        __m128i acc2 = _mm_setzero_si128(), acc3 = _mm_setzero_si128();
+        for (int64_t j = 0; j < n; j++) {
+            const __m128i bj = _mm_loadl_epi64((const __m128i *)(b + j));
+            const __m128i lo = _mm_loadu_si128((const __m128i *)(a + k + n - 1 - j));
+            const __m128i hi = _mm_loadu_si128((const __m128i *)(a + k + n + 1 - j));
+            acc0 = _mm_xor_si128(acc0, _mm_clmulepi64_si128(lo, bj, 0x00));
+            acc1 = _mm_xor_si128(acc1, _mm_clmulepi64_si128(lo, bj, 0x01));
+            acc2 = _mm_xor_si128(acc2, _mm_clmulepi64_si128(hi, bj, 0x00));
+            acc3 = _mm_xor_si128(acc3, _mm_clmulepi64_si128(hi, bj, 0x01));
+        }
+        _mm_storeu_si128((__m128i *)(r + 2 * k), acc0);
+        _mm_storeu_si128((__m128i *)(r + 2 * k + 2), acc1);
+        _mm_storeu_si128((__m128i *)(r + 2 * k + 4), acc2);
+        _mm_storeu_si128((__m128i *)(r + 2 * k + 6), acc3);
     }
-    uint64_t carry = 0;
-    for (int64_t k = 0; k < 2 * n; k++) {
-        r[k] = (uint64_t)_mm_cvtsi128_si64(acc[k]) ^ carry;
-        carry = (uint64_t)_mm_extract_epi64(acc[k], 1);
+    for (; k < n; k++) {
+        __m128i acc = _mm_setzero_si128();
+        for (int64_t j = 0; j < n; j++)
+            acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(
+                _mm_loadl_epi64((const __m128i *)(a + k + n - 1 - j)),
+                _mm_loadl_epi64((const __m128i *)(b + j)), 0x00));
+        _mm_storeu_si128((__m128i *)(r + 2 * k), acc);
     }
 }
 
-__attribute__((constructor)) static void pick_schoolbook(void)
+/* The base case by vpclmulqdq on 512-bit registers, eight entries at a
+ * time: one load of a[k + n - 1 - j] to a[k + n + 6 - j] serves entries k
+ * to k + 7, the low words of its 128-bit lanes entries k, k + 2, k + 4 and
+ * k + 6, and the high words the others. */
+__attribute__((target("avx512f,vpclmulqdq,pclmul")))
+static void mp_vpclmul(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n)
+{
+    int64_t k = 0;
+    for (; k + 7 < n; k += 8) {
+        __m512i even = _mm512_setzero_si512(), odd = _mm512_setzero_si512();
+        for (int64_t j = 0; j < n; j++) {
+            const __m512i bj = _mm512_set1_epi64((long long)b[j]);
+            const __m512i aj = _mm512_loadu_si512((const void *)(a + k + n - 1 - j));
+            even = _mm512_xor_si512(even, _mm512_clmulepi64_epi128(aj, bj, 0x00));
+            odd = _mm512_xor_si512(odd, _mm512_clmulepi64_epi128(aj, bj, 0x01));
+        }
+        _mm512_storeu_si512((void *)(r + 2 * k), _mm512_permutex2var_epi64(
+            even, _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11), odd));
+        _mm512_storeu_si512((void *)(r + 2 * k + 8), _mm512_permutex2var_epi64(
+            even, _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15), odd));
+    }
+    for (; k < n; k++) {
+        __m128i acc = _mm_setzero_si128();
+        for (int64_t j = 0; j < n; j++)
+            acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(
+                _mm_loadl_epi64((const __m128i *)(a + k + n - 1 - j)),
+                _mm_loadl_epi64((const __m128i *)(b + j)), 0x00));
+        _mm_storeu_si128((__m128i *)(r + 2 * k), acc);
+    }
+}
+
+__attribute__((constructor)) static void pick_base(void)
 {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("pclmul"))
-        base = schoolbook_pclmul;
+    if (!__builtin_cpu_supports("pclmul"))
+        return;
+    bases[1] = base = mp_pclmul;
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("vpclmulqdq"))
+        bases[2] = base = mp_vpclmul;
 }
 #endif
 
-/* r[0:2n] = a * b as in schoolbook, splitting each operand at h words:
- * a0 b0 + z^(64h) ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1) + z^(128h) a1 b1.
- * Each level takes 4h <= 2n + 4 words of w, so 4n + 256 words are enough. */
-static void karatsuba(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n,
-                      uint64_t *w, schoolbook mul)
+/* The size, at least n, at which mp computes a middle product of n entries:
+ * c 2^k words with c <= MP_BASE and k as small as that allows, so that every
+ * split of the recursion is even. A caller puts its b at the top of that
+ * many words, with zero words below, and its a at the bottom of 2 size - 1,
+ * with zero words above; entries 0 to n - 1 are then its own. */
+static int64_t mp_size(int64_t n)
 {
-    if (n <= KARATSUBA_BASE) {
+    int k = 0;
+    while (((n - 1) >> k) + 1 > MP_BASE)
+        k++;
+    return (((n - 1) >> k) + 1) << k;
+}
+
+/* r[0:2n] = the middle product of a and b, as a base case gives it, for n
+ * from mp_size, by the transposed Karatsuba split (Hanrot, Quercia and
+ * Zimmermann, "The middle product algorithm I", AAECC 14, 2004). With
+ * h = n / 2, b = B0 + z^(64h) B1, and A0, A1 and A2 the (2h - 1)-word
+ * windows of a from words 0, h and 2h:
+ *   alpha = MP(A0 + A1, B1), beta = MP(A1, B0 + B1), gamma = MP(A1 + A2, B0)
+ * The low h entries are alpha + beta, the high h are gamma + beta. Each
+ * level takes 5h words of w, so 5n words are enough. */
+static void mp(uint64_t *r, const uint64_t *a, const uint64_t *b, int64_t n, uint64_t *w,
+               mp_base mul)
+{
+    if (n <= MP_BASE) {
         mul(r, a, b, n);
         return;
     }
-    const int64_t h = (n + 1) / 2, l = n - h;
-    uint64_t *sa = w, *sb = w + h, *mid = w + 2 * h;
-    for (int64_t i = 0; i < h; i++) {
-        sa[i] = a[i] ^ (i < l ? a[h + i] : 0);
-        sb[i] = b[i] ^ (i < l ? b[h + i] : 0);
+    const int64_t h = n / 2;
+    const uint64_t *a1 = a + h;
+    uint64_t *restrict sa = w, *restrict sb = sa + 2 * h - 1, *restrict t = sb + h;
+    for (int64_t i = 0; i < 2 * h - 1; i++)
+        sa[i] = a[i] ^ a1[i];
+    mp(r, sa, b + h, h, t + 2 * h, mul);                  /* alpha */
+    for (int64_t i = 0; i < 2 * h - 1; i++)
+        sa[i] = a1[i] ^ a[n + i];
+    mp(r + n, sa, b, h, t + 2 * h, mul);                  /* gamma */
+    for (int64_t i = 0; i < h; i++)
+        sb[i] = b[i] ^ b[h + i];
+    mp(t, a1, sb, h, t + 2 * h, mul);                     /* beta */
+    for (int64_t i = 0; i < n; i++) {
+        r[i] ^= t[i];
+        r[n + i] ^= t[i];
     }
-    karatsuba(r, a, b, h, w + 4 * h, mul);
-    karatsuba(r + 2 * h, a + h, b + h, l, w + 4 * h, mul);
-    karatsuba(mid, sa, sb, h, w + 4 * h, mul);
-    for (int64_t i = 0; i < 2 * h; i++)
-        mid[i] ^= r[i] ^ (i < 2 * l ? r[2 * h + i] : 0);
-    for (int64_t i = 0; i < 2 * h; i++)
-        r[h + i] ^= mid[i];
 }
 
-/* r[0:2n] = a * b by karatsuba with the portable schoolbook (pclmul = 0) or
- * the pclmul one (pclmul = 1), so that tests can hold both to one oracle.
- * Returns 0, -1 if the work space cannot be allocated, or -2 if this CPU
- * runs without pclmul. */
-int64_t qf_clmul(const uint64_t *a, const uint64_t *b, int64_t n, int64_t pclmul, uint64_t *r)
+/* r[0:2n] = the middle product of the (2n - 1)-word a and the n-word b, by
+ * mp with base case bases[which]: the portable one (0), pclmul's (1) or
+ * AVX-512's (2), so that tests can hold each to one oracle. Returns 0, -1 if
+ * the work space cannot be allocated, or -2 if this CPU runs without that
+ * base case. */
+int64_t qf_middle_product(const uint64_t *a, const uint64_t *b, int64_t n, int64_t which,
+                          uint64_t *r)
 {
-    if (pclmul && base == schoolbook_portable)
+    if (which < 0 || which > 2 || !bases[which])
         return -2;
-    uint64_t *w = malloc((4 * n + 256) * sizeof *w);
-    if (!w)
+    const int64_t e = mp_size(n);
+    uint64_t *ap = calloc(2 * e - 1 + e + 2 * e + 5 * e, sizeof *ap);
+    if (!ap)
         return -1;
-    karatsuba(r, a, b, n, w, pclmul ? base : schoolbook_portable);
-    free(w);
+    uint64_t *bp = ap + 2 * e - 1, *rp = bp + e, *w = rp + 2 * e;
+    memcpy(ap, a, (2 * n - 1) * sizeof *ap);
+    memcpy(bp + e - n, b, n * sizeof *bp);
+    mp(rp, ap, bp, e, w, bases[which]);
+    memcpy(r, rp, 2 * n * sizeof *r);
+    free(ap);
     return 0;
 }
 
@@ -1415,46 +1501,53 @@ static void put_bits(uint8_t *out, int64_t p, uint64_t w, int64_t k)
         out[b + i] |= (uint8_t)(i < 8 ? w >> sh >> (56 - 8 * i) : w << (8 - sh));
 }
 
-/* Toeplitz hashing of n_blocks consecutive n-bit blocks of the MSB-first bit
- * string x into n_blocks consecutive m-bit outputs in out, (n_blocks m + 7) / 8
- * bytes, with the matrix T[i][j] = seed[m - 1 - i + j] of an (n + m - 1)-bit
- * seed. seed holds the seed in words, bit b of word k being seed bit 64k + b.
+/* Toeplitz hashing of the n-bit blocks k0 to k0 + n_blocks - 1 of the
+ * MSB-first bit string x into as many consecutive m-bit outputs, with the
+ * matrix T[i][j] = seed[m - 1 - i + j] of an (n + m - 1)-bit seed. out holds
+ * them from its bit (k0 m) mod 8 on, the bit they have in the whole output,
+ * so that the ranges of one stream OR together byte by byte; its other bits
+ * are zero. seed holds the seed in words, bit b of word k being seed bit
+ * 64k + b.
  *
  * A block of nw = ceil(n / 64) words, read as big-endian words from its
  * start, is the polynomial x(z) = sum x[j] z^(64 nw - 1 - j) with its words
  * in reverse order. With s(z) = sum seed[k] z^k, output bit i is then
- * coefficient top - i of s x, top = (n + m - 2) + (64 nw - n), so the product's
- * words from the top are the output's big-endian words. A seed longer than
- * a block is multiplied in two halves of nw words; top < 128 nw, so only the
- * product's low 2 nw words are kept.
+ * coefficient m - 2 + 64 nw - i of s x: the top bit of the product's word
+ * nw - 1, then its words nw to 2 nw - 1. Word K of the product is the low
+ * word of the 128-bit sum of the terms s_i x_j with i + j = K, xored with
+ * the high word of the sum for K - 1, whose top bit is always zero. So one
+ * middle product of nw + 1 entries, of the seed and of the block shifted up
+ * one word, gives every word needed: the sums for K = nw - 1 to 2 nw - 1.
+ * It runs at mp_size(nw + 1) entries, with more zero words below the block.
  *
  * Returns 0, or -1 if the work space cannot be allocated.
  */
-int64_t qf_toeplitz(const uint64_t *seed, const uint8_t *x, int64_t n_blocks, int64_t n,
-                    int64_t m, uint8_t *out)
+int64_t qf_toeplitz(const uint64_t *seed, const uint8_t *x, int64_t k0, int64_t n_blocks,
+                    int64_t n, int64_t m, uint8_t *out)
 {
-    const int64_t nw = (n + 63) / 64, sw = (n + m + 62) / 64, top = m - 2 + 64 * nw;
-    uint64_t *s = calloc(11 * nw + 256, sizeof *s);
+    const int64_t nw = (n + 63) / 64, sw = (n + m + 62) / 64, e = mp_size(nw + 1);
+    const int64_t off = k0 * m & 7;
+    uint64_t *s = calloc(2 * e - 1 + e + 2 * e + nw + 1 + 5 * e, sizeof *s);
     if (!s)
         return -1;
-    uint64_t *xw = s + 2 * nw, *prod = xw + nw, *high = prod + 2 * nw, *w = high + 2 * nw;
+    uint64_t *xw = s + 2 * e - 1, *r = xw + e, *prod = r + 2 * e, *w = prod + nw + 1;
     memcpy(s, seed, sw * sizeof *s);
-    memset(out, 0, (n_blocks * m + 7) / 8);
-    for (int64_t k = 0; k < n_blocks; k++) {
+    memset(out, 0, (off + n_blocks * m + 7) / 8);
+    for (int64_t k = k0; k < k0 + n_blocks; k++) {
         for (int64_t i = 0; i < nw; i++)
-            xw[nw - 1 - i] = get_bits(x, k * n + 64 * i, k * n + n);
-        karatsuba(prod, s, xw, nw, w, base);
-        if (sw > nw) {
-            karatsuba(high, s + nw, xw, nw, w, base);
-            for (int64_t i = 0; i < nw; i++)
-                prod[nw + i] ^= high[i];
-        }
+            xw[e - 1 - i] = get_bits(x, k * n + 64 * i, k * n + n);
+        mp(r, s, xw, e, w, base);
+        /* prod[q] is word nw - 1 + q of the product, its bits below the
+         * top one left out for q = 0 */
+        prod[0] = r[0];
+        for (int64_t q = 1; q <= nw; q++)
+            prod[q] = r[2 * q] ^ r[2 * q - 1];
         for (int64_t v = 0; 64 * v < m; v++) {
-            const int64_t c = top - 63 - 64 * v, bits = m - 64 * v < 64 ? m - 64 * v : 64;
+            const int64_t c = m - 1 - 64 * v, bits = m - 64 * v < 64 ? m - 64 * v : 64;
             uint64_t word = prod[c >> 6] >> (c & 63);
             if (c & 63)
                 word |= prod[(c >> 6) + 1] << (64 - (c & 63));
-            put_bits(out, k * m + 64 * v, word, bits);
+            put_bits(out, off + (k - k0) * m + 64 * v, word, bits);
         }
     }
     free(s);

@@ -24,10 +24,11 @@ The kernels and the numpy references they must match bit for bit:
   C2 alone the same pass matches the Bell pair for certification
   (``coincidence.bell_coincidences``; reference ``find_coincidences`` on
   the two channels' times)
-* ``qf_toeplitz``: Toeplitz hashing of a whole packed stream, one
-  carry-less polynomial product per block (``extract._FftHasher``, block by
-  block); ``qf_clmul`` exposes its product with either word multiply, the
-  portable one or pclmul, for tests
+* ``qf_toeplitz``: Toeplitz hashing of a range of blocks of a packed
+  stream, with the GIL released, one carry-less middle product of the seed
+  and each block (``extract._FftHasher``, block by block);
+  ``qf_middle_product`` runs that product on each base case, the portable
+  one, pclmul's or AVX-512's (whichever this CPU has), for tests
 * ``qf_bit_stats``: every integer statistic of one battery sequence in one
   pass over its packed bits: ones, transitions, block ones, longest runs,
   cumulative-sum maxima and cyclic pattern counts
@@ -87,8 +88,8 @@ KERNELS = {
     "qf_dead_time": ([_P, _P, _N, _N], _N),
     "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),
     "qf_coincide": ([_P, _P, _N, _N, _P, _P, _P, _P, _P], _N),
-    "qf_toeplitz": ([_P, _P, _N, _N, _N, _P], _N),
-    "qf_clmul": ([_P, _P, _N, _N, _P], _N),
+    "qf_toeplitz": ([_P, _P, _N, _N, _N, _N, _P], _N),
+    "qf_middle_product": ([_P, _P, _N, _N, _P], _N),
     "qf_bit_stats": ([_P, _N, _N, _N, _N, _N, _N, _N, _P, _P, _P, _P], _N),
 }
 

@@ -169,6 +169,13 @@ class CertBlock:
     n_cert_events: int = 0
     verdict: Verdict = Verdict.UNCERTIFIED
 
+    @property
+    def margin(self) -> float | None:
+        """S - 3 sigma_S, the amount by which the Bell verdict's test clears
+        (or misses) 2; None where the block has no S."""
+        margin = self.s - 3.0 * self.s_stderr
+        return None if math.isnan(margin) else margin
+
     def to_dict(self) -> dict:
         return {
             "t_start": self.t_start,

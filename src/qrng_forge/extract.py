@@ -3,12 +3,15 @@
 The extractor output block y is the GF(2) product T @ x of an m x n
 Toeplitz matrix with the raw block, where T[i][j] = seed[m-1-i+j] over an
 (n+m-1)-bit seed. Output bit i is one coefficient of a product of two
-GF(2)[z] polynomials, one from the seed and one from the block, so one
-carry-less multiply serves every block size exactly: ``qf_toeplitz`` in
-``_kernels.c`` hashes a whole packed stream in one call. Its reference, and
-the path without a compiler, is float64 FFT convolution (:class:`_FftHasher`);
-column sums are bounded by n, so rounding stays 8+ orders of magnitude
-below 1/2, and a guard raises if the margin ever degrades.
+GF(2)[z] polynomials, one from the seed and one from the block, and the m
+coefficients kept are a middle product: ``qf_toeplitz`` in ``_kernels.c``
+computes just those, at the cost of one block-sized carry-less product, for
+a range of blocks per call. :func:`_hash_blocks` splits a stream's blocks
+into one range per CPU and hashes the ranges on threads of their own; the
+output does not depend on how many. Its reference, and the path without a
+compiler, is float64 FFT convolution (:class:`_FftHasher`); column sums are
+bounded by n, so rounding stays 8+ orders of magnitude below 1/2, and a
+guard raises if the margin ever degrades.
 
 Output sizing follows the leftover-hash budget m = floor(n*H - 2*log2(1/eps)).
 One seed serves every block of a stream: Toeplitz hashing is a strong
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 import secrets
+import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -157,22 +161,24 @@ def resolve_seed(source, n_bits: int) -> BitSequence:
     """Materialize extractor seed bits from a flexible source.
 
     ``None`` draws fresh OS entropy; bytes, bit arrays, BitSequences and
-    file paths supply recorded seeds (must hold at least ``n_bits``).
+    file paths supply recorded seeds (must hold at least ``n_bits``). Of
+    bytes and files, only the first ceil(n_bits / 8) bytes are read.
     """
+    n_bytes = (n_bits + 7) // 8
     if source is None:
-        raw = secrets.token_bytes((n_bits + 7) // 8)
-        return BitSequence.from_bits(np.unpackbits(np.frombuffer(raw, np.uint8))[:n_bits])
+        source = secrets.token_bytes(n_bytes)
     if isinstance(source, BitSequence):
         if len(source) < n_bits:
             raise SeedError(f"seed holds {len(source)} bits, need {n_bits}")
         return BitSequence.from_bits(source.to_bits()[:n_bits])
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as f:
+            source = f.read(n_bytes)
     if isinstance(source, (bytes, bytearray)):
         if len(source) * 8 < n_bits:
             raise SeedError(f"seed holds {len(source) * 8} bits, need {n_bits}")
-        arr = np.unpackbits(np.frombuffer(bytes(source), np.uint8))[:n_bits]
-        return BitSequence.from_bits(arr)
-    if isinstance(source, (str, Path)):
-        return resolve_seed(Path(source).read_bytes(), n_bits)
+        packed = np.frombuffer(source, np.uint8, count=n_bytes)
+        return BitSequence.from_bits(np.unpackbits(packed, count=n_bits))
     arr = as_bit_array(source)
     if arr.size < n_bits:
         raise SeedError(f"seed holds {arr.size} bits, need {n_bits}")
@@ -232,10 +238,24 @@ class _FftHasher:
         return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
+def hash_workers(n_blocks: int) -> int:
+    """The number of threads that run ``qf_toeplitz`` for ``n_blocks``
+    blocks: :func:`_native.workers` for one job per block; 0 when the numpy
+    reference runs instead."""
+    return 0 if _native.library() is None else _native.workers(n_blocks)
+
+
 def _hash_blocks(params: ExtractorParams, packed: np.ndarray, n_blocks: int) -> BitSequence:
     """Hash the first ``n_blocks`` n-bit blocks of the MSB-first bytes
     ``packed`` to as many m-bit outputs, by ``qf_toeplitz`` or, without a
     compiler, block by block through its reference, :class:`_FftHasher`.
+
+    The kernel hashes :func:`hash_workers` ranges of consecutive blocks, the
+    first on the calling thread and each other on a thread of its own, into
+    a buffer per range; ctypes releases the GIL during each call. Each
+    buffer is then ORed into the output at its byte offset, so no byte is
+    written by two threads, whatever m is, and the output is the same for
+    any number of ranges.
 
     ``packed`` must be a contiguous uint8 array holding every block;
     ValueError otherwise.
@@ -249,10 +269,30 @@ def _hash_blocks(params: ExtractorParams, packed: np.ndarray, n_blocks: int) -> 
         out = [hasher.extract_bits(bits[k * n:(k + 1) * n]) for k in range(n_blocks)]
         return BitSequence.from_bits(np.concatenate(out) if out else np.empty(0, np.uint8))
     seed = params._seed_words
-    out = np.empty((n_blocks * m + 7) // 8, np.uint8)
-    if lib.qf_toeplitz(_native.address(seed, np.uint64, seed.size), x_p, n_blocks, n, m,
-                       _native.address(out, np.uint8, out.size, writable=True)) < 0:
+    seed_p = _native.address(seed, np.uint64, seed.size)
+    workers = hash_workers(n_blocks)
+    bounds = [n_blocks * i // workers for i in range(workers + 1)]
+    out = np.zeros((n_blocks * m + 7) // 8, np.uint8)
+    # the first range starts at bit 0, so it is hashed into ``out`` itself
+    bufs = [out] + [np.empty((k0 * m % 8 + (k1 - k0) * m + 7) // 8, np.uint8)
+                    for k0, k1 in zip(bounds[1:-1], bounds[2:])]
+    out_ps = [_native.address(buf, np.uint8, buf.size, writable=True) for buf in bufs]
+    codes = [0] * workers
+
+    def hash_range(i: int) -> None:
+        codes[i] = lib.qf_toeplitz(seed_p, x_p, bounds[i], bounds[i + 1] - bounds[i], n, m,
+                                   out_ps[i])
+
+    threads = [threading.Thread(target=hash_range, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    hash_range(0)
+    for thread in threads:
+        thread.join()
+    if min(codes) < 0:
         raise MemoryError("qf_toeplitz could not allocate its work space")
+    for k0, buf in zip(bounds[1:-1], bufs[1:]):
+        out[k0 * m // 8:k0 * m // 8 + buf.size] |= buf
     return BitSequence(out, n_blocks * m)
 
 

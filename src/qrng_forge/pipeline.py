@@ -78,7 +78,7 @@ from .coincidence import (
     coincide_stream,
     coincidence_summary,
 )
-from .extract import extract_stream
+from .extract import extract_stream, hash_workers
 from .randtests import run_battery
 from .source import (
     AnalyzerSchedule,
@@ -588,6 +588,7 @@ def run_pipeline(
                 cfg, raw_bits, out_dir, extractor_seed, acquisition_seconds=duration_s
             )
             counts["in"], counts["out"] = len(raw_bits), len(extracted)
+            counts["workers"] = hash_workers(extraction.blocks)
         need = cfg.battery.n_sequences * cfg.battery.seq_len
         battery = {"note": f"skipped: needs {need} bits, extracted {len(extracted)}"}
         with _stage("test", timing, stages, "bits", "sequences") as counts:
@@ -618,6 +619,7 @@ def run_pipeline(
             "S_run": s_run,
             "g2_run": cert_report.get("g2_run"),
             "n_blocks": len(blocks),
+            "block_margins": [b.margin for b in blocks],
         },
         "rates": {
             "raw_bits": len(raw_bits),

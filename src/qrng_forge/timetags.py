@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
 #: Records that :func:`_write_records`, the writer under :func:`write_stream`
-#: and ``run``'s writer thread, encodes, hashes and writes at a time: 2.25 MiB.
+#: and ``run``'s writer thread, encodes, hashes and writes at a time, and that
+#: :func:`read_stream` and :func:`decode_stream` read at a time: 2.25 MiB.
 WRITE_RECORDS = 1 << 18
 
 
@@ -97,6 +100,28 @@ class TimeTag:
             raise ValueError(f"timestamp {self.timestamp} outside [0, 2^63)")
 
 
+def _check_columns(ts: np.ndarray, duration: int, unsorted: bool, bad_channel: bool) -> None:
+    """Raise ValueError for the first fault of a stream's columns, given
+    whether its timestamps ``ts`` are out of order and whether a channel
+    code is invalid. The faults, first to last: a duration below 1 ps, a
+    timestamp below 0 or past the duration, a timestamp out of order, and
+    an invalid channel code."""
+    if duration <= 0:
+        raise ValueError("duration must be a positive picosecond count")
+    if ts.size:
+        # a sorted stream's range is its ends; only an unsorted one needs a
+        # search, so that each fault keeps its precedence
+        lo, hi = (ts.min(), ts.max()) if unsorted else (ts[0], ts[-1])
+        if lo < 0:
+            raise ValueError("timestamps outside [0, 2^63)")
+        if hi > duration:
+            raise ValueError("timestamps exceed stream duration")
+        if unsorted:
+            raise ValueError("timestamps must be non-decreasing")
+    if bad_channel:
+        raise ValueError("invalid channel code")
+
+
 class TagStream:
     """A time-sorted sequence of detection events over a fixed duration.
 
@@ -115,21 +140,8 @@ class TagStream:
         if validate:
             if ts.shape != ch.shape or ts.ndim != 1:
                 raise ValueError("timestamps and channels must be 1-d and equal length")
-            if duration <= 0:
-                raise ValueError("duration must be a positive picosecond count")
-            if ts.size:
-                # a sorted stream's range is its ends; only an unsorted one
-                # needs a search, so that each fault keeps its precedence
-                unsorted = bool((ts[1:] < ts[:-1]).any())
-                lo, hi = (ts.min(), ts.max()) if unsorted else (ts[0], ts[-1])
-                if lo < 0:
-                    raise ValueError("timestamps outside [0, 2^63)")
-                if hi > duration:
-                    raise ValueError("timestamps exceed stream duration")
-                if unsorted:
-                    raise ValueError("timestamps must be non-decreasing")
-            if ch.size and ch.max() > max(Channel):
-                raise ValueError("invalid channel code")
+            _check_columns(ts, duration, bool((ts[1:] < ts[:-1]).any()),
+                           bool(ch.size and ch.max() > max(Channel)))
         ts.setflags(write=False)
         ch.setflags(write=False)
         self.timestamps = ts
@@ -207,42 +219,69 @@ def encode_stream(stream: TagStream) -> bytes:
     return _header(stream) + _records(stream.timestamps, stream.channels).tobytes()
 
 
-def decode_stream(data: bytes) -> TagStream:
-    """Parse QTT1 bytes back into a :class:`TagStream`.
-
-    Raises :class:`FormatError` on bad magic/version, :class:`TruncationError`
-    when records are missing or cut short, and :class:`CorruptionError` when
-    the payload violates stream invariants (bad channel code, unsorted or
-    out-of-range timestamps).
-    """
-    if len(data) < _HEADER.size:
+def _decode(f, size: int) -> TagStream:
+    """The QTT1 stream in the ``size``-byte binary file ``f``, read from its
+    start. The records are read :data:`WRITE_RECORDS` at a time into one
+    reused buffer, their columns copied into the stream's arrays, and their
+    order checked across chunk edges as they come, once."""
+    header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size:
         raise FormatError("file shorter than QTT1 header")
-    magic, version, n_channels, duration, count = _HEADER.unpack_from(data)
+    magic, version, n_channels, duration, count = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}")
     if n_channels != 6:
         raise FormatError(f"expected 6 channels, header says {n_channels}")
-    payload = len(data) - _HEADER.size
-    if payload < count * _RECORD_DTYPE.itemsize:
+    record = _RECORD_DTYPE.itemsize
+    if size - _HEADER.size < count * record:
         raise TruncationError(
             f"header declares {count} records, payload holds "
-            f"{payload // _RECORD_DTYPE.itemsize}"
+            f"{(size - _HEADER.size) // record}"
         )
-    records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
-    # both columns are copied out of ``data``, so the stream holds none of it;
-    # a u64 timestamp of 2^63 or more wraps negative here, which the stream's
-    # own range check rejects
+    ts, ch = np.empty(count, np.int64), np.empty(count, np.uint8)
+    buf = _record_buffer(count)
+    unsorted = bad_channel = False
+    for start in range(0, count, WRITE_RECORDS):
+        stop = min(start + WRITE_RECORDS, count)
+        data = buf[: (stop - start) * record]
+        got = f.readinto(data)
+        if got < data.size:  # the file shrank after its size was taken
+            raise TruncationError(
+                f"header declares {count} records, payload holds {start + got // record}"
+            )
+        records = data.view(_RECORD_DTYPE)
+        # a u64 timestamp of 2^63 or more wraps negative here, which the
+        # range check rejects
+        t, c = ts[start:stop], ch[start:stop]
+        t[...] = records["t"]
+        c[...] = records["ch"]
+        unsorted = unsorted or bool((t[1:] < t[:-1]).any() or (start and t[0] < ts[start - 1]))
+        bad_channel = bad_channel or bool(c.max() > max(Channel))
     try:
-        return TagStream(records["t"].astype(np.int64), records["ch"].copy(), duration)
+        _check_columns(ts, duration, unsorted, bad_channel)
     except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
+    return TagStream(ts, ch, duration, validate=False)
+
+
+def decode_stream(data: bytes) -> TagStream:
+    """Parse QTT1 bytes back into a :class:`TagStream`, by the decoder of
+    :func:`read_stream`; the stream shares no memory with ``data``.
+
+    Raises :class:`FormatError` on bad magic/version, :class:`TruncationError`
+    when records are missing or cut short, and :class:`CorruptionError` when
+    the payload violates stream invariants (bad channel code, unsorted or
+    out-of-range timestamps).
+    """
+    return _decode(io.BytesIO(data), len(data))
 
 
 def _record_buffer(n: int) -> np.ndarray:
     """The buffer :func:`_write_records` encodes the records of an
-    ``n``-tag stream into, one chunk at a time."""
+    ``n``-tag stream into, and :func:`_decode` reads them into, one chunk at
+    a time."""
     return np.empty(min(n, WRITE_RECORDS) * _RECORD_DTYPE.itemsize, np.uint8)
 
 
@@ -279,7 +318,10 @@ def write_stream(stream: TagStream, path) -> str:
 
 
 def read_stream(path) -> TagStream:
-    return decode_stream(Path(path).read_bytes())
+    """The QTT1 stream in the file ``path``, read in chunks of
+    :data:`WRITE_RECORDS` records; faults as in :func:`decode_stream`."""
+    with open(path, "rb") as f:
+        return _decode(f, os.fstat(f.fileno()).st_size)
 
 
 def merge_streams(streams: Sequence[TagStream]) -> TagStream:

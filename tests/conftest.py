@@ -26,6 +26,16 @@ def naive_toeplitz(seed_bits: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return ((t_matrix @ x.astype(np.int64)) & 1).astype(np.uint8)
 
 
+def naive_in_chunks(seed, x, m, chunk=256):
+    """naive_toeplitz holding at most ``chunk`` rows of T at once: rows i0 to
+    i1 - 1 of T are the whole matrix of the seed from bit m - i1 on."""
+    n = x.size
+    return np.concatenate([
+        naive_toeplitz(seed[m - i1: m - i1 + n + i1 - i0 - 1], x, i1 - i0)
+        for i0 in range(0, m, chunk) for i1 in [min(m, i0 + chunk)]
+    ])
+
+
 def optimal_nearest_matching(ta, tb, tau):
     """Exhaustive maximum-cardinality matching, ties broken by minimum
     total |delta|; returns (count, total_abs_delta)."""

@@ -23,23 +23,13 @@ from qrng_forge.extract import (
     resolve_seed,
 )
 
-from conftest import naive_toeplitz
+from conftest import naive_in_chunks, naive_toeplitz
 
 
 def exact_bias_bits(n, ones):
     bits = np.zeros(n, np.uint8)
     bits[:ones] = 1
     return bits
-
-
-def naive_in_chunks(seed, x, m, chunk=256):
-    """naive_toeplitz holding at most ``chunk`` rows of T at once: rows i0 to
-    i1 - 1 of T are the whole matrix of the seed from bit m - i1 on."""
-    n = x.size
-    return np.concatenate([
-        naive_toeplitz(seed[m - i1: m - i1 + n + i1 - i0 - 1], x, i1 - i0)
-        for i0 in range(0, m, chunk) for i1 in [min(m, i0 + chunk)]
-    ])
 
 
 class TestMinEntropy:
@@ -240,6 +230,28 @@ class TestExtractorParams:
         assert np.array_equal(
             seed.to_bits(), np.unpackbits(np.frombuffer(payload, np.uint8))[:500]
         )
+
+
+    def test_resolve_seed_reads_only_the_bits_it_needs(self, tmp_path, rng):
+        # a 16 MiB seed file for a 2e6-bit seed: only its first 250,000 bytes
+        # are read and unpacked
+        import tracemalloc
+
+        n_bits = 2 * 10**6
+        payload = rng.integers(0, 256, 16 << 20, dtype=np.uint8)
+        path = tmp_path / "seed.bin"
+        payload.tofile(path)
+        tracemalloc.start()
+        try:
+            seed = resolve_seed(path, n_bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seed.to_bytes() == payload[: n_bits // 8].tobytes()
+        assert peak < 2 * n_bits, peak
+        with pytest.raises(SeedError, match=f"seed holds {8 * 1000} bits, need {n_bits}"):
+            path.write_bytes(payload[:1000].tobytes())
+            resolve_seed(path, n_bits)
 
 
 class TestExtractStream:

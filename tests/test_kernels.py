@@ -20,10 +20,10 @@ from qrng_forge import (
     _native,
     find_coincidences,
 )
-from qrng_forge import coincidence, randtests
+from qrng_forge import coincidence, extract, randtests
 from qrng_forge.extract import _hash_blocks
 
-from conftest import naive_toeplitz, needs_gcc
+from conftest import naive_in_chunks, naive_toeplitz, needs_gcc
 
 TAU = 1000
 
@@ -212,29 +212,82 @@ def clmul_py(a, b):
     return r
 
 
-def words_to_int(words):
-    return sum(int(w) << (64 * k) for k, w in enumerate(words))
+def middle_product_py(a, b):
+    """The n 128-bit entries of the middle product of the (2n - 1)-word a
+    and the n-word b: entry k is the xor over j of the carry-less products
+    a[k + n - 1 - j] b[j]. With every word spread 128 bits apart, one
+    big-int product holds each sum i + j in a slot of its own."""
+    n = len(b)
+    spread_a = sum(int(w) << (128 * i) for i, w in enumerate(a))
+    spread_b = sum(int(w) << (128 * j) for j, w in enumerate(b))
+    product = clmul_py(spread_a, spread_b)
+    return [product >> (128 * (k + n - 1)) & (2**128 - 1) for k in range(n)]
+
+
+#: Middle-product sizes on both sides of each edge of the recursion: the
+#: base case holds up to 24 words, and an odd size pads its upper half.
+MP_SIZES = [*range(1, 51), 95, 96, 97, 98, 99, 129, 130, 193, 194]
 
 
 @needs_gcc
-@pytest.mark.parametrize("pclmul", [0, 1], ids=["portable", "pclmul"])
-def test_clmul_c_equals_shift_xor(rng, pclmul):
-    # qf_clmul runs the product of qf_toeplitz with either word multiply: one
-    # word is the 64 x 64 multiply alone, more words add Karatsuba levels
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["portable", "pclmul", "vpclmul"])
+def test_middle_product_c_equals_shift_xor(rng, which):
+    # qf_middle_product runs the product of qf_toeplitz on each base case
     lib = _native.library()
     special = [0, 1, 1 << 63, 2**64 - 1]
     cases = [([a], [b]) for a in special for b in special]
-    cases += [rng.integers(0, 2**64, (2, n), dtype=np.uint64) for n in [1] * 200 + [2, 16, 17, 33, 100]]
-    cases.append(([2**64 - 1] * 40, [2**64 - 1] * 40))
+    cases += [(rng.integers(0, 2**64, 2 * n - 1, dtype=np.uint64),
+               rng.integers(0, 2**64, n, dtype=np.uint64)) for n in [1] * 100 + MP_SIZES]
+    cases.append(([2**64 - 1] * 79, [2**64 - 1] * 40))
     for a, b in cases:
         a, b = np.array(a, np.uint64), np.array(b, np.uint64)
-        r = np.empty(2 * a.size, np.uint64)
-        code = lib.qf_clmul(_native.address(a, np.uint64, a.size), _native.address(b, np.uint64, b.size),
-                            a.size, pclmul, _native.address(r, np.uint64, r.size, writable=True))
+        r = np.empty(2 * b.size, np.uint64)
+        code = lib.qf_middle_product(_native.address(a, np.uint64, a.size),
+                                     _native.address(b, np.uint64, b.size), b.size, which,
+                                     _native.address(r, np.uint64, r.size, writable=True))
         if code == -2:
-            pytest.skip("this CPU has no pclmul")
+            pytest.skip("this CPU runs without this base case")
         assert code == 0
-        assert words_to_int(r) == clmul_py(words_to_int(a), words_to_int(b)), (a, b)
+        got = [int(lo) | int(hi) << 64 for lo, hi in r.reshape(-1, 2)]
+        assert got == middle_product_py(a, b), b.size
+
+
+#: Block sizes whose nw = ceil(n / 64) words make a middle product of nw + 1
+#: entries at the edges of MP_SIZES, a whole and a part word each.
+EDGE_BLOCKS = [64 * nw - d for nw in (23, 24, 25, 47, 48, 49, 96, 97) for d in (0, 63)]
+
+
+@needs_gcc
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 8193, *EDGE_BLOCKS])
+def test_toeplitz_c_equals_naive_at_recursion_edges(rng, n):
+    # two blocks per call, m from 1 to n; test_middle_product_c_equals_shift_xor
+    # holds both base cases at these product sizes
+    for m in sorted({1, max(1, n // 2), n}):
+        seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+        params = ExtractorParams(n, m, 2.0**-50, BitSequence.from_bits(seed))
+        x = rng.integers(0, 2, 2 * n, dtype=np.uint8)
+        got = _hash_blocks(params, np.packbits(x), 2).to_bits()
+        for k in range(2):
+            assert np.array_equal(got[k * m:(k + 1) * m],
+                                  naive_in_chunks(seed, x[k * n:(k + 1) * n], m)), (n, m, k)
+
+
+@needs_gcc
+def test_toeplitz_output_same_for_any_worker_count(rng, monkeypatch):
+    # odd m, and n % 8 != 0: the ranges' seams fall inside bytes
+    n, m, n_blocks = 1001, 777, 7
+    seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    params = ExtractorParams(n, m, 2.0**-50, BitSequence.from_bits(seed))
+    x = rng.integers(0, 2, n_blocks * n, dtype=np.uint8)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_native, "workers", lambda jobs, w=workers: min(w, jobs))
+        assert extract.hash_workers(n_blocks) == workers
+        outputs.append(_hash_blocks(params, np.packbits(x), n_blocks))
+    assert outputs[0] == outputs[1] == outputs[2]
+    bits = outputs[0].to_bits()
+    for k in range(n_blocks):
+        assert np.array_equal(bits[k * m:(k + 1) * m], naive_toeplitz(seed, x[k * n:(k + 1) * n], m))
 
 
 def test_address_checks_dtype_contiguity_and_size():

@@ -270,6 +270,22 @@ class TestRunAndManifest:
         assert manifest["rates"]["h_min"] > 0.9
         assert set(manifest["digests"]) >= {"tags.qtt", "raw.bits", "extracted.bits"}
 
+    def test_manifest_block_margins(self, run_result):
+        # S - 3 sigma of each certification block, None where it has no S;
+        # cert_report.json itself keeps its layout
+        _, out = run_result
+        manifest = json.loads((out / "manifest.json").read_text())
+        blocks = json.loads((out / "cert_report.json").read_text())["blocks"]
+        margins = manifest["certification"]["block_margins"]
+        assert len(margins) == manifest["certification"]["n_blocks"] == len(blocks)
+        for margin, block in zip(margins, blocks):
+            assert "margin" not in block
+            if block["S"] is None:
+                assert margin is None
+            else:
+                assert margin == block["S"] - 3.0 * block["S_stderr"]
+                assert (margin > 2.0) == (block["verdict"] == "CERTIFIED_BELL")
+
     def test_manifest_stage_telemetry(self, run_result):
         result, out = run_result
         manifest = json.loads((out / "manifest.json").read_text())
@@ -277,7 +293,8 @@ class TestRunAndManifest:
         assert list(stages) == list(manifest["timing_s"])
         keys = {"items_in", "unit_in", "items_out", "unit_out", "rate_per_s", "peak_rss_mib"}
         extra = {"simulate": {"workers", "write_s", "write_wait_s"},
-                 "coincide": {"workers", "multi_tag_clusters"}}
+                 "coincide": {"workers", "multi_tag_clusters"},
+                 "extract": {"workers"}}
         for name, row in stages.items():
             assert set(row) == keys | extra.get(name, set()), name
             assert row["rate_per_s"] == pytest.approx(row["items_in"] / manifest["timing_s"][name])
@@ -296,6 +313,10 @@ class TestRunAndManifest:
         assert workers == (min(len(os.sched_getaffinity(0)), n_chunks) if _native.library() else 0)
         # qf_coincide runs as one call on the calling thread
         assert stages["coincide"]["workers"] == (1 if _native.library() else 0)
+        # the threads that ran qf_toeplitz: one per CPU, at most one per block
+        n_blocks = json.loads((out / "ratio_report.json").read_text())["blocks"]
+        assert stages["extract"]["workers"] == (
+            min(len(os.sched_getaffinity(0)), n_blocks) if _native.library() else 0)
         # the writer thread's own seconds, and how long the run waited for it
         assert stages["simulate"]["write_s"] > 0 and stages["simulate"]["write_wait_s"] >= 0
         multi = stages["coincide"]["multi_tag_clusters"]

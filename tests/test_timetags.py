@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import struct
 
@@ -174,6 +175,78 @@ def test_write_records_equal_encoding(tmp_path, rng, backend, monkeypatch):
         data = path.read_bytes()
         assert data == encode_stream(stream), n
         assert digest == hashlib.sha256(data).hexdigest(), n
+
+
+class TestChunkedRead:
+    """The decoder reads WRITE_RECORDS records at a time; with chunks of 4,
+    each fault sits at or past a chunk edge, and read_stream and
+    decode_stream raise it with the class and message a whole-file read
+    gives."""
+
+    CHUNK = 4
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(timetags, "WRITE_RECORDS", self.CHUNK)
+
+    def encoded(self, n=10):
+        ts = np.arange(n, dtype=np.int64) * 10
+        return bytearray(encode_stream(TagStream(ts, np.arange(n) % 6, 1000)))
+
+    def decode_both(self, data, tmp_path):
+        path = tmp_path / "tags.qtt"
+        path.write_bytes(bytes(data))
+        return read_stream(path), decode_stream(bytes(data))
+
+    def assert_fault(self, data, tmp_path, cls, message):
+        path = tmp_path / "tags.qtt"
+        path.write_bytes(bytes(data))
+        for decode in (lambda: read_stream(path), lambda: decode_stream(bytes(data))):
+            with pytest.raises(cls) as info:
+                decode()
+            assert str(info.value) == message
+
+    def test_roundtrip_either_side_of_chunk_edges(self, tmp_path, rng):
+        for n in (0, 1, 3, 4, 5, 8, 9, 13):
+            ts = np.sort(rng.integers(0, 10**6, n))
+            stream = TagStream(ts, rng.integers(0, 6, n), 10**6)
+            assert self.decode_both(encode_stream(stream), tmp_path) == (stream, stream), n
+
+    def test_unsorted_pair_across_chunk_edge(self, tmp_path):
+        data = self.encoded()
+        struct.pack_into("<Q", data, 24 + 9 * 4, 25)  # record 4 < record 3 (30)
+        self.assert_fault(data, tmp_path, CorruptionError, "timestamps must be non-decreasing")
+
+    def test_truncated_inside_last_chunk(self, tmp_path):
+        data = self.encoded()[:-4]  # records 8 and 9 make the last chunk
+        self.assert_fault(data, tmp_path, TruncationError,
+                          "header declares 10 records, payload holds 9")
+
+    def test_file_that_shrinks_while_read(self):
+        data = self.encoded()
+        with pytest.raises(TruncationError, match="header declares 10 records, payload holds 9"):
+            timetags._decode(io.BytesIO(bytes(data[:-4])), len(data))
+
+    def test_bad_channel_in_last_record(self, tmp_path):
+        data = self.encoded()
+        data[-1] = 6
+        self.assert_fault(data, tmp_path, CorruptionError, "invalid channel code")
+
+    @pytest.mark.parametrize("timestamp", [2**63, 2**64 - 1])
+    def test_timestamp_past_2_63_in_a_later_chunk(self, tmp_path, timestamp):
+        # with the order broken in the first chunk and a bad channel in the
+        # last, the range fault is still the one named
+        data = self.encoded()
+        struct.pack_into("<Q", data, 24 + 9 * 6, timestamp)
+        struct.pack_into("<Q", data, 24 + 9 * 1, 0)
+        data[-1] = 7
+        self.assert_fault(data, tmp_path, CorruptionError, "timestamps outside [0, 2^63)")
+
+    def test_order_fault_outranks_a_later_bad_channel(self, tmp_path):
+        data = self.encoded()
+        struct.pack_into("<Q", data, 24 + 9 * 8, 5)  # record 8 < record 7, chunk 3
+        data[24 + 9 * 2 + 8] = 9  # record 2's channel, chunk 1
+        self.assert_fault(data, tmp_path, CorruptionError, "timestamps must be non-decreasing")
 
 
 def test_from_tags_rebuilds_stream(rng):
