@@ -11,8 +11,7 @@
  *                      at a time, for tests)
  *   qf_slice_key       numpy's SeedSequence([seed, s]).generate_state(2, uint64)
  *   qf_slice_sort      source._slice_order (qf_simulate's stable sort of one
- *                      slice, a bucket pass finished by radix passes when it
- *                      leaves too much out of place, for tests)
+ *                      slice, an LSD radix sort, for tests)
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
  *   qf_match           coincidence._match_py
@@ -92,111 +91,76 @@ int qf_settle(int64_t *ts, uint8_t *ch, int64_t n)
     return 1;
 }
 
-#define RADIX_BITS 11
+#define RADIX_BITS 10
 #define RADIX (1 << RADIX_BITS)
+/* the digits of a 64-bit time, the last one short */
+#define DIGITS ((64 + RADIX_BITS - 1) / RADIX_BITS)
 
-/* Stable LSD radix sort by time of (t[src], c[src])[0:n], whose times lie in
- * [lo, lo + span], into (t[1], c[1]), RADIX_BITS bits of t - lo a pass. The
- * passes move the tags back and forth between the two pairs of arrays, and a
- * pass whose digit every tag shares is skipped. */
-static void radix_sort(int64_t *t[2], uint8_t *c[2], int src, int64_t n, int64_t lo,
-                       uint64_t span)
-{
-    int64_t count[RADIX];
-    for (int shift = 0; shift < 64 && span >> shift; shift += RADIX_BITS) {
-        const int64_t *from = t[src];
-        memset(count, 0, sizeof count);
-        for (int64_t i = 0; i < n; i++)
-            count[((uint64_t)from[i] - (uint64_t)lo) >> shift & (RADIX - 1)]++;
-        if (count[((uint64_t)from[0] - (uint64_t)lo) >> shift & (RADIX - 1)] == n)
-            continue;
-        for (int64_t d = 0, sum = 0; d < RADIX; d++) {
-            const int64_t k = count[d];
-            count[d] = sum;
-            sum += k;
-        }
-        const uint8_t *from_ch = c[src];
-        int64_t *to = t[!src];
-        uint8_t *to_ch = c[!src];
-        for (int64_t i = 0; i < n; i++) {
-            const int64_t j = count[((uint64_t)from[i] - (uint64_t)lo) >> shift & (RADIX - 1)]++;
-            to[j] = from[i];
-            to_ch[j] = from_ch[i];
-        }
-        src = !src;
-    }
-    if (src == 0) {
-        memcpy(t[1], t[0], n * sizeof *t[0]);
-        memcpy(c[1], c[0], n);
-    }
-}
-
-/* log2 of the buckets sort_slice puts n tags into: the least power of two
- * that is at least n. */
-static int bucket_bits(int64_t n)
-{
-    int bits = 0;
-    while ((int64_t)1 << bits < n)
-        bits++;
-    return bits;
-}
-
-/* Stable sort of (ts, ch)[0:n] by time into (out_ts, out_ch); (ts, ch) is
- * overwritten, and count must hold 2^bucket_bits(n) values.
+/* Stable sort of (ts, ch)[0:n] by time into (out_ts, out_ch): an LSD radix
+ * sort of t - lo, lo the least time, RADIX_BITS bits a pass. (ts, ch) is
+ * overwritten, and count must hold DIGITS rows of RADIX values.
  *
- * A stable scatter puts the tags into 2^bucket_bits(n) buckets by the top
- * bits of t - lo, lo the least time, and qf_settle's insertion pass then
- * sorts them within n moves when the times spread evenly, as a slice's do.
- * When it needs more, the radix passes finish: the scatter and the insertion
- * pass both keep equal times in their order, so a stable sort of what they
- * leave is the stable sort of the input. Returns 1 when the insertion pass
- * finished the sort, 0 when the radix passes did. */
-static int sort_slice(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch,
-                      int64_t *count)
+ * One read counts every digit that the span of the times needs. The passes
+ * then move the tags back and forth between the two pairs of arrays; the
+ * least tag's digits are all 0, so a pass whose count of digit 0 is n finds
+ * one digit in every tag, and is skipped. No branch depends on the order of
+ * the tags, so tags out of order cost no more than tags in order. */
+static void sort_slice(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch,
+                       int64_t (*count)[RADIX])
 {
     if (n <= 0)
-        return 1;
+        return;
     int64_t lo = ts[0], hi = ts[0];
     for (int64_t i = 1; i < n; i++) {
         lo = ts[i] < lo ? ts[i] : lo;
         hi = ts[i] > hi ? ts[i] : hi;
     }
     const uint64_t span = (uint64_t)hi - (uint64_t)lo;
-    const int bits = bucket_bits(n), width = span ? 64 - __builtin_clzll(span) : 0;
-    const int shift = width > bits ? width - bits : 0;
-    const int64_t buckets = (int64_t)1 << bits;
-    memset(count, 0, buckets * sizeof *count);
-    for (int64_t i = 0; i < n; i++)
-        count[((uint64_t)ts[i] - (uint64_t)lo) >> shift]++;
-    for (int64_t d = 0, sum = 0; d < buckets; d++) {
-        const int64_t k = count[d];
-        count[d] = sum;
-        sum += k;
-    }
+    int digits = 0;  /* at most DIGITS, tested first: no shift reaches 64 */
+    while (digits < DIGITS && span >> digits * RADIX_BITS)
+        digits++;
+    memset(count, 0, digits * sizeof *count);
     for (int64_t i = 0; i < n; i++) {
-        const int64_t j = count[((uint64_t)ts[i] - (uint64_t)lo) >> shift]++;
-        out_ts[j] = ts[i];
-        out_ch[j] = ch[i];
+        const uint64_t key = (uint64_t)ts[i] - (uint64_t)lo;
+        for (int d = 0; d < digits; d++)
+            count[d][key >> d * RADIX_BITS & (RADIX - 1)]++;
     }
-    if (qf_settle(out_ts, out_ch, n))
-        return 1;
     int64_t *t[2] = {ts, out_ts};
     uint8_t *c[2] = {ch, out_ch};
-    radix_sort(t, c, 1, n, lo, span);
-    return 0;
+    int src = 0;
+    for (int d = 0; d < digits; d++) {
+        int64_t *at = count[d];
+        if (at[0] == n)
+            continue;
+        for (int64_t k = 0, sum = 0; k < RADIX; k++) {
+            const int64_t m = at[k];
+            at[k] = sum;
+            sum += m;
+        }
+        const int shift = d * RADIX_BITS;
+        const int64_t *from = t[src];
+        const uint8_t *from_ch = c[src];
+        int64_t *to = t[!src];
+        uint8_t *to_ch = c[!src];
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t j = at[((uint64_t)from[i] - (uint64_t)lo) >> shift & (RADIX - 1)]++;
+            to[j] = from[i];
+            to_ch[j] = from_ch[i];
+        }
+        src = !src;
+    }
+    if (src == 0) {
+        memcpy(out_ts, ts, n * sizeof *ts);
+        memcpy(out_ch, ch, n);
+    }
 }
 
-/* qf_simulate's sort of one slice, sort_slice, with bucket counts of its
- * own, for tests. Returns what sort_slice returns, or -1, sorting nothing,
- * when the counts cannot be allocated. */
-int qf_slice_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
+/* qf_simulate's sort of one slice, sort_slice, for tests. Its counts live on
+ * the stack of the calling thread, which tests make the main one. */
+void qf_slice_sort(int64_t *ts, uint8_t *ch, int64_t n, int64_t *out_ts, uint8_t *out_ch)
 {
-    int64_t *count = malloc(((int64_t)1 << bucket_bits(n)) * sizeof *count);
-    if (!count)
-        return -1;
-    const int done = sort_slice(ts, ch, n, out_ts, out_ch, count);
-    free(count);
-    return done;
+    int64_t count[DIGITS][RADIX];
+    sort_slice(ts, ch, n, out_ts, out_ch, count);
 }
 
 /* SeedSequence's hashes (numpy/random/bit_generator.pyx): hashmix folds a
@@ -768,13 +732,15 @@ static void jitter_tags(philox *p, int64_t *ts, int64_t n, double sigma, int64_t
     }
 }
 
-/* The scratch of one qf_simulate call, grown as its slices need: pair draws
- * for cap_pairs pairs, the slice's tags for cap_tags tags (the sort's
- * scratch, with bucket counts for as many tags), and dark tags for
+/* The scratch of one qf_simulate call: sort_slice's digit counts, allocated
+ * once on the heap, since the call may run on a Python thread with a small
+ * stack, and, grown as its slices need, pair draws for cap_pairs pairs, the
+ * slice's tags for cap_tags tags (the sort's scratch), and dark tags for
  * cap_dark. */
 typedef struct {
+    int64_t (*count)[RADIX];
     uint64_t *times, *section, *dark_ts;
-    int64_t *ts, *count;
+    int64_t *ts;
     uint8_t *ch, *dark_ch;
     int64_t cap_pairs, cap_tags, cap_dark;
     int failed;
@@ -797,7 +763,6 @@ static void reserve_tags(slice_scratch *w, int64_t n)
     const int64_t cap = n + n / 2;
     w->ts = regrow(w->ts, cap * sizeof *w->ts, &w->failed);
     w->ch = regrow(w->ch, cap, &w->failed);
-    w->count = regrow(w->count, ((int64_t)1 << bucket_bits(cap)) * sizeof *w->count, &w->failed);
     w->cap_tags = w->failed ? w->cap_tags : cap;
 }
 
@@ -841,6 +806,8 @@ int64_t qf_simulate(uint64_t seed, int64_t slice_ps, int64_t duration, double ra
     philox p;
     slice_scratch w;
     memset(&w, 0, sizeof w);
+    w.count = malloc(DIGITS * sizeof *w.count);
+    w.failed = !w.count;
     int thin = 0;
     for (int c = 0; c < 6; c++)
         thin |= eta[c] < 1.0;

@@ -8,7 +8,8 @@ The kernels and the numpy references they must match bit for bit:
   keys it (numpy's ``SeedSequence``), through C ports of the four numpy
   samplers it uses (``qf_sample`` runs each alone, against
   ``numpy.random.Generator``); routing, thinning, jitter and the stable sort
-  of the slice (``qf_slice_sort``, against ``source._slice_order``) run in C
+  of the slice, one LSD radix sort (``qf_slice_sort``, against
+  ``source._slice_order``), run in C
 * ``qf_settle``: the insertion pass that settles the concatenated slices
   into one time-ordered stream (``source._settle_py``, a stable argsort)
 * ``qf_dead_time``: per-channel dead time (``source._dead_time_keep_py``)
@@ -83,7 +84,7 @@ KERNELS = {
     "qf_simulate": ([_U64, _N, _N, _F64, _P, _P, _F64, _P, _N, _N, _N, _N, _P, _P, _N, _P], _N),
     "qf_slice_key": ([_U64, _U64, _P], None),
     "qf_sample": ([_U64, _U64, _N, _U64, _U64, _F64, _N, _P, _P], _N),
-    "qf_slice_sort": ([_P, _P, _N, _P, _P], ctypes.c_int),
+    "qf_slice_sort": ([_P, _P, _N, _P, _P], None),
     "qf_settle": ([_P, _P, _N], ctypes.c_int),
     "qf_dead_time": ([_P, _P, _N, _N], _N),
     "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),

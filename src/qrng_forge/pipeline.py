@@ -325,11 +325,15 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
 
 def _number(kind, key: str, value):
     """``kind(value)``, the value of config key ``key``; a ConfigError that
-    names the key when the conversion fails."""
+    names the key when the conversion fails, or when ``kind`` is int and a
+    finite float has a fractional part, which int() would drop."""
     try:
-        return kind(value)
+        number = kind(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{key}: {value!r} is not an integer")
+    return number
 
 
 def _channel_values(values: dict, per_channel: dict, key: str):
@@ -687,7 +691,7 @@ def sweep(
         if parameter == "pump_power":
             overrides["source.pump_power"] = value
         elif parameter == "window_tau":
-            overrides["coincidence.window_tau"] = int(value)
+            overrides["coincidence.window_tau"] = value
         else:
             overrides["source.alpha"] = value
         row: dict = {"value": value}

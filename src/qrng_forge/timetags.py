@@ -131,7 +131,7 @@ class TagStream:
     order is preserved.
     """
 
-    __slots__ = ("timestamps", "channels", "duration", "_by_channel")
+    __slots__ = ("timestamps", "channels", "duration")
 
     def __init__(self, timestamps, channels, duration: int, validate: bool = True):
         ts = np.ascontiguousarray(timestamps, dtype=np.int64)
@@ -147,7 +147,6 @@ class TagStream:
         self.timestamps = ts
         self.channels = ch
         self.duration = duration
-        self._by_channel = None
 
     @classmethod
     def from_tags(cls, tags: Iterable[TimeTag], duration: int) -> "TagStream":
@@ -181,22 +180,14 @@ class TagStream:
         return f"TagStream({len(self)} tags, duration={self.duration} ps)"
 
     def channel_times(self, channel: Channel) -> np.ndarray:
-        """Timestamps of one channel, sorted and read-only.
-
-        The first call splits the stream into all six channels, by one mask
-        per channel, and keeps the result, so later calls return without
-        scanning.
-        """
-        if self._by_channel is None:
-            parts = tuple(self.timestamps[self.channels == int(c)] for c in Channel)
-            for part in parts:
-                part.setflags(write=False)
-            self._by_channel = parts
-        return self._by_channel[int(channel)]
+        """Timestamps of one channel, sorted and read-only: one mask over
+        the stream per call."""
+        times = self.timestamps[self.channels == int(channel)]
+        times.setflags(write=False)
+        return times
 
     def counts_by_channel(self) -> dict[Channel, int]:
-        """Tags per channel, counted on the channel codes, so that a count
-        does not make the :meth:`channel_times` split."""
+        """Tags per channel, counted on the channel codes in one pass."""
         counts = np.bincount(self.channels, minlength=6).tolist()
         return {ch: counts[ch] for ch in Channel}
 
@@ -349,7 +340,7 @@ def import_csv(text: str, duration: int | None = None) -> TagStream:
 
     Lines may arrive unsorted; blank lines are skipped. Unknown channel
     names and non-integer timestamps raise ValueError. If ``duration`` is
-    omitted it defaults to the latest timestamp (or 1 ps for no tags).
+    omitted it defaults to the latest timestamp, at least 1 ps.
     """
     ts_list: list[int] = []
     ch_list: list[int] = []
@@ -377,7 +368,7 @@ def import_csv(text: str, duration: int | None = None) -> TagStream:
     ch = np.array(ch_list, dtype=np.uint8)
     order = np.argsort(ts, kind="stable")
     if duration is None:
-        duration = int(ts.max()) if ts.size else 1
+        duration = max(int(ts.max()) if ts.size else 0, 1)
     return TagStream(ts[order], ch[order], duration)
 
 

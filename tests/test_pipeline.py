@@ -206,6 +206,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: "), err
 
+    @pytest.mark.parametrize("key, value, extra", [
+        ("coincidence.window_tau", 1500.7, {}),
+        ("certifier.block", 4000.9, {}),
+        ("schedule.dwell", 1e9 + 0.5, {}),
+        ("schedule.steps", 16.5, {"schedule.kind": "fringe"}),
+        ("extractor.n_block", 8192.5, {}),
+        ("battery.n_sequences", 20.5, {}),
+        ("battery.seq_len", 50_000.5, {}),
+        ("source.rng_seed", 7.5, {}),
+        ("source.dead_time", 200.5, {}),
+        ("source.duration_ps", 1e9 + 0.5, {}),
+    ])
+    def test_fractional_integer_value_exit_2(self, key, value, extra, tmp_path, capsys):
+        # int() would drop the fraction; an integral float is still an integer
+        with pytest.raises(ConfigError, match=f"{key}: .* is not an integer"):
+            build_config({key: value, **extra})
+        build_config({key: float(int(value)), **extra})
+        sets = [arg for k, v in {key: value, **extra}.items() for arg in ("--set", f"{k}={v}")]
+        out = tmp_path / "run"
+        assert main(["run", *sets, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
     def test_event_budget_exit_2(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="budget"):
             build_config({"source.pump_power": 1e12})

@@ -449,49 +449,69 @@ class TestSliceKernels:
             assert got == encode_stream(generate_events(cfg)), cfg
 
     def test_slice_sort_equals_slice_order(self, rng):
-        # qf_slice_sort returns 1 when its bucket pass and insertion pass sorted
-        # the slice, and 0 when the radix passes had to finish
+        # qf_slice_sort is an LSD radix sort of 10-bit digits of t - min(t):
+        # it runs one pass per digit of the span, and skips a pass whose digit
+        # every tag shares
         lib = _native.library()
         big = 2**62
-        bucket, radix = 1, 0
+        bits = 10
 
-        def clustered(outlier):  # all but one tag in the lowest bucket: past the move budget
+        def clustered(outlier):  # all but one tag within 1000 ps
             return np.concatenate([rng.integers(0, 1000, 3000), [outlier]])
+
+        def spanning(span):  # times in [0, span], both ends present
+            return np.concatenate([[span], rng.integers(0, span, 500, endpoint=True), [0]])
+
+        def model_slice(cfg):  # the times of a source model's first slice, shuffled
+            cfg = small_config(**cfg)
+            model = source._SliceModel.of(cfg)
+            ts, _ = source._slice_py(model, source._slice_rng(cfg.rng_seed, 0), 0, SLICE_PS)
+            return rng.permutation(ts)
 
         slice_times = rng.integers(0, 10**9, 5000)
         cases = [
-            (np.empty(0, np.int64), bucket),
-            (np.array([5]), bucket),
-            (np.array([5, 5, 5, 5, 5, 5, 5, 5]), bucket),  # equal times, one bucket
-            (rng.integers(0, 30, 3000), bucket),  # a bucket per time
-            (rng.integers(0, 10**6, 4000), bucket),
-            (rng.integers(10**9, 2 * 10**9, 6000), bucket),
-            (np.sort(rng.integers(0, 10**9, 5000))[::-1].copy(), bucket),
+            np.empty(0, np.int64),
+            np.array([5]),
+            np.array([9, 4]),
+            np.array([4, 4]),
+            np.array([5, 5, 5, 5, 5, 5, 5, 5]),  # equal times: no pass
+            rng.integers(0, 30, 3000),
+            rng.integers(0, 10**6, 4000),
+            rng.integers(10**9, 2 * 10**9, 6000),
+            np.sort(rng.integers(0, 10**9, 5000))[::-1].copy(),
             # a slice: uniform times in 1e9 ps, jittered by 100 ps
-            (slice_times + np.rint(rng.normal(0, 100, slice_times.size)).astype(np.int64), bucket),
-            (np.array([2**22 + 3, 5, 2**22, 0, 5]), bucket),
+            slice_times + np.rint(rng.normal(0, 100, slice_times.size)).astype(np.int64),
+            np.array([2**22 + 3, 5, 2**22, 0, 5]),
             # spans of up to 63 bits
-            (np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]), bucket),
-            (np.array([big, 0, big, 1]), bucket),
-            (np.array([2**63 - 1, 0, 7, 2**63 - 1, 7]), bucket),
-            (clustered(10**12), radix),
-            (clustered(10**12)[::-1].copy(), radix),
-            (clustered(2**63 - 1), radix),  # six radix passes
-            # the radix passes of bits 11 to 32 find one digit in every tag: skipped
-            (np.concatenate([rng.integers(0, 2**11, 3000), [2**33]]), radix),
+            np.array([2**58, 0, 2**58, 3, 2**45, 2**58 - 1]),
+            np.array([big, 0, big, 1]),
+            np.array([2**63 - 1, 0, 7, 2**63 - 1, 7]),
+            clustered(10**12),
+            clustered(10**12)[::-1].copy(),
+            clustered(2**63 - 1),  # seven passes, the last at shift 60
+            spanning(2**63 - 1),
+            # the passes of bits 10 to 29 find digit 0 in every tag: skipped
+            np.concatenate([rng.integers(0, 2**bits, 3000), [2**30 + 5, 0, 2**31]]),
+            # tags whose t - min(t) share their middle digit, bits 10 to 19, alone
+            np.concatenate([(rng.integers(0, 4, 2000) << 2 * bits) + (7 << bits)
+                            + rng.integers(0, 2**bits, 2000), [7 << bits]]),
+            model_slice(GOLDEN["wide_jitter"][0]),
+            model_slice(GOLDEN["bell_run"][0]),
         ]
-        for ts, path in cases:
+        # spans at each edge of the pass count: k passes, then k + 1
+        for k in range(1, 7):
+            cases += [spanning(2**(k * bits) - 1), spanning(2**(k * bits))]
+        for ts in cases:
             ts = ts.astype(np.int64)
             ch = rng.integers(0, 6, ts.size).astype(np.uint8)
             out_ts, out_ch = np.empty_like(ts), np.empty_like(ch)
             work_ts, work_ch = ts.copy(), ch.copy()  # the kernel sorts through its input
-            got = lib.qf_slice_sort(_native.address(work_ts, np.int64, ts.size, True),
-                                    _native.address(work_ch, np.uint8, ts.size, True), ts.size,
-                                    _native.address(out_ts, np.int64, ts.size, True),
-                                    _native.address(out_ch, np.uint8, ts.size, True))
+            lib.qf_slice_sort(_native.address(work_ts, np.int64, ts.size, True),
+                              _native.address(work_ch, np.uint8, ts.size, True), ts.size,
+                              _native.address(out_ts, np.int64, ts.size, True),
+                              _native.address(out_ch, np.uint8, ts.size, True))
             order = source._slice_order(ts)
             assert np.array_equal(out_ts, ts[order]) and np.array_equal(out_ch, ch[order]), ts
-            assert got == path, ts
 
     def test_settle_equals_stable_argsort(self, rng):
         lib = _native.library()

@@ -319,6 +319,13 @@ class TestCsvImport:
         with pytest.raises(ValueError, match="non-integer"):
             import_csv("12.5,U1")
 
+    def test_latest_tag_at_zero_gives_one_picosecond(self):
+        # the duration defaults to the latest timestamp, floored at 1 ps
+        stream = import_csv("0,U1\n0,D2\n")
+        assert stream.duration == 1
+        assert stream.timestamps.tolist() == [0, 0]
+        assert import_csv("").duration == 1
+
     def test_out_of_order_lines_sorted(self):
         stream = import_csv("2000,D2\n1000,U1\n1500,C1")
         assert stream.timestamps.tolist() == [1000, 1500, 2000]
