@@ -14,15 +14,15 @@
  *                      slice, an LSD radix sort, for tests)
  *   qf_settle          source._settle_py (stable argsort of the whole stream)
  *   qf_dead_time       source._dead_time_keep_py (per-channel dead time)
- *   qf_match           coincidence._match_py
  *   qf_coincide        coincidence._coincide_py (the channel split,
  *                      find_coincidences per section pair and assign_bits):
  *                      one pass over a tag stream that matches its three
- *                      section pairs with qf_match's cluster scan and DP; a
- *                      channel of role above 5 is skipped after its single
- *                      is counted, so coincidence.bell_coincidences matches
- *                      the C1-C2 pair alone (find_coincidences on the two
- *                      channels' times)
+ *                      section pairs by a cluster scan with a banded DP per
+ *                      pileup (coincidence._match_py, whose DP is a full
+ *                      table); a channel of role above 5 is skipped after
+ *                      its single is counted, so the same pass matches the
+ *                      C1-C2 pair alone, for coincidence.bell_coincidences
+ *                      and for find_coincidences on two merged arrays
  *   qf_toeplitz        extract._FftHasher, block by block: a range of blocks,
  *                      each hashed as one middle product of the seed and the
  *                      block (qf_middle_product runs it on each base case,
@@ -935,8 +935,9 @@ int64_t qf_dead_time(int64_t *ts, uint8_t *ch, int64_t n, int64_t dead_time)
  * more than tau apart can never be matched across that gap, so such gaps
  * cut the pair's tags into independent clusters. A cluster of one a-tag and
  * one b-tag is a match; every other cluster holding both sides is solved by
- * solve_cluster. qf_match matches two channels; qf_coincide matches the
- * three section pairs of a tag stream in one pass over it.
+ * solve_cluster. qf_coincide matches the three section pairs of a tag
+ * stream in one pass over it; any two sorted arrays are matched as one such
+ * pair of a merged stream.
  */
 
 /* The best matching of some prefixes of a cluster: its pairs and total |delta|. */
@@ -977,10 +978,12 @@ static int64_t solve_cluster(const int64_t *a, int64_t n, const int64_t *b, int6
         return -1;
     int64_t *hi = lo + n + 1, *off = hi + n + 1, l = 0, h = 0, total = 1;
     lo[0] = hi[0] = off[0] = 0;
+    /* differences in uint64: a - tau and a + tau can leave int64 */
     for (int64_t r = 1; r <= n; r++) {
-        while (l < m && b[l] < a[r - 1] - tau)
+        const int64_t t = a[r - 1];
+        while (l < m && b[l] < t && (uint64_t)t - (uint64_t)b[l] > (uint64_t)tau)
             l++;
-        while (h < m && b[h] <= a[r - 1] + tau)
+        while (h < m && (b[h] <= t || (uint64_t)b[h] - (uint64_t)t <= (uint64_t)tau))
             h++;
         lo[r] = l;
         hi[r] = h;
@@ -1021,43 +1024,6 @@ static int64_t solve_cluster(const int64_t *a, int64_t n, const int64_t *b, int6
 #undef D
     free(cells);
     free(lo);
-    return k;
-}
-
-/* Exact matching of two sorted timestamp arrays within |tb - ta| <= tau.
- *
- * Matches go to (ma, mb), as indices into ta and tb, in time order; at most
- * min(na, nb) are written. Returns their number, or -1 if the work space
- * cannot be allocated.
- */
-int64_t qf_match(const int64_t *ta, int64_t na, const int64_t *tb, int64_t nb, int64_t tau,
-                 int64_t *ma, int64_t *mb)
-{
-    int64_t i = 0, j = 0, k = 0;
-    while (i < na && j < nb) {
-        const int64_t i0 = i, j0 = j;
-        int64_t last = ta[i] <= tb[j] ? ta[i++] : tb[j++];
-        for (;;) {
-            const int take_a = i < na && (j >= nb || ta[i] <= tb[j]);
-            if ((!take_a && j >= nb) || (take_a ? ta[i] : tb[j]) - last > tau)
-                break;
-            last = take_a ? ta[i++] : tb[j++];
-        }
-        const int64_t n = i - i0, m = j - j0;
-        if (n == 1 && m == 1) {
-            ma[k] = i0;
-            mb[k++] = j0;
-        }
-        if (!n || !m || n + m == 2)
-            continue;
-        const int64_t got = solve_cluster(ta + i0, n, tb + j0, m, tau, ma + k, mb + k);
-        if (got < 0)
-            return -1;
-        for (const int64_t end = k + got; k < end; k++) {
-            ma[k] += i0;
-            mb[k] += j0;
-        }
-    }
     return k;
 }
 
@@ -1103,7 +1069,7 @@ static inline void add_match(coincide_pass *s, int p, int64_t ta, int64_t tb, in
     const int64_t t = ta < tb ? ta : tb, k = s->stats[p];
     if (p == 2) {
         s->bell_t[k] = t;
-        s->bell_d[k] = tb - ta;
+        s->bell_d[k] = (int64_t)((uint64_t)tb - (uint64_t)ta); /* a stale pair may lie far apart */
     } else {
         times *q = &s->queue[p];
         q->v[q->n] = t;
@@ -1192,7 +1158,8 @@ static void emit_bits(coincide_pass *s, int64_t bound0, int64_t bound1, int drai
 }
 
 /* One pass over a time-ordered tag stream (ts, ch)[0:n] that matches its
- * three section pairs at once, each exactly as qf_match matches it.
+ * three section pairs at once, each exactly as coincidence._match_py
+ * matches its two channels' times.
  *
  * role[c] = 2p + s puts channel code c on side s (0 for a, 1 for b) of pair
  * p, and each side of a pair holds one channel. A role above 5 skips the
@@ -1224,7 +1191,9 @@ int64_t qf_coincide(const int64_t *ts, const uint8_t *ch, int64_t n, int64_t tau
             if (!s.failed)
                 s.pair[p].side[q].v[0] = 0;
         }
-        s.pair[p].last = n ? ts[0] - tau - 1 : 0; /* the first tag opens a cluster */
+        /* an empty cluster closes without a match, and a first time that is
+         * too early only holds the bits back longer */
+        s.pair[p].first = s.pair[p].last = n ? ts[0] : 0;
     }
     reserve(&s.queue[0], &s.failed);
     reserve(&s.queue[1], &s.failed);

@@ -13,18 +13,18 @@ The kernels and the numpy references they must match bit for bit:
 * ``qf_settle``: the insertion pass that settles the concatenated slices
   into one time-ordered stream (``source._settle_py``, a stable argsort)
 * ``qf_dead_time``: per-channel dead time (``source._dead_time_keep_py``)
-* ``qf_match``: the exact coincidence matcher, a gap-tau cluster scan with
-  a banded DP per pileup cluster (``coincidence._match_py``, whose DP is a
-  full table)
-* ``qf_coincide``: one pass over a whole tag stream that matches its three
-  section pairs with ``qf_match``'s cluster scan and DP, and gives the
-  packed raw bits, the Bell pair's coincidences, the singles of each channel
-  and the pileup clusters (``coincidence._coincide_py``: the channel split,
-  ``find_coincidences`` per pair and ``assign_bits``). A channel whose role
-  is above 5 is counted and joins no pair, so with a role table of C1 and
-  C2 alone the same pass matches the Bell pair for certification
-  (``coincidence.bell_coincidences``; reference ``find_coincidences`` on
-  the two channels' times)
+* ``qf_coincide``: the exact coincidence matcher, one pass over a whole tag
+  stream that matches its three section pairs by a gap-tau cluster scan
+  with a banded DP per pileup cluster (``coincidence._match_py``, whose DP
+  is a full table), and gives the packed raw bits, the Bell pair's
+  coincidences, the singles of each channel and the pileup clusters
+  (``coincidence._coincide_py``: the channel split, ``find_coincidences``
+  per pair and ``assign_bits``). A channel whose role is above 5 is counted
+  and joins no pair, so with a role table of C1 and C2 alone the same pass
+  matches the Bell pair for certification (``coincidence.bell_coincidences``;
+  reference ``find_coincidences`` on the two channels' times), and any two
+  sorted arrays, merged as C1 and C2 (``coincidence.find_coincidences``;
+  reference ``coincidence._match_py``)
 * ``qf_toeplitz``: Toeplitz hashing of a range of blocks of a packed
   stream, with the GIL released, one carry-less middle product of the seed
   and each block (``extract._FftHasher``, block by block);
@@ -87,7 +87,6 @@ KERNELS = {
     "qf_slice_sort": ([_P, _P, _N, _P, _P], None),
     "qf_settle": ([_P, _P, _N], ctypes.c_int),
     "qf_dead_time": ([_P, _P, _N, _N], _N),
-    "qf_match": ([_P, _N, _P, _N, _N, _P, _P], _N),
     "qf_coincide": ([_P, _P, _N, _N, _P, _P, _P, _P, _P], _N),
     "qf_toeplitz": ([_P, _P, _N, _N, _N, _N, _P], _N),
     "qf_middle_product": ([_P, _P, _N, _N, _P], _N),

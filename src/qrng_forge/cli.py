@@ -126,9 +126,10 @@ def cmd_coincide(args) -> int:
     _, summary = _coincide(cfg, stream, _out_dir(cfg))
     print(f"raw bits: {summary['raw_bits']}")
     for pair, row in summary["pairs"].items():
+        car = "n/a" if row["car"] is None else f"{row['car']:.1f}"
         print(
             f"{pair}: {row['coincidences']} coincidences, "
-            f"accidental {row['accidental_rate_hz']:.2f} Hz, CAR {row['car']:.1f}"
+            f"accidental {row['accidental_rate_hz']:.2f} Hz, CAR {car}"
         )
     return EXIT_OK
 

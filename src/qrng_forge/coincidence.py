@@ -19,8 +19,9 @@ pairs cost no more and stay inside the window), so no assignment solver
 is needed. Where several matchings are optimal, the tie rule picks one:
 walking back from the cluster's last tags, leave the last a-tag unmatched
 if that keeps the optimum, else leave the last b-tag unmatched, else
-match the two. The C kernel ``qf_match`` (``_kernels.c``) runs the scan
-and a banded DP in one pass; :func:`_match_py` is its plain reference.
+match the two. The C kernel ``qf_coincide`` (``_kernels.c``) runs the
+scan and a banded DP in one pass over a time-ordered tag stream;
+:func:`_match_py`, with a full-table DP, is its plain reference.
 
 Bits follow the section table: each (D1, U2) coincidence is a 0 and each
 (D2, U1) coincidence a 1, in time order, the 0 first at equal times
@@ -28,14 +29,16 @@ Bits follow the section table: each (D1, U2) coincidence is a 0 and each
 the live Bell test.
 
 :func:`coincide_stream` does all of that for a whole tag stream: with the
-kernels built, in one call of ``qf_coincide`` (the same cluster scan and
-DP, for the three pairs at once) on the calling thread;
-:func:`_coincide_py`, the channel split, :func:`find_coincidences` per pair
-and :func:`assign_bits`, is its reference. :func:`bell_coincidences` matches
-the (C1, C2) pair alone, for certifying a stored stream: the same kernel
-pass, with a role table that puts the four bit channels in no pair (their
-singles are still counted); :func:`find_coincidences` on the two channels'
-times is its reference.
+kernels built, in one call of ``qf_coincide`` (the three pairs at once) on
+the calling thread; :func:`_coincide_py`, the channel split,
+:func:`find_coincidences` per pair and :func:`assign_bits`, is its
+reference. :func:`bell_coincidences` matches the (C1, C2) pair alone, for
+certifying a stored stream: the same kernel pass, with a role table that
+puts the four bit channels in no pair (their singles are still counted);
+:func:`find_coincidences` on the two channels' times is its reference.
+:func:`find_coincidences` itself makes that pass over its two arrays merged
+into one stream, ``a`` as C1 and ``b`` as C2, with :func:`_match_py` as its
+reference.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def _cluster_sizes(ta, tb, tau):
     if not t.size:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     order = np.argsort(t, kind="stable")
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(t[order]) > tau) + 1])
+    t = t[order].view(np.uint64)  # in time order, each gap is t[i + 1] - t[i] mod 2**64
+    starts = np.concatenate([[0], np.flatnonzero(t[1:] - t[:-1] > tau) + 1])
     nb_c = np.add.reduceat((order >= ta.size).astype(np.int64), starts)
     return np.diff(np.append(starts, t.size)) - nb_c, nb_c
 
@@ -150,8 +154,9 @@ def _solve_cluster_py(a, b, tau):
 
 
 def _match_py(ta, tb, tau):
-    """The matching of ``qf_match`` in numpy and Python: its reference, and
-    the fallback without a compiler. Deliberately not banded."""
+    """Indices (ia, ib) of the exact matching, in coincidence-time order, in
+    numpy and Python: the reference of ``qf_coincide``'s matching, and
+    :func:`find_coincidences` without a compiler. Deliberately not banded."""
     ia, ib, bounds = _cluster_scan_np(ta, tb, tau)
     pairs = [(a0 + i, b0 + j) for a0, a1, b0, b1 in bounds.tolist()
              for i, j in _solve_cluster_py(ta[a0:a1], tb[b0:b1], tau)]
@@ -159,22 +164,6 @@ def _match_py(ta, tb, tau):
     ia, ib = np.concatenate([ia, ca]), np.concatenate([ib, cb])
     order = np.argsort(np.minimum(ta[ia], tb[ib]), kind="stable")
     return ia[order], ib[order]
-
-
-def _match(ta, tb, tau):
-    """Indices (ia, ib) of the exact matching, in coincidence-time order."""
-    lib = _native.library()
-    if lib is None:
-        return _match_py(ta, tb, tau)
-    ia = np.empty(min(ta.size, tb.size), np.int64)
-    ib = np.empty_like(ia)
-    k = lib.qf_match(_native.address(ta, np.int64, ta.size), ta.size,
-                     _native.address(tb, np.int64, tb.size), tb.size, tau,
-                     _native.address(ia, np.int64, ia.size, True),
-                     _native.address(ib, np.int64, ib.size, True))
-    if k < 0:
-        raise MemoryError("qf_match could not allocate its work space")
-    return ia[:k], ib[:k]
 
 
 class CoincidenceList:
@@ -215,9 +204,21 @@ def find_coincidences(a, b, cfg: CoincidenceConfig) -> CoincidenceList:
     in ascending order (equal timestamps allowed): the cluster scan relies
     on it, so an array that decreases anywhere raises ValueError. Output
     is sorted by coincidence time.
+
+    With the kernels built, the two arrays are merged into one time-ordered
+    stream, ``a`` as C1 and ``b`` as C2 (``a`` first at equal times), and
+    matched by the ``qf_coincide`` pass of :func:`bell_coincidences`.
+    Without them :func:`_match_py` runs.
     """
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
-    ia, ib = _match(ta, tb, int(cfg.window_tau))
+    tau = int(cfg.window_tau)
+    lib = _native.library()
+    if lib is not None:
+        t = np.concatenate([ta, tb])
+        order = np.argsort(t, kind="stable")
+        ch = (order >= ta.size).view(np.uint8) + np.uint8(Channel.C1)  # C2 is C1 + 1
+        return _coincide_pass(lib, t[order], ch, tau, _BELL_ROLE)[1]
+    ia, ib = _match_py(ta, tb, tau)
     times = ta[ia]
     deltas = tb[ib] - times
     times += np.minimum(deltas, 0)  # the earlier tag of each pair
@@ -255,7 +256,9 @@ def coincidence_summary(
 
     ``counts`` holds the coincidences of each section pair as matched,
     keyed by its channel pair in either order; the count of a maximum
-    matching does not depend on which side is ``a``.
+    matching does not depend on which side is ``a``. A pair's ``car`` is
+    None where it expects no accidentals (a channel without tags), as JSON
+    has no infinity.
     """
     duration_s = duration * 1e-12
     summary: dict = {
@@ -273,7 +276,7 @@ def coincidence_summary(
         summary["pairs"][f"{ca.name}-{cb.name}"] = {
             "coincidences": n,
             "accidental_rate_hz": acc_hz,
-            "car": (n / acc_counts) if acc_counts > 0 else float("inf"),
+            "car": (n / acc_counts) if acc_counts > 0 else None,
         }
     return summary
 
@@ -334,10 +337,11 @@ def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidence
     )
 
 
-def _coincide_pass(lib, stream: TagStream, tau: int, role: np.ndarray):
-    """One ``qf_coincide`` pass over ``stream`` with the ``role`` table: the
-    packed bits, the Bell pair's coincidences and the kernel's 12 counts."""
-    ts, ch, n = stream.timestamps, stream.channels, len(stream)
+def _coincide_pass(lib, ts: np.ndarray, ch: np.ndarray, tau: int, role: np.ndarray):
+    """One ``qf_coincide`` pass over the time-ordered tags ``(ts, ch)`` with
+    the ``role`` table: the packed bits, the Bell pair's coincidences and the
+    kernel's 12 counts."""
+    n = ts.size
     # every output at the size the kernel may fill: pages that are never
     # written take no memory, so the bound costs no more than the count
     bits = np.zeros(n // 16 + 1, np.uint8)
@@ -356,7 +360,7 @@ def _coincide_pass(lib, stream: TagStream, tau: int, role: np.ndarray):
 
 def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
     """:func:`coincide_stream` by one ``qf_coincide`` call."""
-    bits, bell, stats = _coincide_pass(lib, stream, tau, _ROLE)
+    bits, bell, stats = _coincide_pass(lib, stream.timestamps, stream.channels, tau, _ROLE)
     # the matches of each pair, its multi-tag clusters, the tags of each channel
     k = stats[0] + stats[1]
     return StreamCoincidences(
@@ -381,4 +385,5 @@ def bell_coincidences(stream: TagStream, cfg: CoincidenceConfig) -> CoincidenceL
     if lib is None:
         return find_coincidences(stream.channel_times(Channel.C1),
                                  stream.channel_times(Channel.C2), cfg)
-    return _coincide_pass(lib, stream, cfg.window_tau, _BELL_ROLE)[1]
+    return _coincide_pass(lib, stream.timestamps, stream.channels, cfg.window_tau,
+                          _BELL_ROLE)[1]

@@ -456,6 +456,14 @@ def write_bits(bits: BitSequence, path) -> None:
 
 
 def read_bits(path) -> BitSequence:
+    """Read a bit file written by :func:`write_bits`.
+
+    ValueError unless the sidecar is a JSON object whose ``"bits"`` is a
+    non-negative integer that the file's bytes hold exactly.
+    """
     path = Path(path)
     manifest = json.loads(Path(str(path) + ".json").read_text())
-    return BitSequence.from_bytes(path.read_bytes(), manifest["bits"])
+    bits = manifest.get("bits") if isinstance(manifest, dict) else None
+    if type(bits) is not int or bits < 0:
+        raise ValueError(f'{path}.json: expected {{"bits": N}}, N a non-negative integer')
+    return BitSequence.from_bytes(path.read_bytes(), bits)

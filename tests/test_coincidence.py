@@ -234,6 +234,8 @@ class TestSortedInput:
             find_coincidences([5000, 0], [100, 4900], TAU)
         with pytest.raises(ValueError, match="sorted"):
             find_coincidences([100, 4900], [5000, 0], TAU)
+        with pytest.raises(ValueError, match="sorted"):  # 2^64 - 1 apart, descending
+            find_coincidences([100], [2**63 - 1, -(2**63)], TAU)
         # equal timestamps are in order
         assert len(find_coincidences([0, 0, 5000], [100, 4900], TAU)) == 2
 

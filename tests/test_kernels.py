@@ -49,32 +49,44 @@ def scan_cases(rng):
                    np.sort(rng.integers(0, span, int(rng.integers(1, 2 * n + 1)))))
     # dense all-pileup stream: one cluster holding every tag
     yield np.sort(rng.integers(0, 20 * TAU, 200)), np.sort(rng.integers(0, 20 * TAU, 150))
+    # equal times across the two sides, and a pileup at equal times
+    yield a([100, 100, 200, 200, 900]), a([100, 200, 200, 900, 900])
+    ts = np.sort(rng.integers(0, 40, 600)) * (TAU // 2)
+    yield ts[::2], ts[1::2]
+    yield a([2 * TAU, 2 * TAU + 400, 5 * TAU]), a([0, 100, TAU + 500])  # a b-tag first
 
 
-@needs_gcc
-def test_cluster_scan_c_equals_numpy(rng):
-    # qf_match's banded DP against the full-table reference, ties included
-    assert _native.library() is not None
-    for ta, tb in scan_cases(rng):
-        ta = ta.astype(np.int64)
-        tb = tb.astype(np.int64)
-        want = coincidence._match_py(ta, tb, TAU)
-        got = coincidence._match(ta, tb, TAU)
-        for w, g in zip(want, got):
-            assert w.dtype == g.dtype and np.array_equal(w, g), (ta, tb)
+#: The ends of int64.
+LO, HI = -(2**63), 2**63 - 1
+
+
+def int64_edge_cases():
+    """(ta, tb) pairs whose windows reach past an end of int64."""
+    a = np.array
+    yield a([LO, LO + 500]), a([LO + 900])
+    yield a([HI - 1500, HI - 600]), a([HI - 100])
+    yield a([LO]), a([HI])  # 2^64 - 1 apart: no match
+    yield a([LO, HI - TAU]), a([LO + TAU, HI])  # exactly tau, at each end
+    yield a([LO + TAU + 1]), a([LO])
+    yield a([HI - 3000, HI - 2000, HI - 900, HI - 100]), a([HI - 2500, HI - 1500, HI])
 
 
 @needs_gcc
 def test_find_coincidences_same_on_both_paths(rng):
+    # the one qf_coincide pass against _match_py: its cluster scan and its
+    # full-table DP, ties included
     cfg = CoincidenceConfig(TAU)
-    cases = list(scan_cases(rng))
+    cases = [*scan_cases(rng), *int64_edge_cases()]
     fast = [find_coincidences(ta, tb, cfg) for ta, tb in cases]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "library", lambda: None)
         ref = [find_coincidences(ta, tb, cfg) for ta, tb in cases]
-    for f, r in zip(fast, ref):
+    for (ta, tb), f, r in zip(cases, fast, ref):
         for name in ("times", "deltas"):
-            assert np.array_equal(getattr(f, name), getattr(r, name))
+            g, w = getattr(f, name), getattr(r, name)
+            assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w), (ta, tb)
+    assert [f.deltas.tolist() for f in fast[-6:]] == [
+        [400], [500], [], [TAU, TAU], [], [500, 500, 100]]
 
 
 def coincide_streams(rng):
@@ -117,7 +129,8 @@ def test_coincide_c_equals_reference(rng):
             want.singles, want.matches, want.multi_tag_clusters)
         # roles above 5 for the bit channels: their tags are counted and join
         # no pair, and the Bell pair comes out as with every role given
-        bits, bell, stats = coincidence._coincide_pass(lib, stream, TAU, coincidence._BELL_ROLE)
+        bits, bell, stats = coincidence._coincide_pass(
+            lib, stream.timestamps, stream.channels, TAU, coincidence._BELL_ROLE)
         pair = coincidence.STREAM_PAIRS[2]
         assert not bits.any()
         assert np.array_equal(bell.times, want.bell.times)
@@ -160,6 +173,40 @@ def test_bell_coincidences_equal_find_coincidences(rng, backend, monkeypatch):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and np.array_equal(g, w)
     assert len(got) == 30_000  # the last stream's one dense Bell cluster
+
+
+def stream_at_int64_top(rng):
+    """A tag stream of duration 2^63 - 1 whose windows reach past it: C1 tags
+    at HI - 1500 and HI - 600 and a C2 tag at HI - 100 (one match, delta
+    500), after a pileup of every channel."""
+    ts = np.concatenate([HI - rng.integers(2000, 40 * TAU, 400), [HI - 1500, HI - 600, HI - 100]])
+    ch = np.concatenate([rng.integers(0, 6, 400), [4, 4, 5]])
+    order = np.argsort(ts, kind="stable")
+    return TagStream(ts[order], ch[order].astype(np.uint8), HI)
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_gcc),
+    "numpy",
+])
+def test_stream_matching_at_int64_top(rng, backend, monkeypatch):
+    # coincide_stream and bell_coincidences where tag + tau leaves int64,
+    # against _coincide_py on the numpy path (find_coincidences by _match_py)
+    cfg = CoincidenceConfig(TAU)
+    stream = stream_at_int64_top(rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "library", lambda: None)
+        want = coincidence._coincide_py(stream, cfg)
+    assert want.bell.deltas[-1] == 500
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    got = coincidence.coincide_stream(stream, cfg)
+    assert got.bits == want.bits
+    assert (got.singles, got.matches, got.multi_tag_clusters) == (
+        want.singles, want.matches, want.multi_tag_clusters)
+    for bell in (got.bell, coincidence.bell_coincidences(stream, cfg)):
+        assert np.array_equal(bell.times, want.bell.times)
+        assert np.array_equal(bell.deltas, want.bell.deltas)
 
 
 def test_kernel_table_names_every_kernel():

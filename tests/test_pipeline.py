@@ -253,6 +253,21 @@ class TestExitCodes:
         assert main([command, "--bits", str(bits), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("sidecar", [
+        "{}", '{"bits": null}', "[16]", '{"bits": 16.5}', '{"bits": true}', '{"bits": -1}',
+    ])
+    @pytest.mark.parametrize("command", ["export", "test", "extract"])
+    def test_malformed_bit_sidecar_exit_2(self, tmp_path, capsys, command, sidecar):
+        bits = tmp_path / "in.bits"
+        bits.write_bytes(bytes(2))
+        (tmp_path / "in.bits.json").write_text(sidecar)
+        out = ["--out-file", str(tmp_path / "x")] if command == "export" else [
+            "--out", str(tmp_path / "out")]
+        assert main([command, "--bits", str(bits), *out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(ValueError, match="non-negative integer"):
+            read_bits(bits)
+
     def test_refusal_exit_4_and_force(self, tmp_path, dark_only_dirs):
         refused_dir, forced_dir, argv = dark_only_dirs
         assert main(argv + ["--out", str(refused_dir)]) == 4
@@ -262,6 +277,25 @@ class TestExitCodes:
         assert manifest["certification"]["verdict"] == "UNCERTIFIED"
         assert manifest["certification"]["forced"] is True
         assert (forced_dir / "extracted.bits").exists()
+
+
+def test_summary_without_accidentals_is_strict_json(tmp_path, capsys):
+    # no C1 or C2 tag: that pair expects no accidentals, so its CAR is null,
+    # never Infinity, which no strict JSON parser reads
+    ts = np.arange(0, 40_000, 500, dtype=np.int64)
+    stream = timetags.TagStream(ts, np.arange(ts.size, dtype=np.uint8) % 4, 40_000)
+    timetags.write_stream(stream, tmp_path / "tags.qtt")
+    assert main(["coincide", "--tags", str(tmp_path / "tags.qtt"), "--out", str(tmp_path)]) == 0
+    assert "C1-C2: 0 coincidences, accidental 0.00 Hz, CAR n/a" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    text = (tmp_path / "coincidence_summary.json").read_text()
+    pairs = json.loads(text, parse_constant=reject)["pairs"]
+    assert pairs["C1-C2"]["car"] is None
+    assert all(isinstance(pairs[p]["car"], float) for p in ("U1-D2", "U2-D1"))
+
 
 class TestRunAndManifest:
     def test_outputs_exist(self, run_result):
