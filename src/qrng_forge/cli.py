@@ -23,6 +23,13 @@ of its own while the later stages run.
 The one difference in output: ``extract`` has no acquisition time, so
 ``seconds`` and ``mbps`` in its ``ratio_report.json`` are null.
 
+Each config value has one setter, its key in ``--config`` or ``--set``;
+``--seed`` (``source.rng_seed``) and ``--out`` (``output_dir``) are the
+only shorthands, so no key has a flag with a conversion rule of its own.
+``run --from-manifest`` takes every key from the manifest, so ``--config``,
+``--set`` or ``--seed`` beside it is a configuration error; ``--out`` and
+``--force`` apply.
+
 Exit codes: 0 success, 2 configuration error or unusable input (such as
 too few bits for the extractor block or the battery), 3 I/O error,
 4 certification refused (UNCERTIFIED without --force), 1 any other stage
@@ -37,6 +44,7 @@ from pathlib import Path
 
 from .coincidence import bell_coincidences
 from .pipeline import (
+    SWEEP_KEYS,
     CertificationRefused,
     ConfigError,
     StageError,
@@ -73,11 +81,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         help="override one config key (repeatable)",
     )
     parser.add_argument("--seed", type=int, help="shorthand for source.rng_seed")
-    parser.add_argument("--pump-power", type=float, help="shorthand for source.pump_power (mW)")
-    parser.add_argument(
-        "--window-ns", type=float, help="shorthand for coincidence.window_tau, in ns"
-    )
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--out", type=Path, help="output directory (output_dir)")
 
 
 def _collect_overrides(args) -> dict:
@@ -89,10 +93,6 @@ def _collect_overrides(args) -> dict:
         overrides[key.strip()] = _coerce(value.strip())
     if args.seed is not None:
         overrides["source.rng_seed"] = args.seed
-    if args.pump_power is not None:
-        overrides["source.pump_power"] = args.pump_power
-    if args.window_ns is not None:
-        overrides["coincidence.window_tau"] = int(round(args.window_ns * 1000))
     if args.out is not None:
         overrides["output_dir"] = str(args.out)
     return overrides
@@ -174,6 +174,9 @@ def cmd_test(args) -> int:
 
 def cmd_run(args) -> int:
     if args.from_manifest:
+        if args.config is not None or args.sets or args.seed is not None:
+            raise ConfigError("--from-manifest takes every key from the manifest; "
+                              "--config, --set and --seed cannot be given with it")
         result = rerun_from_manifest(
             args.from_manifest, args.out or Path("qrng_rerun"), force=args.force
         )
@@ -187,7 +190,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    rows = sweep(cfg, args.parameter, values, cfg.output_dir)
+    rows = sweep(cfg, args.parameter, values)
     csv_text = sweep_csv(rows)
     (cfg.output_dir / "sweep.csv").write_text(csv_text)
     print(csv_text, end="")
@@ -243,11 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="pipeline sweep over one parameter")
     _add_config_options(p)
-    p.add_argument(
-        "--parameter",
-        required=True,
-        choices=["pump_power", "window_tau", "alpha"],
-    )
+    p.add_argument("--parameter", required=True, choices=list(SWEEP_KEYS))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=cmd_sweep)
 

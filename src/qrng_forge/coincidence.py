@@ -127,25 +127,29 @@ def _solve_cluster_py(a, b, tau):
     ``b[:j]``, with the module's tie rule. The score count * big - cost,
     big above any total cost, orders matchings by count, then cost (held
     in Python ints where int64 could overflow); each row is the running
-    maximum of its candidates.
+    maximum of its candidates. The walk-back choice of each cell is kept
+    in two packed bit planes, "leave a" and "leave b"; neither is a match.
     """
     n, m = a.size, b.size
     big = min(n, m) * tau + 1
     prev = np.zeros(m + 1, np.int64 if (min(n, m) + 1) * big < 2**63 else object)
-    step = np.zeros((n + 1, m + 1), np.uint8)  # 0 leave a, 1 leave b, 2 match
-    for i in range(1, n + 1):
-        d = np.abs(b - a[i - 1])
+    leave_a = np.empty((n, (m + 7) // 8), np.uint8)
+    leave_b = np.empty_like(leave_a)
+    for i in range(n):
+        d = np.abs(b - a[i])
         cur = prev.copy()
         cur[1:] = np.where(d <= tau, np.maximum(prev[1:], prev[:-1] + (big - d)), prev[1:])
         cur = np.maximum.accumulate(cur)
-        step[i, 1:] = np.where(cur[1:] == prev[1:], 0, np.where(cur[1:] == cur[:-1], 1, 2))
+        leave_a[i] = np.packbits(cur[1:] == prev[1:])
+        leave_b[i] = np.packbits(cur[1:] == cur[:-1])  # read only where leave_a is 0
         prev = cur
     pairs = []
     i, j = n, m
     while i and j:
-        if step[i, j] == 0:
+        byte, shift = (j - 1) >> 3, 7 - ((j - 1) & 7)
+        if leave_a[i - 1, byte] >> shift & 1:
             i -= 1
-        elif step[i, j] == 1:
+        elif leave_b[i - 1, byte] >> shift & 1:
             j -= 1
         else:
             i, j = i - 1, j - 1
@@ -255,8 +259,8 @@ def coincidence_summary(
     an acquisition of ``duration`` ps with ``singles`` tags per channel.
 
     ``counts`` holds the coincidences of each section pair as matched,
-    keyed by its channel pair in either order; the count of a maximum
-    matching does not depend on which side is ``a``. A pair's ``car`` is
+    keyed by the pairs of ``SECTION_PAIRS`` (the count of a maximum
+    matching does not depend on which side is ``a``). A pair's ``car`` is
     None where it expects no accidentals (a channel without tags), as JSON
     has no infinity.
     """
@@ -268,7 +272,7 @@ def coincidence_summary(
         "pairs": {},
     }
     for ca, cb in SECTION_PAIRS:
-        n = int(counts[(ca, cb)] if (ca, cb) in counts else counts[(cb, ca)])
+        n = int(counts[(ca, cb)])
         ra = singles[ca] / duration_s if duration_s > 0 else 0.0
         rb = singles[cb] / duration_s if duration_s > 0 else 0.0
         acc_hz = accidental_rate(ra, rb, cfg)
@@ -287,9 +291,10 @@ class StreamCoincidences:
 
     ``bits`` are the raw bits and ``bell`` the (C1, C2) coincidences.
     ``singles`` counts the tags of each channel. ``matches`` and
-    ``multi_tag_clusters`` hold, for each pair of :data:`STREAM_PAIRS`, its
-    coincidences and its gap-tau clusters holding more than one tag of
-    either side: the pileups where the matcher has a choice to make.
+    ``multi_tag_clusters`` hold, for each section pair, its coincidences and
+    its gap-tau clusters holding more than one tag of either side (the
+    pileups where the matcher has a choice to make), keyed by the pairs of
+    ``SECTION_PAIRS``, the names ``coincidence_summary`` gives them.
     ``workers`` is the number of threads ``qf_coincide`` ran on: 1, or 0
     for the numpy reference.
     """
@@ -317,22 +322,28 @@ def coincide_stream(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincide
     return _coincide_c(lib, stream, cfg.window_tau)
 
 
+def _by_section(values) -> dict:
+    """``values``, one per :data:`STREAM_PAIRS` pair, keyed by ``SECTION_PAIRS``."""
+    by_channels = dict(zip(map(frozenset, STREAM_PAIRS), values))
+    return {pair: by_channels[frozenset(pair)] for pair in SECTION_PAIRS}
+
+
 def _coincide_py(stream: TagStream, cfg: CoincidenceConfig) -> StreamCoincidences:
     """The output of ``qf_coincide`` from the channel split,
     :func:`find_coincidences` per pair and :func:`assign_bits`: its
     reference, and the path without a compiler."""
     times = [(stream.channel_times(a), stream.channel_times(b)) for a, b in STREAM_PAIRS]
     found = [find_coincidences(ta, tb, cfg) for ta, tb in times]
-    multi = {}
-    for pair, (ta, tb) in zip(STREAM_PAIRS, times):
+    multi = []
+    for ta, tb in times:
         na, nb = _cluster_sizes(ta, tb, cfg.window_tau)
-        multi[pair] = int(np.count_nonzero((na > 1) | (nb > 1)))
+        multi.append(int(np.count_nonzero((na > 1) | (nb > 1))))
     return StreamCoincidences(
         bits=BitSequence.from_bits(assign_bits(found[0].times, found[1].times)),
         bell=found[2],
         singles=stream.counts_by_channel(),
-        matches={pair: len(c) for pair, c in zip(STREAM_PAIRS, found)},
-        multi_tag_clusters=multi,
+        matches=_by_section(len(c) for c in found),
+        multi_tag_clusters=_by_section(multi),
         workers=0,
     )
 
@@ -367,8 +378,8 @@ def _coincide_c(lib, stream: TagStream, tau: int) -> StreamCoincidences:
         bits=BitSequence(bits[: (k + 7) // 8], k),
         bell=bell,
         singles={c: stats[6 + c] for c in Channel},
-        matches={pair: stats[p] for p, pair in enumerate(STREAM_PAIRS)},
-        multi_tag_clusters={pair: stats[3 + p] for p, pair in enumerate(STREAM_PAIRS)},
+        matches=_by_section(stats[:3]),
+        multi_tag_clusters=_by_section(stats[3:6]),
         workers=1,
     )
 

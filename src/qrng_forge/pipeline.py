@@ -32,12 +32,16 @@ comments), overridable from the command line:
     battery.significance   = 0.01
     output_dir             = qrng_run
 
-Every run writes a manifest with the full resolved config, RNG seed,
-output digests, stage timings and stage telemetry (items in and out,
-rate, peak memory), the kernel backend and numpy's version; re-running from
-a manifest reproduces the bit outputs byte for byte. With the C kernels the
-simulated stream does not depend on numpy's version; on the numpy backend
-it may, since numpy does not pin its samplers' streams (NEP 19).
+A run is a function of its config alone, output directory and extractor
+seed included. Its manifest's ``config`` holds the keys that took effect:
+all but a key another key overrode (``source.alpha`` under
+``source.hwp_theta``, ``source.duration_s`` under ``source.duration_ps``).
+Beside it go the RNG seed, output digests, stage timings and telemetry
+(items in and out, rate, peak memory), the kernel backend and numpy's
+version. Re-running from a manifest reproduces the bit outputs byte for
+byte. With the C kernels the simulated stream does not depend on numpy's
+version; on the numpy backend it may, since numpy does not pin its
+samplers' streams (NEP 19).
 
 ``run`` writes ``tags.qtt`` on a thread of its own, from the moment the
 events are generated, while coincide, certify, extract and test run; the
@@ -308,7 +312,9 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
     except (ValueError, TypeError, OverflowError, EventBudgetError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    snapshot = {k: values[k] for k in sorted(values)}
+    # a key that another key overrode did not take effect, so is not recorded
+    overridden = {"source.alpha": "source.hwp_theta", "source.duration_s": "source.duration_ps"}
+    snapshot = {k: values[k] for k in sorted(values) if overridden.get(k) not in values}
     for field_key, by_channel in per_channel.items():
         for ch, v in by_channel.items():
             snapshot[f"{field_key}.{ch.name}"] = v
@@ -462,18 +468,16 @@ def _certify(cfg: RunConfig, stream: TagStream, cert_coincs, out_dir: Path):
     return blocks, report
 
 
-def _extract(cfg: RunConfig, raw_bits: BitSequence, out_dir: Path, seed_source=None,
+def _extract(cfg: RunConfig, raw_bits: BitSequence, out_dir: Path,
              acquisition_seconds: float | None = None):
-    """Extract stage: Toeplitz-hash the raw bits with ``seed_source`` (default:
-    ``extractor.seed_path``, empty for OS entropy); writes ``extracted.bits``,
-    ``toeplitz_seed.bin`` and ``ratio_report.json``."""
-    if seed_source is None:
-        seed_source = cfg.extractor.seed_path or None
+    """Extract stage: Toeplitz-hash the raw bits with the seed in
+    ``extractor.seed_path`` (empty: fresh OS entropy); writes
+    ``extracted.bits``, ``toeplitz_seed.bin`` and ``ratio_report.json``."""
     extracted, report, params = extract_stream(
         raw_bits,
         epsilon=cfg.extractor.epsilon,
         n_block=cfg.extractor.n_block,
-        seed_source=seed_source,
+        seed_source=cfg.extractor.seed_path or None,
         acquisition_seconds=acquisition_seconds,
     )
     write_bits(extracted, out_dir / "extracted.bits")
@@ -541,14 +545,11 @@ def _stage(name: str, timing: dict[str, float], stages: dict[str, dict],
     }
 
 
-def run_pipeline(
-    cfg: RunConfig,
-    out_dir: Path | None = None,
-    force: bool = False,
-    extractor_seed: bytes | None = None,
-) -> PipelineResult:
-    """The full flow; writes all artifacts plus ``manifest.json``."""
-    out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
+def run_pipeline(cfg: RunConfig, force: bool = False) -> PipelineResult:
+    """The full flow of ``cfg``, into ``cfg.output_dir`` with the extractor
+    seed of ``extractor.seed_path``; writes all artifacts plus
+    ``manifest.json``. ``force`` extracts from an UNCERTIFIED run."""
+    out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     timing: dict[str, float] = {}
     stages: dict[str, dict] = {}
@@ -588,9 +589,7 @@ def run_pipeline(
             )
 
         with _stage("extract", timing, stages, "raw_bits", "bits") as counts:
-            extracted, extraction = _extract(
-                cfg, raw_bits, out_dir, extractor_seed, acquisition_seconds=duration_s
-            )
+            extracted, extraction = _extract(cfg, raw_bits, out_dir, acquisition_seconds=duration_s)
             counts["in"], counts["out"] = len(raw_bits), len(extracted)
             counts["workers"] = hash_workers(extraction.blocks)
         need = cfg.battery.n_sequences * cfg.battery.seq_len
@@ -648,57 +647,54 @@ def run_pipeline(
     return PipelineResult(manifest=manifest, summary=summary, out_dir=out_dir)
 
 
-def rerun_from_manifest(
-    manifest_path, out_dir: Path, force: bool = False
-) -> PipelineResult:
-    """Re-run a recorded pipeline; bit outputs must match byte for byte."""
+def rerun_from_manifest(manifest_path, out_dir: Path, force: bool = False) -> PipelineResult:
+    """Re-run a recorded pipeline into ``out_dir``, byte for byte: the
+    manifest's ``config`` with ``output_dir`` and ``extractor.seed_path``
+    set to ``out_dir`` and the seed file beside the manifest, so the new
+    manifest names what it wrote and read, and re-runs in turn. A forced
+    run is forced again."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
-    cfg = build_config(manifest["config"])
-    seed_file = manifest_path.parent / manifest["extractor_seed_file"]
+    # strict: a missing seed file fails here, before anything is simulated
+    seed_file = (manifest_path.parent / manifest["extractor_seed_file"]).resolve(strict=True)
+    cfg = build_config({**manifest["config"], "output_dir": str(out_dir),
+                        "extractor.seed_path": str(seed_file)})
     forced = force or manifest.get("certification", {}).get("forced", False)
-    return run_pipeline(
-        cfg, out_dir=out_dir, force=forced, extractor_seed=seed_file.read_bytes()
-    )
+    return run_pipeline(cfg, force=forced)
 
 
-def sweep(
-    cfg: RunConfig,
-    parameter: str,
-    values: list[float],
-    out_dir: Path,
-) -> list[dict]:
+#: The config key of each sweep parameter.
+SWEEP_KEYS = {"pump_power": "source.pump_power", "window_tau": "coincidence.window_tau",
+              "alpha": "source.alpha"}
+
+
+def sweep(cfg: RunConfig, parameter: str, values: list[float]) -> list[dict]:
     """One pipeline per value; returns rows of (value, S, V, g2, H_min, mbps).
 
-    ``parameter`` is one of pump_power, window_tau (ps), alpha. Each
-    point also runs a diagonal-basis fringe acquisition for V, as long as
-    the point's own (``source.duration``).
+    ``parameter`` is one of :data:`SWEEP_KEYS`: pump_power, window_tau
+    (ps), alpha. Point i runs ``cfg`` with that key set and ``output_dir``
+    set to ``point_NNN`` under ``cfg.output_dir``, and so does its manifest.
+    Each point also runs a diagonal-basis fringe acquisition for V, as long
+    as the point's own (``source.duration``).
     Failures are recorded per point and the sweep continues. An alpha
     sweep of a config that sets ``source.hwp_theta``, which would take the
     state from the angle at every point, is a ConfigError.
     """
-    if parameter not in ("pump_power", "window_tau", "alpha"):
+    if parameter not in SWEEP_KEYS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 values")
     if parameter == "alpha" and "source.hwp_theta" in cfg.snapshot:
         raise ConfigError("an alpha sweep needs a config without source.hwp_theta, "
                           "which sets the state in place of source.alpha")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, value in enumerate(values):
-        overrides: dict[str, object] = dict(cfg.snapshot)
-        if parameter == "pump_power":
-            overrides["source.pump_power"] = value
-        elif parameter == "window_tau":
-            overrides["coincidence.window_tau"] = value
-        else:
-            overrides["source.alpha"] = value
+        overrides = {**cfg.snapshot, SWEEP_KEYS[parameter]: value,
+                     "output_dir": str(cfg.output_dir / f"point_{i:03d}")}
         row: dict = {"value": value}
         try:
-            point_cfg = build_config(overrides)
-            point_dir = out_dir / f"point_{i:03d}"
-            result = run_pipeline(point_cfg, out_dir=point_dir, force=True)
+            result = run_pipeline(build_config(overrides), force=True)
             cert = result.manifest["certification"]
             row["S"] = cert.get("S_run")
             row["g2"] = cert["g2_run"]
@@ -706,10 +702,8 @@ def sweep(
             row["mbps"] = result.manifest["rates"]["extracted_mbps"]
             row["verdict"] = cert["verdict"]
 
-            fringe_overrides = dict(overrides)
-            fringe_overrides["schedule.kind"] = "fringe"
-            fringe_overrides["schedule.fixed"] = 45.0
-            fringe_cfg = build_config(fringe_overrides)
+            fringe_cfg = build_config({**overrides, "schedule.kind": "fringe",
+                                       "schedule.fixed": 45.0})
             stream = generate_events(fringe_cfg.source)
             cert_coincs = bell_coincidences(stream, fringe_cfg.coincidence)
             samples = fringe_counts(
@@ -726,10 +720,5 @@ def sweep_csv(rows: list[dict]) -> str:
     header = ["value", "S", "V", "g2", "h_min", "mbps", "verdict", "error"]
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(
-                "" if row.get(col) is None else str(row.get(col, ""))
-                for col in header
-            )
-        )
+        lines.append(",".join("" if row.get(col) is None else str(row[col]) for col in header))
     return "\n".join(lines) + "\n"

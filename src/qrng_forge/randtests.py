@@ -544,7 +544,6 @@ def run_battery(
     n_sequences: int,
     seq_len: int,
     significance: float = 0.01,
-    test_ids: Sequence[str] | None = None,
 ) -> BatteryReport:
     """Split a bit stream into sequences and run the full core subset, with
     one count of each sequence (:func:`_bit_stats`) for all its tests.
@@ -558,24 +557,17 @@ def run_battery(
         raise SequenceLengthError(
             f"battery needs {needed} bits ({n_sequences} x {seq_len}), got {size}"
         )
-    ids = list(dict.fromkeys(test_ids if test_ids is not None else TEST_IDS))
-    for t in ids:
+    for t in TEST_IDS:
         _check_test(t, seq_len)
-    p_values: dict[str, list[float]] = {t: [] for t in ids}
+    p_values: dict[str, list[float]] = {t: [] for t in TEST_IDS}
     for k in range(n_sequences):
         stats = _bit_stats(packed, k * seq_len, seq_len)
-        for t in ids:
+        for t in TEST_IDS:
             p_values[t].append(TEST_IDS[t][0](stats))
     lo, hi = proportion_range(n_sequences, significance)
-    uniformity = {
-        t: pvalue_uniformity(p_values[t], min_sequences=1) for t in ids
-    }
-    proportion = {
-        t: sum(p >= significance for p in p_values[t]) / n_sequences for t in ids
-    }
-    ok = all(lo <= proportion[t] <= hi for t in ids) and all(
-        uniformity[t] >= 1e-4 for t in ids
-    )
+    uniformity = {t: pvalue_uniformity(p_values[t], min_sequences=1) for t in TEST_IDS}
+    proportion = {t: sum(p >= significance for p in p_values[t]) / n_sequences for t in TEST_IDS}
+    ok = all(lo <= proportion[t] <= hi and uniformity[t] >= 1e-4 for t in TEST_IDS)
     return BatteryReport(
         n_sequences=n_sequences,
         seq_len=seq_len,

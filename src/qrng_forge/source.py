@@ -198,22 +198,15 @@ class AnalyzerSchedule:
         return cls(tuple(settings), dwell)
 
     @classmethod
-    def fringe(
-        cls,
-        fixed_deg: float,
-        steps: int = 16,
-        start: float = 0.0,
-        span: float = 180.0,
-        dwell: int = SLICE_PS,
-    ) -> "AnalyzerSchedule":
-        """A visibility fringe scan: C2 fixed, C1 swept across ``span``.
+    def fringe(cls, fixed_deg: float, steps: int = 16, dwell: int = SLICE_PS) -> "AnalyzerSchedule":
+        """A visibility fringe scan: C2 fixed, C1 swept from 0 to 180 degrees.
 
         Endpoints inclusive, so the scan covers the full span required by
         the visibility fit.
         """
         if steps < 2:
             raise ValueError("fringe scan needs at least 2 steps")
-        angles = np.linspace(start, start + span, steps)
+        angles = np.linspace(0.0, 180.0, steps)
         return cls(tuple((float(a), float(fixed_deg)) for a in angles), dwell)
 
 

@@ -10,6 +10,8 @@ Binary tag file (``QTT1``):
     header  = magic ``QTT1`` | version u16 LE | channel count u16 LE (=6)
               | duration u64 LE (ps) | record count u64 LE          (24 bytes)
     records = timestamp u64 LE | channel u8                         (9 bytes each)
+A file longer or shorter than the header and its declared records is
+refused.
 
 Bit file: bits packed MSB-first within each byte, trailing pad bits zero.
 The logical bit count lives in a sidecar JSON manifest ``{"bits": N}``
@@ -47,7 +49,7 @@ class TagFileError(Exception):
 
 
 class FormatError(TagFileError):
-    """Bad magic, unsupported version, or malformed header."""
+    """Bad magic, unsupported version, malformed header, or bytes past the records."""
 
 
 class CorruptionError(TagFileError):
@@ -226,11 +228,12 @@ def _decode(f, size: int) -> TagStream:
     if n_channels != 6:
         raise FormatError(f"expected 6 channels, header says {n_channels}")
     record = _RECORD_DTYPE.itemsize
-    if size - _HEADER.size < count * record:
-        raise TruncationError(
-            f"header declares {count} records, payload holds "
-            f"{(size - _HEADER.size) // record}"
-        )
+    surplus = size - _HEADER.size - count * record
+    if surplus < 0:
+        raise TruncationError(f"header declares {count} records, payload holds "
+                              f"{(size - _HEADER.size) // record}")
+    if surplus:
+        raise FormatError(f"header declares {count} records, file holds {surplus} bytes past them")
     ts, ch = np.empty(count, np.int64), np.empty(count, np.uint8)
     buf = _record_buffer(count)
     unsorted = bad_channel = False
@@ -261,10 +264,11 @@ def decode_stream(data: bytes) -> TagStream:
     """Parse QTT1 bytes back into a :class:`TagStream`, by the decoder of
     :func:`read_stream`; the stream shares no memory with ``data``.
 
-    Raises :class:`FormatError` on bad magic/version, :class:`TruncationError`
-    when records are missing or cut short, and :class:`CorruptionError` when
-    the payload violates stream invariants (bad channel code, unsorted or
-    out-of-range timestamps).
+    Raises :class:`FormatError` on bad magic/version or on bytes past the
+    declared records, :class:`TruncationError` when records are missing or
+    cut short, and :class:`CorruptionError` when the payload violates
+    stream invariants (bad channel code, unsorted or out-of-range
+    timestamps). Only the exact size of header plus records reads.
     """
     return _decode(io.BytesIO(data), len(data))
 

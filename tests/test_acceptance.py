@@ -315,8 +315,8 @@ def test_criterion_11_end_to_end_mirror(tmp_path):
         "battery.n_sequences": 20,
         "battery.seq_len": 10**5,
     }
-    cfg = build_config(overrides)
-    result = run_pipeline(cfg, out_dir=tmp_path / "run")
+    cfg = build_config({**overrides, "output_dir": str(tmp_path / "run")})
+    result = run_pipeline(cfg)
     rates = result.manifest["rates"]
     cert = result.manifest["certification"]
     repeat = rerun_from_manifest(tmp_path / "run" / "manifest.json", tmp_path / "rerun")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qrng_forge import (
     find_coincidences,
     generate_events,
 )
-from qrng_forge import _native
+from qrng_forge import _native, coincidence
 from qrng_forge.pipeline import _coincide, build_config
 
 from conftest import optimal_nearest_matching
@@ -125,7 +126,7 @@ class TestMatcherProperties:
         assert np.unique(used_b).size == used_b.size
 
     @pytest.mark.skipif(shutil.which("gcc") is None,
-                        reason="the full-table reference needs a 30,000 x 30,000 table")
+                        reason="the full-table reference needs two 30,000 x 30,000 bit planes")
     def test_one_dense_cluster(self):
         # 60,000 tags closer than tau form one cluster; the matcher's memory
         # stays linear in its size
@@ -133,6 +134,19 @@ class TestMatcherProperties:
         out = match_times(ta, ta + 300)
         assert len(out) == 30_000
         assert np.all(out.deltas == 300)
+
+    def test_reference_dp_keeps_choices_as_bits(self):
+        # one 3,000 x 3,000 cluster: the walk-back choices take two bits a
+        # cell (2.2 MB); a byte a cell (9 MB) would break the bound
+        a = np.arange(3000, dtype=np.int64) * 700
+        tracemalloc.start()
+        try:
+            pairs = coincidence._solve_cluster_py(a, a + 300, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs == [(i, i) for i in range(3000)]
+        assert peak < 4 * 2**20
 
     def test_output_sorted(self, rng):
         ta = np.sort(rng.integers(0, 10**6, 2000))

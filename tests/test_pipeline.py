@@ -118,8 +118,8 @@ def dark_only_dirs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def run_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline_run")
-    cfg = build_config(fast_overrides())
-    return run_pipeline(cfg, out_dir=out), out
+    cfg = build_config(fast_overrides(output_dir=str(out)))
+    return run_pipeline(cfg), out
 
 
 #: Config keys whose non-finite values must be config errors, each with the
@@ -246,6 +246,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_tags_past_declared_records_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "tags.qtt"
+        path.write_bytes(encode_stream(timetags.TagStream([5, 6], [4, 5], 10)) + b"\0")
+        assert main(["coincide", "--tags", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "i/o error: header declares 2 records, file holds 1 bytes past them")
+
     @pytest.mark.parametrize("command", ["extract", "test"])
     def test_too_short_input_exit_2(self, tmp_path, capsys, command):
         bits = tmp_path / "short.bits"
@@ -267,6 +274,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         with pytest.raises(ValueError, match="non-negative integer"):
             read_bits(bits)
+
+    @pytest.mark.parametrize("extra", [
+        ["--set", "no.such.key=1"], ["--seed", "14"], ["--config", "run.cfg"],
+    ])
+    def test_from_manifest_with_other_config_exit_2(self, run_result, tmp_path, capsys, extra):
+        # the manifest fixes every key, so a second source of keys is refused
+        # before anything runs
+        _, out = run_result
+        again = tmp_path / "again"
+        argv = ["run", "--from-manifest", str(out / "manifest.json"), "--out", str(again)]
+        assert main([*argv, *extra]) == 2
+        assert capsys.readouterr().err.startswith("config error: --from-manifest")
+        assert not again.exists()
 
     def test_refusal_exit_4_and_force(self, tmp_path, dark_only_dirs):
         refused_dir, forced_dir, argv = dark_only_dirs
@@ -377,7 +397,7 @@ class TestRunAndManifest:
         # the writer thread's own seconds, and how long the run waited for it
         assert stages["simulate"]["write_s"] > 0 and stages["simulate"]["write_wait_s"] >= 0
         multi = stages["coincide"]["multi_tag_clusters"]
-        assert set(multi) == {"D1-U2", "D2-U1", "C1-C2"}
+        assert list(multi) == ["U1-D2", "U2-D1", "C1-C2"]
         assert all(isinstance(n, int) and n >= 0 for n in multi.values())
 
     def test_manifest_digests_are_file_sha256(self, run_result):
@@ -399,8 +419,9 @@ class TestRunAndManifest:
             "extractor.n_block": 8192,
             "battery.n_sequences": 1,
             "battery.seq_len": 1000,
+            "output_dir": str(tmp_path),
         }))
-        fallback = run_pipeline(cfg, out_dir=tmp_path, force=True)
+        fallback = run_pipeline(cfg, force=True)
         assert fallback.manifest["kernel_backend"] == "numpy"
         assert fallback.manifest["numpy"] == np.__version__
 
@@ -428,6 +449,42 @@ class TestRunAndManifest:
         assert len(tags) > 24 and tags == (tmp_path / "b" / "tags.qtt").read_bytes()
 
 
+class TestRecordedConfig:
+    """A manifest's ``config`` is the run: the keys that took effect, its
+    own directory and the seed file it read."""
+
+    def test_overridden_keys_not_recorded(self, tmp_path):
+        # source.hwp_theta sets the state in place of source.alpha, and
+        # source.duration_ps the duration in place of source.duration_s
+        out = tmp_path / "run"
+        values = {**TestTagWriter.small, "source.hwp_theta": 10, "source.duration_ps": 5 * 10**10}
+        sets = [arg for k, v in values.items() for arg in ("--set", f"{k}={v}")]
+        assert main(["run", *sets, "--force", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert "source.alpha" not in config and "source.duration_s" not in config
+        assert config["source.hwp_theta"] == 10 and config["source.duration_ps"] == 5 * 10**10
+        cfg = build_config(config)
+        assert cfg.source.state == source.state_from_hwp(10.0, 1.0)
+        assert cfg.source.duration == 5 * 10**10
+        # a manifest recorded with the overridden keys builds the same run
+        recorded = build_config({**config, "source.alpha": 0.5, "source.duration_s": 1.0})
+        assert recorded.source == cfg.source and recorded.snapshot == config
+
+    def test_rerun_names_its_dir_and_seed(self, run_result, tmp_path):
+        # so the rerun's manifest re-runs in turn, to the same digests
+        result, out = run_result
+        again, third = tmp_path / "again", tmp_path / "third"
+        argv = ["run", "--from-manifest", str(out / "manifest.json"), "--out", str(again)]
+        assert main([*argv, "--force"]) == 0
+        rerun_from_manifest(again / "manifest.json", third)
+        for run_dir, seed_dir in ((again, out), (third, again)):
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["config"]["output_dir"] == str(run_dir)
+            seed_file = (seed_dir / "toeplitz_seed.bin").resolve()
+            assert manifest["config"]["extractor.seed_path"] == str(seed_file)
+            assert manifest["digests"] == result.manifest["digests"]
+
+
 class TestTagWriter:
     """``run`` writes tags.qtt on a thread of its own while the later stages
     run, and every exit of :func:`run_pipeline` waits for that thread."""
@@ -452,10 +509,10 @@ class TestTagWriter:
         monkeypatch.setattr(timetags, "_records", slow)
 
     def test_refused_run_leaves_complete_tags(self, tmp_path, slow_writer, monkeypatch):
-        cfg = build_config(self.small)
+        cfg = build_config({**self.small, "output_dir": str(tmp_path)})
         monkeypatch.setattr(pipeline, "run_verdict", lambda blocks: Verdict.UNCERTIFIED)
         with pytest.raises(CertificationRefused):
-            run_pipeline(cfg, out_dir=tmp_path)
+            run_pipeline(cfg)
         want = hashlib.sha256(encode_stream(source.generate_events(cfg.source))).hexdigest()
         assert hashlib.sha256((tmp_path / "tags.qtt").read_bytes()).hexdigest() == want
 
@@ -466,7 +523,7 @@ class TestTagWriter:
         monkeypatch.setattr(pipeline, "extract_stream", fail)
         before = set(threading.enumerate())
         with pytest.raises(StageError) as info:
-            run_pipeline(build_config(self.small), out_dir=tmp_path, force=True)
+            run_pipeline(build_config({**self.small, "output_dir": str(tmp_path)}), force=True)
         assert info.value.stage == "extract"
         assert set(threading.enumerate()) <= before  # no thread of the run outlives it
         assert not any(t.name.startswith("qrng_forge-tags") for t in threading.enumerate())
@@ -483,7 +540,7 @@ class TestTagWriter:
 
         monkeypatch.setattr(pipeline, "extract_stream", fail)
         with pytest.raises(StageError) as info:
-            run_pipeline(build_config(self.small), out_dir=tmp_path, force=True)
+            run_pipeline(build_config({**self.small, "output_dir": str(tmp_path)}), force=True)
         assert info.value.stage == "extract"
 
 
@@ -538,14 +595,8 @@ class TestStageSubcommands:
         chain, ran = chain_and_run
         summary = json.loads((chain / "coincidence_summary.json").read_text())
         manifest = json.loads((ran / "manifest.json").read_text())
-        by_pair = {
-            frozenset(pair.split("-")): row["coincidences"]
-            for pair, row in summary["pairs"].items()
-        }
-        assert by_pair == {
-            frozenset(pair.split("-")): n
-            for pair, n in manifest["rates"]["pair_counts"].items()
-        }
+        by_pair = {pair: row["coincidences"] for pair, row in summary["pairs"].items()}
+        assert by_pair == manifest["rates"]["pair_counts"]
         assert summary["raw_bits"] == manifest["rates"]["raw_bits"]
 
     def test_channel_rates_are_coincide_singles(self, chain_and_run):
@@ -560,14 +611,14 @@ class TestStageSubcommands:
 
 class TestSweep:
     def test_requires_two_values(self, tmp_path):
-        cfg = build_config(fast_overrides())
+        cfg = build_config(fast_overrides(output_dir=str(tmp_path)))
         with pytest.raises(ConfigError, match="2 values"):
-            sweep(cfg, "pump_power", [1.0], tmp_path)
+            sweep(cfg, "pump_power", [1.0])
 
     def test_unknown_parameter(self, tmp_path):
-        cfg = build_config(fast_overrides())
+        cfg = build_config(fast_overrides(output_dir=str(tmp_path)))
         with pytest.raises(ConfigError, match="parameter"):
-            sweep(cfg, "crystal_temperature", [1.0, 2.0], tmp_path)
+            sweep(cfg, "crystal_temperature", [1.0, 2.0])
 
     def test_alpha_sweep_records_failures_and_continues(self, tmp_path):
         cfg = build_config(
@@ -576,15 +627,18 @@ class TestSweep:
                     "source.duration_s": 0.2,
                     "battery.n_sequences": 2,
                     "battery.seq_len": 20_000,
+                    "output_dir": str(tmp_path / "sweep"),
                 }
             )
         )
-        rows = sweep(cfg, "alpha", [0.7071, 5.0], tmp_path / "sweep")
+        rows = sweep(cfg, "alpha", [0.7071, 5.0])
         assert len(rows) == 2
         assert rows[0]["S"] == pytest.approx(2.83, abs=0.2)
         assert "V" in rows[0]
         assert rows[0]["g2"] > 2
         assert "error" in rows[1]  # alpha = 5 is invalid, recorded not raised
+        point = tmp_path / "sweep" / "point_000"  # its manifest names its own directory
+        assert json.loads((point / "manifest.json").read_text())["config"]["output_dir"] == str(point)
         csv_text = sweep_csv(rows)
         assert csv_text.splitlines()[0] == "value,S,V,g2,h_min,mbps,verdict,error"
         assert len(csv_text.splitlines()) == 3
@@ -598,5 +652,5 @@ class TestSweep:
         assert main([*argv, *(a for kv in sets for a in ("--set", kv))]) == 2
         assert not out.exists()
         with pytest.raises(ConfigError, match="hwp_theta"):
-            sweep(build_config(fast_overrides(**{"source.hwp_theta": 22.5})), "alpha",
-                  [0.2, 0.9], out)
+            sweep(build_config(fast_overrides(**{"source.hwp_theta": 22.5}, output_dir=str(out))),
+                  "alpha", [0.2, 0.9])

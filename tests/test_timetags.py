@@ -119,9 +119,21 @@ class TestCodec:
         with pytest.raises(TruncationError):
             decode_stream(data[:-4])
 
-    def test_payload_past_declared_records_ignored(self):
+    def test_payload_past_declared_records_rejected(self, tmp_path):
+        # both readers, with one byte and with one whole record past the
+        # two the header declares; the exact size still reads
         stream = make_stream([5, 6], Channel.D1, duration=10)
-        assert decode_stream(encode_stream(stream) + b"\xff" * 13) == stream
+        path = tmp_path / "tags.qtt"
+        for surplus in (1, 9):
+            data = encode_stream(stream) + b"\0" * surplus
+            path.write_bytes(data)
+            for decode in (lambda: decode_stream(data), lambda: read_stream(path)):
+                with pytest.raises(FormatError) as info:
+                    decode()
+                assert str(info.value) == (
+                    f"header declares 2 records, file holds {surplus} bytes past them")
+        path.write_bytes(encode_stream(stream))
+        assert decode_stream(encode_stream(stream)) == read_stream(path) == stream
 
     def test_decoded_arrays_share_no_memory_with_input(self, rng):
         # the records are read in place, and both columns copied out of them
