@@ -23,7 +23,6 @@ from .certify import (
     fringe_counts,
     g2_cross,
     run_verdict,
-    verdicts_for_times,
     visibility,
 )
 from .coincidence import (
@@ -48,13 +47,11 @@ from .extract import (
 )
 from .randtests import (
     BatteryReport,
-    TestResult,
     autocorr,
     export_bits,
     proportion_range,
     pvalue_uniformity,
     run_battery,
-    run_test,
 )
 from .source import (
     AnalyzerSchedule,
@@ -71,11 +68,9 @@ from .timetags import (
     BitSequence,
     Channel,
     TagStream,
-    TimeTag,
     decode_stream,
     encode_stream,
     import_csv,
-    merge_streams,
     read_bits,
     read_stream,
     write_bits,

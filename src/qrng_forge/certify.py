@@ -16,9 +16,9 @@ block spans at least one full cycle; otherwise the settings bookkeeping
 is ill-defined, the metrics are reported as NaN, and the block is
 UNCERTIFIED. The run's verdict is the weakest block's (:func:`run_verdict`),
 and it gates every raw bit at once: the pipeline refuses to extract from an
-UNCERTIFIED run unless forced, and then extracts every bit.
-:func:`verdicts_for_times` gives the verdict of the block covering each
-timestamp, but no stage gates bits block by block yet.
+UNCERTIFIED run unless forced, and then extracts every bit. The raw bits
+carry no times, so a gate block by block will go by each block's bit
+count (ROADMAP.md, direction 5).
 
 :func:`certify_run` bins each block's coincidences by analyzer setting
 once, and also returns the run's counts per setting as the sum of the
@@ -271,7 +271,7 @@ def certify_run(
     remainder joins the final block); each block computes S with its
     propagated standard error, g2 (when the tag ``stream`` is supplied:
     from the C1 and C2 singles of the block's span [t_start, t_end)), and
-    a verdict. Blocks tile [0, duration], so every bit timestamp falls in
+    a verdict. Blocks tile [0, duration], so every timestamp falls in
     exactly one block.
 
     Also returns the run's g2, from every C1 and C2 tag of ``stream``, those
@@ -328,16 +328,6 @@ def certify_run(
         except InsufficientDataError:
             pass
     return blocks, g2_run, run_counts
-
-
-def verdicts_for_times(blocks: Sequence[CertBlock], times) -> list[Verdict]:
-    """The verdict each timestamp inherits from its covering block."""
-    if not blocks:
-        return [Verdict.UNCERTIFIED] * len(np.atleast_1d(times))
-    ends = np.array([b.t_end for b in blocks], dtype=np.int64)
-    idx = np.searchsorted(ends, np.asarray(times, dtype=np.int64), side="right")
-    idx = np.minimum(idx, len(blocks) - 1)
-    return [blocks[i].verdict for i in idx]
 
 
 def run_verdict(blocks: Sequence[CertBlock]) -> Verdict:

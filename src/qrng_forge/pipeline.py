@@ -72,7 +72,6 @@ from .certify import (
     _fringe_samples,
     certify_run,
     chsh_structure,
-    fringe_counts,
     run_verdict,
     visibility,
 )
@@ -331,8 +330,11 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
 
 def _number(kind, key: str, value):
     """``kind(value)``, the value of config key ``key``; a ConfigError that
-    names the key when the conversion fails, or when ``kind`` is int and a
-    finite float has a fractional part, which int() would drop."""
+    names the key when ``value`` is a bool, when the conversion fails, or
+    when ``kind`` is int and a finite float has a fractional part, which
+    int() would drop."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: {value!r} is not a number")
     try:
         number = kind(value)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -655,6 +657,12 @@ def rerun_from_manifest(manifest_path, out_dir: Path, force: bool = False) -> Pi
     run is forced again."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("extractor_seed_file"), str)
+            and isinstance(manifest.get("certification", {}), dict)):
+        raise ConfigError(f"{manifest_path}: not a run manifest: an object with a 'config' "
+                          "object, an 'extractor_seed_file' string and, if any, a "
+                          "'certification' object")
     # strict: a missing seed file fails here, before anything is simulated
     seed_file = (manifest_path.parent / manifest["extractor_seed_file"]).resolve(strict=True)
     cfg = build_config({**manifest["config"], "output_dir": str(out_dir),
@@ -674,8 +682,9 @@ def sweep(cfg: RunConfig, parameter: str, values: list[float]) -> list[dict]:
     ``parameter`` is one of :data:`SWEEP_KEYS`: pump_power, window_tau
     (ps), alpha. Point i runs ``cfg`` with that key set and ``output_dir``
     set to ``point_NNN`` under ``cfg.output_dir``, and so does its manifest.
-    Each point also runs a diagonal-basis fringe acquisition for V, as long
-    as the point's own (``source.duration``).
+    Each point also runs a diagonal-basis fringe acquisition as long as its
+    own (``source.duration``); V is the certify stage's fringe fit of it,
+    and a fit that fails is the point's error.
     Failures are recorded per point and the sweep continues. An alpha
     sweep of a config that sets ``source.hwp_theta``, which would take the
     state from the angle at every point, is a ConfigError.
@@ -705,11 +714,16 @@ def sweep(cfg: RunConfig, parameter: str, values: list[float]) -> list[dict]:
             fringe_cfg = build_config({**overrides, "schedule.kind": "fringe",
                                        "schedule.fixed": 45.0})
             stream = generate_events(fringe_cfg.source)
-            cert_coincs = bell_coincidences(stream, fringe_cfg.coincidence)
-            samples = fringe_counts(
-                cert_coincs, fringe_cfg.source.analyzer_schedule, fringe_cfg.source.duration
+            _, report = certification_report(
+                bell_coincidences(stream, fringe_cfg.coincidence),
+                fringe_cfg.source.analyzer_schedule, fringe_cfg.cert_block,
+                fringe_cfg.coincidence, stream,
             )
-            row["V"] = visibility(samples).v
+            fit = report["visibility"]
+            if "error" in fit:
+                row["error"] = fit["error"]
+            else:
+                row["V"] = fit["fit"]
         except Exception as exc:  # per-point failure: record, continue
             row["error"] = str(exc)
         rows.append(row)

@@ -47,13 +47,6 @@ class SequenceLengthError(ValueError):
 
 
 @dataclass(frozen=True)
-class TestResult:
-    test_id: str
-    p_value: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class BatteryReport:
     """Two-level battery outcome over n_sequences equal slices."""
 
@@ -491,26 +484,6 @@ TEST_IDS: dict[str, tuple] = {
 }
 
 
-def _check_test(test_id: str, n: int, strict: bool = True) -> None:
-    """KeyError for an unknown test id; with ``strict``, SequenceLengthError
-    below the test's minimum length."""
-    if test_id not in TEST_IDS:
-        raise KeyError(f"unknown test id {test_id!r}; choose from {sorted(TEST_IDS)}")
-    min_len = TEST_IDS[test_id][1]
-    if strict and n < min_len:
-        raise SequenceLengthError(f"{test_id} needs >= {min_len} bits, got {n}")
-
-
-def run_test(
-    test_id: str, bits, significance: float = 0.01, strict: bool = True
-) -> TestResult:
-    """Run one named test; ``strict`` enforces the per-test minimum length."""
-    packed, n = _packed(bits)
-    _check_test(test_id, n, strict)
-    p = TEST_IDS[test_id][0](_bit_stats(packed, 0, n))
-    return TestResult(test_id, p, p >= significance)
-
-
 def pvalue_uniformity(pvalues: Sequence[float], min_sequences: int = 55) -> float:
     """Goodness-of-fit uniformity P_T over ten equal P-value bins.
 
@@ -557,8 +530,9 @@ def run_battery(
         raise SequenceLengthError(
             f"battery needs {needed} bits ({n_sequences} x {seq_len}), got {size}"
         )
-    for t in TEST_IDS:
-        _check_test(t, seq_len)
+    for t, (_, min_len) in TEST_IDS.items():
+        if seq_len < min_len:
+            raise SequenceLengthError(f"{t} needs >= {min_len} bits, got {seq_len}")
     p_values: dict[str, list[float]] = {t: [] for t in TEST_IDS}
     for k in range(n_sequences):
         stats = _bit_stats(packed, k * seq_len, seq_len)

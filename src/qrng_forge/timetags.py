@@ -1,8 +1,9 @@
 """Time-tagged detection events, bit sequences, and their file formats.
 
 Everything downstream (coincidence matching, certification, extraction)
-consumes the types defined here. Timestamps are integer picoseconds from
-acquisition start; a 1 ns coincidence window is therefore 1000 units.
+consumes the types defined here. A stream of detection events is its two
+columns, timestamps and channel codes; timestamps are integer picoseconds
+from acquisition start, so a 1 ns coincidence window is 1000 units.
 All containers are immutable values after construction and safe to share
 across workers.
 
@@ -26,9 +27,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,18 +89,6 @@ SECTION_PAIRS = (
 _PARTNER = {a: b for pair in SECTION_PAIRS for a, b in (pair, pair[::-1])}
 
 
-@dataclass(frozen=True)
-class TimeTag:
-    """A single detection event: picosecond timestamp plus channel."""
-
-    timestamp: int
-    channel: Channel
-
-    def __post_init__(self):
-        if not 0 <= self.timestamp <= MAX_TIMESTAMP:
-            raise ValueError(f"timestamp {self.timestamp} outside [0, 2^63)")
-
-
 def _check_columns(ts: np.ndarray, duration: int, unsorted: bool, bad_channel: bool) -> None:
     """Raise ValueError for the first fault of a stream's columns, given
     whether its timestamps ``ts`` are out of order and whether a channel
@@ -127,8 +114,8 @@ def _check_columns(ts: np.ndarray, duration: int, unsorted: bool, bad_channel: b
 class TagStream:
     """A time-sorted sequence of detection events over a fixed duration.
 
-    Stored columnar (int64 timestamps, uint8 channel codes) so bulk
-    operations stay vectorized; iteration yields :class:`TimeTag` values.
+    Stored as its two columns, int64 timestamps and uint8 channel codes,
+    so bulk operations stay vectorized.
     Ties across channels at equal timestamps are legal and their relative
     order is preserved.
     """
@@ -150,24 +137,8 @@ class TagStream:
         self.channels = ch
         self.duration = duration
 
-    @classmethod
-    def from_tags(cls, tags: Iterable[TimeTag], duration: int) -> "TagStream":
-        tags = list(tags)
-        return cls(
-            np.array([t.timestamp for t in tags], dtype=np.int64),
-            np.array([int(t.channel) for t in tags], dtype=np.uint8),
-            duration,
-        )
-
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def __iter__(self) -> Iterator[TimeTag]:
-        for t, c in zip(self.timestamps.tolist(), self.channels.tolist()):
-            yield TimeTag(t, Channel(c))
-
-    def __getitem__(self, i: int) -> TimeTag:
-        return TimeTag(int(self.timestamps[i]), Channel(int(self.channels[i])))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TagStream):
@@ -317,26 +288,6 @@ def read_stream(path) -> TagStream:
     :data:`WRITE_RECORDS` records; faults as in :func:`decode_stream`."""
     with open(path, "rb") as f:
         return _decode(f, os.fstat(f.fileno()).st_size)
-
-
-def merge_streams(streams: Sequence[TagStream]) -> TagStream:
-    """Merge sorted streams into one sorted stream.
-
-    Equal timestamps keep input order (stream order first, then position
-    within each stream). All inputs must share one duration.
-    """
-    if not streams:
-        raise ValueError("merge_streams needs at least one stream")
-    duration = streams[0].duration
-    for s in streams[1:]:
-        if s.duration != duration:
-            raise ValueError(
-                f"mismatched durations: {s.duration} != {duration}"
-            )
-    ts = np.concatenate([s.timestamps for s in streams])
-    ch = np.concatenate([s.channels for s in streams])
-    order = np.argsort(ts, kind="stable")
-    return TagStream(ts[order], ch[order], duration, validate=False)
 
 
 def import_csv(text: str, duration: int | None = None) -> TagStream:

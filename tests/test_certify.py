@@ -6,6 +6,7 @@ import pytest
 
 from qrng_forge import (
     AnalyzerSchedule,
+    CertBlock,
     Channel,
     CoincidenceConfig,
     CorrelationCounts,
@@ -22,7 +23,6 @@ from qrng_forge import (
     generate_events,
     joint_outcome_probs,
     run_verdict,
-    verdicts_for_times,
     visibility,
 )
 from qrng_forge import certify
@@ -222,6 +222,8 @@ class TestLiveCertify:
             assert blk.s == pytest.approx(2 * math.sqrt(2) * 0.6, abs=0.05)
             assert blk.verdict is Verdict.CERTIFIED_G2
         assert run_verdict(blocks) is Verdict.CERTIFIED_G2
+        # one uncertified block taints the run
+        assert run_verdict([*blocks, CertBlock(0, 1, math.nan, math.nan)]) is Verdict.UNCERTIFIED
 
     def test_empty_stream_single_uncertified_block(self):
         blocks, *_ = certify_run(
@@ -308,26 +310,6 @@ class TestLiveCertify:
         for blk in blocks:
             if not math.isnan(blk.s) and blk.s - 3 * blk.s_stderr <= 2.0:
                 assert blk.verdict is not Verdict.CERTIFIED_BELL
-
-    def test_verdict_inheritance_by_timestamp(self):
-        from qrng_forge.certify import CertBlock
-
-        blocks = [
-            CertBlock(0, 100, 2.8, 0.01, {}, 5.0, 10, Verdict.CERTIFIED_BELL),
-            CertBlock(100, 200, 1.5, 0.01, {}, 5.0, 10, Verdict.CERTIFIED_G2),
-            CertBlock(200, 300, 1.0, 0.01, {}, 1.0, 10, Verdict.UNCERTIFIED),
-        ]
-        verdicts = verdicts_for_times(blocks, [0, 50, 99, 100, 199, 250, 300])
-        assert verdicts == [
-            Verdict.CERTIFIED_BELL,
-            Verdict.CERTIFIED_BELL,
-            Verdict.CERTIFIED_BELL,
-            Verdict.CERTIFIED_G2,
-            Verdict.CERTIFIED_G2,
-            Verdict.UNCERTIFIED,
-            Verdict.UNCERTIFIED,
-        ]
-        assert run_verdict(blocks) is Verdict.UNCERTIFIED
 
 
 class TestChshMeasurement:

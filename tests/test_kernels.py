@@ -425,7 +425,7 @@ def test_bit_stats_c_equals_numpy(rng, offset):
 
 def p_values(bits):
     """Every battery P-value of ``bits``, plus the tests at other parameters."""
-    out = [randtests.run_test(t, bits).p_value for t in randtests.TEST_IDS]
+    out = [ps[0] for ps in randtests.run_battery(bits, 1, len(bits)).p_values.values()]
     out += [randtests.block_frequency_test(bits, 100), randtests.block_frequency_test(bits, 1000),
             *randtests.serial_test(bits, 2), *randtests.serial_test(bits, 4),
             randtests.approximate_entropy_test(bits, 0), randtests.approximate_entropy_test(bits, 4)]

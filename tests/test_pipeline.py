@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrng_forge import _native, pipeline, source, timetags
+from qrng_forge import (
+    _native,
+    bell_coincidences,
+    fringe_counts,
+    generate_events,
+    pipeline,
+    source,
+    timetags,
+    visibility,
+)
 from qrng_forge.certify import Verdict
 from qrng_forge.cli import main
 from qrng_forge.pipeline import (
@@ -96,6 +105,14 @@ class TestConfigParsing:
     def test_duration_zero_clamps_to_minimum(self):
         cfg = build_config({"source.duration_ps": 0})
         assert cfg.source.duration == 1
+
+    @pytest.mark.parametrize("key", [
+        "source.rng_seed", "source.det_efficiency", "source.det_efficiency.C1"])
+    def test_bool_is_not_a_number(self, key):
+        # int(True) is 1 and float(True) 1.0, so a JSON true in a manifest
+        # would run as 1 and be recorded as true
+        with pytest.raises(ConfigError, match=f"^{key}: True is not a number"):
+            build_config({key: True})
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +303,28 @@ class TestExitCodes:
         argv = ["run", "--from-manifest", str(out / "manifest.json"), "--out", str(again)]
         assert main([*argv, *extra]) == 2
         assert capsys.readouterr().err.startswith("config error: --from-manifest")
+        assert not again.exists()
+
+    @pytest.mark.parametrize("manifest", [
+        {}, {"config": {}}, [], "text", {"config": [], "extractor_seed_file": "seed.bin"},
+        {"config": {}, "extractor_seed_file": 5},
+        {"config": {}, "extractor_seed_file": "seed.bin", "certification": []},
+    ])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, manifest):
+        # refused before the seed file is looked for or anything runs
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        again = tmp_path / "again"
+        assert main(["run", "--from-manifest", str(path), "--out", str(again)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not again.exists()
+
+    def test_manifest_without_its_seed_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": {}, "extractor_seed_file": "seed.bin"}))
+        again = tmp_path / "again"
+        assert main(["run", "--from-manifest", str(path), "--out", str(again)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
         assert not again.exists()
 
     def test_refusal_exit_4_and_force(self, tmp_path, dark_only_dirs):
@@ -642,6 +681,31 @@ class TestSweep:
         csv_text = sweep_csv(rows)
         assert csv_text.splitlines()[0] == "value,S,V,g2,h_min,mbps,verdict,error"
         assert len(csv_text.splitlines()) == 3
+
+    def test_v_is_the_certify_stage_fit(self, tmp_path):
+        # each point's V is the fringe fit of its own fringe acquisition, the
+        # diagonal-basis scan as long as the point's run
+        cfg = build_config({**TestTagWriter.small, "output_dir": str(tmp_path / "sweep")})
+        values = [1.0, 1.5]
+        rows = sweep(cfg, "pump_power", values)
+        for i, (value, row) in enumerate(zip(values, rows)):
+            fringe = build_config({**cfg.snapshot, "source.pump_power": value,
+                                   "output_dir": str(tmp_path / "sweep" / f"point_{i:03d}"),
+                                   "schedule.kind": "fringe", "schedule.fixed": 45.0})
+            schedule, duration = fringe.source.analyzer_schedule, fringe.source.duration
+            coincs = bell_coincidences(generate_events(fringe.source), fringe.coincidence)
+            assert "error" not in row
+            assert row["V"] == visibility(fringe_counts(coincs, schedule, duration)).v
+
+    def test_failed_fit_is_the_point_error(self, tmp_path):
+        # four scan steps are too few for a fringe fit; the point's run
+        # itself still succeeds
+        cfg = build_config({**TestTagWriter.small, "schedule.steps": 4,
+                            "output_dir": str(tmp_path / "sweep")})
+        rows = sweep(cfg, "pump_power", [1.0, 1.5])
+        for row in rows:
+            assert row["error"] == "visibility needs at least 8 angle samples"
+            assert "V" not in row and row["S"] is not None
 
     def test_alpha_sweep_refuses_a_hwp_theta_config(self, tmp_path):
         # source.hwp_theta sets the state in place of source.alpha, so each

@@ -10,7 +10,6 @@ from qrng_forge import (
     proportion_range,
     pvalue_uniformity,
     run_battery,
-    run_test,
 )
 from qrng_forge.randtests import (
     TEST_IDS,
@@ -149,23 +148,13 @@ class TestIndividualTests:
         p = approximate_entropy_test(prng_bits(10**5, 6))
         assert 0.0 <= p <= 1.0
 
-    def test_run_test_dispatch_and_strictness(self):
-        result = run_test("frequency", prng_bits(1000, 7))
-        assert result.test_id == "frequency"
-        assert result.passed == (result.p_value >= 0.01)
-        with pytest.raises(SequenceLengthError):
-            run_test("frequency", prng_bits(50, 7))
-        assert run_test("frequency", prng_bits(50, 7), strict=False).p_value >= 0.0
-        with pytest.raises(KeyError):
-            run_test("nonsense", prng_bits(1000, 7))
-
     def test_self_consistency_all_tests_uniform(self):
         # 1000 sequences from the deterministic simulator PRNG family:
         # each test's own P-values must pass the uniformity check
         n_seq, seq_len = 1000, 16384
-        bits = prng_bits(n_seq * seq_len, seed=99).reshape(n_seq, seq_len)
-        for test_id in TEST_IDS:
-            ps = [run_test(test_id, row).p_value for row in bits]
+        report = run_battery(prng_bits(n_seq * seq_len, seed=99), n_seq, seq_len)
+        assert list(report.p_values) == list(TEST_IDS)
+        for test_id, ps in report.p_values.items():
             assert pvalue_uniformity(ps) >= 1e-4, test_id
 
 
