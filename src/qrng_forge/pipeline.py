@@ -657,17 +657,18 @@ def rerun_from_manifest(manifest_path, out_dir: Path, force: bool = False) -> Pi
     run is forced again."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    cert = manifest.get("certification", {}) if isinstance(manifest, dict) else None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("extractor_seed_file"), str)
-            and isinstance(manifest.get("certification", {}), dict)):
+            and isinstance(cert, dict) and isinstance(cert.get("forced", False), bool)):
         raise ConfigError(f"{manifest_path}: not a run manifest: an object with a 'config' "
                           "object, an 'extractor_seed_file' string and, if any, a "
-                          "'certification' object")
+                          "'certification' object whose 'forced' is a boolean")
     # strict: a missing seed file fails here, before anything is simulated
     seed_file = (manifest_path.parent / manifest["extractor_seed_file"]).resolve(strict=True)
     cfg = build_config({**manifest["config"], "output_dir": str(out_dir),
                         "extractor.seed_path": str(seed_file)})
-    forced = force or manifest.get("certification", {}).get("forced", False)
+    forced = force or cert.get("forced", False)
     return run_pipeline(cfg, force=forced)
 
 

@@ -309,6 +309,8 @@ class TestExitCodes:
         {}, {"config": {}}, [], "text", {"config": [], "extractor_seed_file": "seed.bin"},
         {"config": {}, "extractor_seed_file": 5},
         {"config": {}, "extractor_seed_file": "seed.bin", "certification": []},
+        # a string would force the rerun whatever it says
+        {"config": {}, "extractor_seed_file": "seed.bin", "certification": {"forced": "no"}},
     ])
     def test_malformed_manifest_exit_2(self, tmp_path, capsys, manifest):
         # refused before the seed file is looked for or anything runs

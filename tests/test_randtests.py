@@ -273,6 +273,9 @@ class TestBattery:
     def test_insufficient_bits(self):
         with pytest.raises(SequenceLengthError):
             run_battery(prng_bits(1000), n_sequences=10, seq_len=1000)
+        # enough bits in all, but sequences shorter than a test's minimum
+        with pytest.raises(SequenceLengthError, match="block_frequency needs >= 128 bits, got 100"):
+            run_battery(prng_bits(1000), n_sequences=10, seq_len=100)
 
     def test_good_bits_pass(self):
         report = run_battery(prng_bits(20 * 10**5, seed=21), 20, 10**5)
